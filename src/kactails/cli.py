@@ -223,6 +223,10 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("chunk_size must be >= 1")
     if cfg.pool_init not in ("ones", "exponential"):
         errors.append("pool_init must be 'ones' or 'exponential'")
+    for t in cfg.t:
+        # the Yule leaf-count law has p = e^-t, which must not underflow to 0
+        if not (t >= 0 and math.exp(-t) > 0.0):
+            errors.append(f"t must be non-negative with e^-t > 0 (t <= ~745), got {t!r}")
 
     needs = {
         "tail": ("t", "xs", "N"),

@@ -239,7 +239,7 @@ def iid_hit_counts(law, n, thresholds, n_rows, rng):
         m = min(block, n_rows - done)
         x = law.sample(rng, m * n).reshape(m, n)
         s = np.abs(x.sum(axis=1))
-        a = np.abs(x).max(axis=1)
+        a = np.maximum(x.max(axis=1), -x.min(axis=1))
         for i, thr in enumerate(thresholds):
             hits_sum[i] += int((s > thr).sum())
             hits_max[i] += int((a > thr).sum())
@@ -310,9 +310,10 @@ def _weighted_hit_counts(law, b, x, n_rows, rng):
         m = min(block, n_rows - done)
         xv = law.sample(rng, m * n).reshape(m, n)
         s = xv @ b
-        prod = np.abs(xv) * b
+        np.abs(xv, out=xv)
+        xv *= b
         hits_sum += int((np.abs(s) > x).sum())
-        hits_max += int((prod.max(axis=1) > x).sum())
+        hits_max += int((xv.max(axis=1) > x).sum())
         done += m
     return hits_sum, hits_max
 

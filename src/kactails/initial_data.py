@@ -43,8 +43,12 @@ class TailProfile:
 
 
 def _pareto_magnitude(rng, size, xmin, alpha):
-    u = np.maximum(rng.random(size), _U_FLOOR)
-    return xmin * u ** (-1.0 / alpha)
+    # xmin * max(u, floor)^(-1/alpha), computed in place on the draw buffer
+    m = rng.random(size)
+    np.maximum(m, _U_FLOOR, out=m)
+    m **= -1.0 / alpha
+    m *= xmin
+    return m
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,20 @@ class SymmetricPareto:
 
     def sample(self, rng, size=None):
         scalar = size is None
-        u = np.maximum(rng.random(1 if scalar else size), _U_FLOOR)
-        mag = self.xmin * np.maximum(1.0 - np.abs(2.0 * u - 1.0), _U_FLOOR) ** (-1.0 / self.alpha)
-        x = np.where(u < 0.5, -mag, mag)
+        # one uniform per draw: v = 2u - 1 carries the sign (v < 0 exactly
+        # when u < 0.5; u = 0.5 gives +0.0, a positive draw) and 1 - |v|
+        # the magnitude; every step writes into one of two buffers.  With
+        # u in [2^-53, 1 - 2^-53], 1 - |v| >= 2^-52 is exact and positive,
+        # so it needs no floor of its own before the negative power.
+        v = rng.random(1 if scalar else size)
+        np.maximum(v, _U_FLOOR, out=v)
+        v *= 2.0
+        v -= 1.0
+        m = np.abs(v)
+        np.subtract(1.0, m, out=m)
+        m **= -1.0 / self.alpha
+        m *= self.xmin
+        x = np.copysign(m, v, out=m)
         return float(x[0]) if scalar else x
 
     def abs_tail(self, x):
@@ -162,8 +177,14 @@ class AsymmetricPareto:
     def sample(self, rng, size=None):
         scalar = size is None
         n = 1 if scalar else size
-        sign = np.where(rng.random(n) < self._p, 1.0, -1.0)
-        x = sign * _pareto_magnitude(rng, n, self.xmin, self.alpha) - self._shift
+        # the sign uniforms come first in the stream, then the magnitudes;
+        # sign = +0.5 where u < p and -0.5 elsewhere, applied by copysign
+        sign = rng.random(n)
+        np.less(sign, self._p, out=sign)
+        sign -= 0.5
+        x = _pareto_magnitude(rng, n, self.xmin, self.alpha)
+        np.copysign(x, sign, out=x)
+        x -= self._shift
         return float(x[0]) if scalar else x
 
     def _raw_upper(self, y):

@@ -57,13 +57,16 @@ class ForestSample:
 def sample_yule(t, rng, size=None):
     """Leaf count at time t: geometric on {1, 2, ...} with p = e^-t.
 
-    Inverse transform: n = ceil(log(1-u) / log(1-p)).
+    Inverse transform: n = ceil(log(1-u) / log(1-p)).  Raises ValueError
+    when p underflows to 0 (t > ~745), where the transform would return 1.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
+    p = math.exp(-t)
+    if p == 0.0:
+        raise ValueError(f"e^-t underflows to 0 at t = {t!r}; no leaf count is representable")
     scalar = size is None
     m = 1 if scalar else int(size)
-    p = math.exp(-t)
     if p >= 1.0:
         n = np.ones(m, dtype=np.int64)
     else:

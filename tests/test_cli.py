@@ -285,3 +285,14 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "regime: case=unrestricted" in proc.stdout
     assert out.exists()
+
+
+@pytest.mark.parametrize("t", ["-1.0", "800.0", "[1.0, -0.5]", ".inf", ".nan"])
+def test_parse_rejects_negative_or_underflowing_t(tmp_path, t):
+    text = MINIMAL.replace("t: 3.0", f"t: {t}")
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(text)
+    assert any(e.startswith("t must be non-negative") for e in exc.value.errors)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert cli.main(["--config", str(path)]) == 2

@@ -224,3 +224,41 @@ def test_ode_residual_validation():
         kt.max_ode_residual(kt.KacKernel(), law, 1.0, 2.0, 0.5, 1000, rng(0))
     with pytest.raises(ValueError):
         kt.max_ode_residual(kt.KacKernel(), law, 1.0, 0.0, 0.01, 1000, rng(0))
+
+
+def test_iid_hit_counts_match_abs_max_formula():
+    # several row blocks of 2^22 / n rows each, the last one partial
+    from kactails.deviations import _iid_block_rows, iid_hit_counts
+
+    law, n, n_rows = kt.SymmetricPareto(1.5), 4096, 2500
+    thresholds = np.array([50.0, 500.0, 5000.0])
+    hits_sum, hits_max = iid_hit_counts(law, n, thresholds, n_rows, rng(41))
+    g = rng(41)
+    ref_sum = np.zeros(thresholds.size, dtype=np.int64)
+    ref_max = np.zeros(thresholds.size, dtype=np.int64)
+    block, done = _iid_block_rows(n), 0
+    assert block < n_rows
+    while done < n_rows:
+        m = min(block, n_rows - done)
+        x = law.sample(g, m * n).reshape(m, n)
+        s = np.abs(x.sum(axis=1))
+        a = np.abs(x).max(axis=1)
+        ref_sum += (s[:, None] > thresholds).sum(axis=0)
+        ref_max += (a[:, None] > thresholds).sum(axis=0)
+        done += m
+    np.testing.assert_array_equal(hits_sum, ref_sum)
+    np.testing.assert_array_equal(hits_max, ref_max)
+    assert ref_max.min() > 0
+
+
+def test_weighted_hit_counts_match_abs_product_formula():
+    from kactails.deviations import _weighted_hit_counts
+
+    law = kt.AsymmetricPareto(1.5, 0.7, 0.3)
+    b = rng(42).uniform(0.05, 1.0, size=12)
+    x = 20.0
+    hits_sum, hits_max = _weighted_hit_counts(law, b, x, 200_000, rng(43))
+    xv = law.sample(rng(43), 200_000 * b.size).reshape(-1, b.size)
+    assert hits_sum == int((np.abs(xv @ b) > x).sum())
+    assert hits_max == int(((np.abs(xv) * b).max(axis=1) > x).sum())
+    assert hits_max > 0

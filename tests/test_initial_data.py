@@ -158,3 +158,81 @@ def test_invalid_constructions():
         kt.SymmetricPareto(1.5, xmin=0.0)
     with pytest.raises(ValueError):
         kt.AsymmetricPareto(1.5, 0.0, 0.0)
+
+
+# Direct, allocating forms of the Pareto samplers, kept as oracles.  The
+# in-place samplers run the same floating-point operations in the same
+# order (SymmetricPareto omits the second floor, which never binds for u in
+# [0, 1)), so their draws must match these byte for byte.
+def _symmetric_oracle(law, u):
+    u = np.maximum(u, 2.0 ** -53)
+    mag = law.xmin * np.maximum(1.0 - np.abs(2.0 * u - 1.0), 2.0 ** -53) ** (-1.0 / law.alpha)
+    return np.where(u < 0.5, -mag, mag)
+
+
+def _asymmetric_oracle(law, u_sign, u_mag):
+    sign = np.where(u_sign < law._p, 1.0, -1.0)
+    mag = law.xmin * np.maximum(u_mag, 2.0 ** -53) ** (-1.0 / law.alpha)
+    return sign * mag - law._shift
+
+
+class _StubGenerator:
+    """Hands out the same fixed uniforms on every random() call."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+_EDGE_UNIFORMS = [0.0, 2.0 ** -54, 0.25, 0.5, 1.0 - 2.0 ** -53]
+
+_ASYMMETRIC_LAWS = [
+    kt.AsymmetricPareto(1.5, 0.7, 0.3),          # shifted by its mean
+    kt.AsymmetricPareto(0.5, 0.2, 0.8, xmin=2.0),
+    kt.AsymmetricPareto(1.0, 0.5, 0.5),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("xmin", [1.0, 2.0])
+def test_symmetric_pareto_matches_oracle_bytes(alpha, xmin):
+    law = kt.SymmetricPareto(alpha, xmin)
+    x = law.sample(rng(21), 100_000)
+    u = rng(21).random(100_000)
+    assert x.tobytes() == _symmetric_oracle(law, u).tobytes()
+    scalar = law.sample(rng(22))
+    assert scalar == float(_symmetric_oracle(law, rng(22).random(1))[0])
+
+
+@pytest.mark.parametrize("xmin", [1.0, 2.0])
+def test_symmetric_pareto_edge_uniforms(xmin):
+    law = kt.SymmetricPareto(1.5, xmin)
+    x = law.sample(_StubGenerator(_EDGE_UNIFORMS), len(_EDGE_UNIFORMS))
+    oracle = _symmetric_oracle(law, np.array(_EDGE_UNIFORMS))
+    assert x.tobytes() == oracle.tobytes()
+    # u = 0.5 gives v = +0.0 and the positive draw xmin
+    assert x[3] == xmin and np.all(x[:3] < 0) and x[4] > 0
+    assert np.all(np.isfinite(x)) and np.all(np.abs(x) >= xmin)
+
+
+@pytest.mark.parametrize("law", _ASYMMETRIC_LAWS, ids=lambda l: f"a{l.alpha}")
+def test_asymmetric_pareto_matches_oracle_bytes(law):
+    x = law.sample(rng(23), 100_000)
+    g = rng(23)
+    u_sign = g.random(100_000)
+    u_mag = g.random(100_000)
+    assert x.tobytes() == _asymmetric_oracle(law, u_sign, u_mag).tobytes()
+    scalar = law.sample(rng(24))
+    g = rng(24)
+    assert scalar == float(_asymmetric_oracle(law, g.random(1), g.random(1))[0])
+
+
+@pytest.mark.parametrize("law", _ASYMMETRIC_LAWS, ids=lambda l: f"a{l.alpha}")
+def test_asymmetric_pareto_edge_uniforms(law):
+    u = np.array(_EDGE_UNIFORMS)
+    x = law.sample(_StubGenerator(u), u.size)
+    assert x.tobytes() == _asymmetric_oracle(law, u, u).tobytes()
+    assert np.all(np.isfinite(x))

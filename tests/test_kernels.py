@@ -31,9 +31,18 @@ def test_deterministic_sample_is_degenerate():
 
 
 def test_kac_pair_lies_on_unit_circle():
-    L, R = kt.KacKernel().sample(rng(2), 10_000)
+    # batch and scalar draws lie on the quarter circle
+    k = kt.KacKernel()
+    L, R = k.sample(rng(2), 10_000)
     assert np.all(L >= 0) and np.all(R >= 0)
+    assert np.all(L <= 1) and np.all(R <= 1)
     np.testing.assert_allclose(L**2 + R**2, 1.0, atol=1e-12)
+    g = rng(3)
+    for _ in range(200):
+        l, r = k.sample(g)
+        assert isinstance(l, float) and isinstance(r, float)
+        assert 0 <= l <= 1 and 0 <= r <= 1
+        assert abs(l * l + r * r - 1.0) <= 1e-12
 
 
 def test_discrete_mixture_mean_matches_expectation():
@@ -243,3 +252,30 @@ def test_h_of_t_remaining_rows():
 def test_sample_collision_scalar():
     l, r = kt.sample_collision(kt.KacKernel(), rng(8))
     assert 0 <= l <= 1 and 0 <= r <= 1
+
+
+def test_kac_scalar_and_batch_draws_agree():
+    # one double per draw in both paths: scalar draws replay the batch
+    k = kt.KacKernel()
+    L, R = k.sample(rng(33), 50)
+    g = rng(33)
+    pairs = [k.sample(g) for _ in range(50)]
+    np.testing.assert_allclose([p[0] for p in pairs], L, rtol=0, atol=1e-15)
+    np.testing.assert_allclose([p[1] for p in pairs], R, rtol=0, atol=1e-15)
+
+
+def test_kac_coordinate_means():
+    # E|sin theta| = E|cos theta| = 2/pi
+    L, R = kt.KacKernel().sample(rng(34), 1_000_000)
+    for v in (L, R):
+        se = v.std(ddof=1) / math.sqrt(v.size)
+        assert abs(v.mean() - 2.0 / math.pi) <= 5 * se
+
+
+@pytest.mark.parametrize("s", [0.5, 1.5, 3.0])
+def test_kac_pair_moment_matches_monte_carlo(s):
+    k = kt.KacKernel()
+    L, R = k.sample(rng(35), 1_000_000)
+    vals = L**s + R**s
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    assert abs(vals.mean() - k.pair_moment(s)) <= 5 * se

@@ -161,3 +161,12 @@ def test_rescaled_quantiles_are_tight_in_t():
     for t in (2.0, 4.0):
         assert abs(qv[t] / qv[6.0] - 1.0) <= 0.2
         assert abs(qh[t] / qh[6.0] - 1.0) <= 0.2
+
+
+def test_yule_refuses_underflowing_success_probability():
+    # e^-800 underflows to 0; the transform used to return 1 leaf silently
+    assert math.exp(-800.0) == 0.0
+    with pytest.raises(ValueError, match="underflow"):
+        kt.sample_yule(800.0, rng(4))
+    with pytest.raises(ValueError, match="underflow"):
+        kt.sample_yule(800.0, rng(4), 10)
