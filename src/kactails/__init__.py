@@ -18,7 +18,6 @@ from .kernels import (
     UserKernel,
     classify_regime,
     h_of_t,
-    sample_collision,
     spectral,
 )
 from .initial_data import (
@@ -27,7 +26,6 @@ from .initial_data import (
     TailProfile,
     UnsupportedLawError,
     UserLaw,
-    sample_initial,
     tail_profile,
     tail_remainder,
 )
@@ -44,7 +42,6 @@ from .processes import (
     ForestSample,
     PathSample,
     forest_statistics,
-    rescaled,
     sample_path,
     sample_yule,
     wild_oracle_max,

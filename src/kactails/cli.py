@@ -10,6 +10,14 @@ of phase `tag` is PCG64 seeded by
 so the output is byte-identical for any worker count: chunk results are
 merged in chunk-index order and all merges are associative.
 
+Each chunk is one job `(fn, args, seed, tag, k)`, which returns
+`fn(*args, rng)` on that stream.  By experiment, fn is
+`deviations.tail_hit_counts` (tail), `deviations.iid_hit_counts`
+(baseline), `_paths_task` (cdf-H, cf-V) or `_martingale_sum_task`
+(martingale), with chunk results summed componentwise, and
+`deviations.lemma_bounds` (bounds, one job per x).  fixed-point and
+ode-residual draw from the single stream 0 of their tag.
+
 Exit codes: 0 success, 2 config error, 3 an admissibility warning was
 raised (results still written), 4 I/O failure.
 """
@@ -23,7 +31,7 @@ import math
 import multiprocessing
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
@@ -38,7 +46,7 @@ from .kernels import (
     RegimeUnavailableError,
     classify_regime,
 )
-from .processes import forest_statistics
+from .processes import YULE_T_MAX, forest_statistics
 from .weights import grow_weights_batch, mean_weight_norm
 
 EXPERIMENTS = ("tail", "cdf-H", "cf-V", "fixed-point", "bounds",
@@ -91,15 +99,6 @@ class ExperimentConfig:
     chunk_size: int = 16384
     output: str = "results.csv"
     format: str = "csv"
-
-
-@dataclass
-class ResultRecord:
-    experiment: str
-    inputs: dict
-    outputs: dict
-    regime: dict | None
-    wall_time: float
 
 
 def derive_stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
@@ -224,9 +223,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.pool_init not in ("ones", "exponential"):
         errors.append("pool_init must be 'ones' or 'exponential'")
     for t in cfg.t:
-        # the Yule leaf-count law has p = e^-t, which must not underflow to 0
-        if not (t >= 0 and math.exp(-t) > 0.0):
-            errors.append(f"t must be non-negative with e^-t > 0 (t <= ~745), got {t!r}")
+        if not 0 <= t <= YULE_T_MAX:
+            errors.append(f"t must be non-negative and at most {YULE_T_MAX:g} "
+                          f"(leaf counts overflow int64 beyond it), got {t!r}")
 
     needs = {
         "tail": ("t", "xs", "N"),
@@ -270,37 +269,30 @@ def _chunks(total, chunk_size):
     return sizes
 
 
-def _pmap(fn, tasks, workers):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-        return pool.map(fn, tasks)
+# ---- chunk jobs (top level so they pickle) ----
+
+def _job(task):
+    """One chunk: `fn(*args, rng)` on the stream of chunk `k` of phase `tag`."""
+    fn, args, seed, tag, k = task
+    return fn(*args, derive_stream(seed, tag, k))
 
 
-# ---- chunk task functions (top level so they pickle) ----
-
-def _tail_task(args):
-    kernel, law, t, mu, xs, size, seed, tag, k = args
-    rng = derive_stream(seed, tag, k)
-    return deviations.tail_hit_counts(kernel, law, t, mu, xs, size, rng)
-
-
-def _baseline_task(args):
-    law, n, thresholds, size, seed, tag, k = args
-    rng = derive_stream(seed, tag, k)
-    return deviations.iid_hit_counts(law, n, thresholds, size, rng)
+def _run_jobs(cfg, tag, fn, chunk_args):
+    """Results of `fn(*args, rng)` for each chunk's `args`, in chunk order."""
+    tasks = [(fn, args, cfg.seed, tag, k) for k, args in enumerate(chunk_args)]
+    if cfg.workers <= 1 or len(tasks) <= 1:
+        return [_job(t) for t in tasks]
+    with multiprocessing.Pool(min(cfg.workers, len(tasks))) as pool:
+        return pool.map(_job, tasks)
 
 
-def _bounds_task(args):
-    b, law, x, epsilon, gamma, N, seed, tag, k = args
-    rng = derive_stream(seed, tag, k)
-    return deviations.lemma_bounds(b, law, x, epsilon, gamma, N, rng)
+def _summed_jobs(cfg, tag, fn, chunk_args):
+    """Each component of the chunk results, summed in chunk order."""
+    return [np.sum(part, axis=0) for part in zip(*_run_jobs(cfg, tag, fn, chunk_args))]
 
 
-def _paths_task(args):
+def _paths_task(kernel, law, t, alpha, mu, xs, xis, size, rng):
     """Per-chunk path statistics for cdf-H / cf-V: counts and CF sums."""
-    kernel, law, t, alpha, mu, xs, xis, size, seed, tag, k = args
-    rng = derive_stream(seed, tag, k)
     stats = forest_statistics(kernel, t, (alpha,), size, rng, law=law)
     f = math.exp(-mu * t)
     h = stats.H * f
@@ -310,6 +302,12 @@ def _paths_task(args):
     return counts, cf_sums
 
 
+def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
+    flat, starts, _ = grow_weights_batch(kernel, np.full(size, n, dtype=np.int64), rng)
+    tm = np.add.reduceat(flat ** alpha, starts) / m_n
+    return float(tm.sum()), float((tm ** 2).sum()), tm.size
+
+
 # ---- experiment runners ----
 
 def _run_tail(cfg, kernel, law, regime, warnings_out, notes_out):
@@ -317,46 +315,31 @@ def _run_tail(cfg, kernel, law, regime, warnings_out, notes_out):
         warnings_out.append(
             f"regime {regime.case_id!r} restricts admissible schedules; a single "
             "(t, x) row cannot certify x_t -> infinity against h(t)")
-    mu = regime.mu_alpha
     c0 = law.c0_plus + law.c0_minus
     rows = []
     for it, t in enumerate(cfg.t):
-        tag = f"tail/{it}"
-        sizes = _chunks(cfg.N, cfg.chunk_size)
-        tasks = [(kernel, law, t, mu, cfg.xs, m, cfg.seed, tag, k)
-                 for k, m in enumerate(sizes)]
-        parts = _pmap(_tail_task, tasks, cfg.workers)
-        hits_v = np.sum([p[0] for p in parts], axis=0)
-        hits_h = np.sum([p[1] for p in parts], axis=0)
+        hits_v, hits_h = _summed_jobs(
+            cfg, f"tail/{it}", deviations.tail_hit_counts,
+            [(kernel, law, t, regime.mu_alpha, cfg.xs, m)
+             for m in _chunks(cfg.N, cfg.chunk_size)])
         for est in deviations.assemble_tail_estimates(
                 t, cfg.xs, cfg.N, hits_v, hits_h, law.alpha, c0):
             if est.low_precision:
                 notes_out.append(
                     f"low precision at t={t:g}, x={est.x:g}: expected hits "
                     f"{cfg.N * c0 / est.x ** law.alpha:.1f} < 20")
-            rows.append({"t": est.t, "x": est.x, "N": est.N,
-                         "hits_V": est.hits_V, "hits_H": est.hits_H,
-                         "p_V": est.p_V, "se_V": est.se_V,
-                         "p_H": est.p_H, "se_H": est.se_H,
-                         "ratio_paper": est.ratio_paper,
-                         "ratio_max": est.ratio_max})
+            rows.append(asdict(est))
     return rows
 
 
 def _run_martingale(cfg, kernel, law, regime, warnings_out, notes_out):
-    alpha = law.alpha
-    s_alpha = regime.S_alpha
     rows = []
     for ni, n in enumerate(cfg.n):
-        m_n = mean_weight_norm(s_alpha, n).m
-        tag = f"martingale/{ni}"
+        m_n = mean_weight_norm(regime.S_alpha, n).m
         sizes = _chunks(cfg.N, max(1, cfg.chunk_size // max(1, n // 64)))
-        tasks = [(kernel, int(n), alpha, m_n, m, cfg.seed, tag, k)
-                 for k, m in enumerate(sizes)]
-        parts = _pmap(_martingale_sum_task, tasks, cfg.workers)
-        total = sum(p[0] for p in parts)
-        total_sq = sum(p[1] for p in parts)
-        count = sum(p[2] for p in parts)
+        parts = _run_jobs(cfg, f"martingale/{ni}", _martingale_sum_task,
+                          [(kernel, int(n), law.alpha, m_n, m) for m in sizes])
+        total, total_sq, count = map(sum, zip(*parts))
         mean = total / count
         var = max(total_sq / count - mean ** 2, 0.0)
         rows.append({"n": int(n), "N": count, "mean": mean,
@@ -364,47 +347,23 @@ def _run_martingale(cfg, kernel, law, regime, warnings_out, notes_out):
     return rows
 
 
-def _martingale_sum_task(args):
-    kernel, n, alpha, m_n, size, seed, tag, k = args
-    rng = derive_stream(seed, tag, k)
-    flat, starts, _ = grow_weights_batch(kernel, np.full(size, n, dtype=np.int64), rng)
-    tm = np.add.reduceat(flat ** alpha, starts) / m_n
-    return float(tm.sum()), float((tm ** 2).sum()), tm.size
-
-
 def _run_baseline(cfg, kernel, law, regime, warnings_out, notes_out):
-    c0 = law.c0_plus + law.c0_minus
-    alpha = law.alpha
     n = cfg.n[0]
-    thresholds = [x * n ** (1.0 / alpha) for x in cfg.xs]
+    thresholds = [x * n ** (1.0 / law.alpha) for x in cfg.xs]
     rows_per_chunk = max(1, cfg.chunk_size * 256 // max(n, 1))
-    sizes = _chunks(cfg.N, rows_per_chunk)
-    tasks = [(law, n, thresholds, m, cfg.seed, "baseline", k)
-             for k, m in enumerate(sizes)]
-    parts = _pmap(_baseline_task, tasks, cfg.workers)
-    hits_sum = np.sum([p[0] for p in parts], axis=0)
-    hits_max = np.sum([p[1] for p in parts], axis=0)
-    rows = []
-    for x, hs, hm in zip(cfg.xs, hits_sum, hits_max):
-        p_sum = hs / cfg.N
-        p_max = hm / cfg.N
-        rows.append({
-            "n": n, "x": x, "N": cfg.N,
-            "p_sum": p_sum, "se_sum": math.sqrt(max(p_sum * (1 - p_sum), 0) / cfg.N),
-            "p_max": p_max, "se_max": math.sqrt(max(p_max * (1 - p_max), 0) / cfg.N),
-            "ratio_paper": x ** alpha * p_sum / c0,
-            "ratio_max": p_sum / p_max if hm > 0 else math.nan,
-        })
-    return rows
+    hits_sum, hits_max = _summed_jobs(
+        cfg, "baseline", deviations.iid_hit_counts,
+        [(law, n, thresholds, m) for m in _chunks(cfg.N, rows_per_chunk)])
+    return [asdict(est) for est in deviations.assemble_baseline_estimates(
+        n, cfg.xs, cfg.N, hits_sum, hits_max, law.alpha, law.c0_plus + law.c0_minus)]
 
 
 def _run_bounds(cfg, kernel, law, regime, warnings_out, notes_out):
     n = cfg.n[0]
     b = np.asarray(cfg.b, dtype=float) if cfg.b is not None \
         else np.full(n, n ** (-1.0 / law.alpha))
-    tasks = [(b, law, x, cfg.epsilon, cfg.gamma, cfg.N, cfg.seed, "bounds", k)
-             for k, x in enumerate(cfg.xs)]
-    reports = _pmap(_bounds_task, tasks, cfg.workers)
+    reports = _run_jobs(cfg, "bounds", deviations.lemma_bounds,
+                        [(b, law, x, cfg.epsilon, cfg.gamma, cfg.N) for x in cfg.xs])
     return [{"n": r.n, "x": r.x, "epsilon": r.epsilon, "gamma": r.gamma,
              "lower": r.lower, "upper": r.upper,
              "max_lower": r.max_lower, "max_upper": r.max_upper,
@@ -444,12 +403,10 @@ def _run_cdf_h(cfg, kernel, law, regime, warnings_out, notes_out):
     c0 = law.c0_plus + law.c0_minus
     rows = []
     for it, t in enumerate(cfg.t):
-        tag = f"cdf-H/{it}"
-        sizes = _chunks(cfg.N, cfg.chunk_size)
-        tasks = [(kernel, law, t, law.alpha, regime.mu_alpha, cfg.xs, (), m,
-                  cfg.seed, tag, k) for k, m in enumerate(sizes)]
-        parts = _pmap(_paths_task, tasks, cfg.workers)
-        counts = np.sum([p[0] for p in parts], axis=0)
+        counts, _ = _summed_jobs(
+            cfg, f"cdf-H/{it}", _paths_task,
+            [(kernel, law, t, law.alpha, regime.mu_alpha, cfg.xs, (), m)
+             for m in _chunks(cfg.N, cfg.chunk_size)])
         for x, c in zip(cfg.xs, counts):
             p = c / cfg.N
             rows.append({"t": t, "x": x, "N": cfg.N, "pool_size": cfg.pool_size,
@@ -465,12 +422,10 @@ def _run_cf_v(cfg, kernel, law, regime, warnings_out, notes_out):
                                   gamma0=law.gamma0 or 0.0)
     rows = []
     for it, t in enumerate(cfg.t):
-        tag = f"cf-V/{it}"
-        sizes = _chunks(cfg.N, cfg.chunk_size)
-        tasks = [(kernel, law, t, law.alpha, regime.mu_alpha, (), cfg.xs, m,
-                  cfg.seed, tag, k) for k, m in enumerate(sizes)]
-        parts = _pmap(_paths_task, tasks, cfg.workers)
-        cf_sums = np.sum([p[1] for p in parts], axis=0)
+        _, cf_sums = _summed_jobs(
+            cfg, f"cf-V/{it}", _paths_task,
+            [(kernel, law, t, law.alpha, regime.mu_alpha, (), cfg.xs, m)
+             for m in _chunks(cfg.N, cfg.chunk_size)])
         for xi, s in zip(cfg.xs, cf_sums):
             emp = s / cfg.N
             lim = limits.cf_V_infinity(xi, pool, params)
@@ -505,40 +460,23 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig):
-    """Dispatch the experiment; returns (records, exit_status)."""
+    """Returns (rows, exit_status, (regime, messages)): each row maps the
+    SCHEMAS columns to values, regime is None when unavailable, and the
+    messages are the warnings and notes to print."""
     kernel = build_kernel(cfg.kernel)
     law = build_law(cfg.initial)
     regime = None
-    regime_dict = None
     warnings_out = []
     try:
         regime = classify_regime(kernel, law.alpha, eta=cfg.eta)
-        regime_dict = {"S_alpha": regime.S_alpha, "S_2alpha": regime.S_2alpha,
-                       "mu_alpha": regime.mu_alpha, "mu_2alpha": regime.mu_2alpha,
-                       "case_id": regime.case_id}
     except RegimeUnavailableError as exc:
         warnings_out.append(f"regime unavailable: {exc}")
-
-    echo = {"experiment": cfg.experiment, "seed": cfg.seed,
-            "kernel": dict(cfg.kernel), "initial": dict(cfg.initial),
-            "t": list(cfg.t), "xs": list(cfg.xs), "N": cfg.N,
-            "pool_size": cfg.pool_size, "iterations": cfg.iterations,
-            "n": list(cfg.n), "b": cfg.b, "x": cfg.x, "delta": cfg.delta,
-            "epsilon": cfg.epsilon, "gamma": cfg.gamma, "eta": cfg.eta,
-            "chunk_size": cfg.chunk_size}
-
     notes_out = []
-    start = time.perf_counter()
     rows = _RUNNERS[cfg.experiment](cfg, kernel, law, regime, warnings_out, notes_out)
-    elapsed = time.perf_counter() - start
-
-    records = [ResultRecord(experiment=cfg.experiment, inputs=echo, outputs=row,
-                            regime=regime_dict, wall_time=elapsed)
-               for row in rows]
     # only admissibility-class warnings change the exit status; notes are
     # informational and printed alongside
     status = 3 if warnings_out else 0
-    return records, status, warnings_out + notes_out
+    return rows, status, (regime, warnings_out + notes_out)
 
 
 def _fmt(v):
@@ -551,12 +489,12 @@ def _fmt(v):
     return str(v)
 
 
-def write_csv(records, experiment, stream):
+def write_csv(rows, experiment, stream):
     cols = SCHEMAS[experiment]
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(cols)
-    for rec in records:
-        w.writerow([_fmt(rec.outputs[c]) for c in cols])
+    for row in rows:
+        w.writerow([_fmt(row[c]) for c in cols])
 
 
 def main(argv=None) -> int:
@@ -604,24 +542,24 @@ def main(argv=None) -> int:
             print(f"config error: {e}", file=sys.stderr)
         return 2
 
-    records, status, warns = run(cfg)
+    start = time.perf_counter()
+    rows, status, (regime, warns) = run(cfg)
+    took = time.perf_counter() - start
 
-    if records and records[0].regime is not None:
-        r = records[0].regime
-        print(f"regime: case={r['case_id']} S(a)={r['S_alpha']:.6g} "
-              f"S(2a)={r['S_2alpha']:.6g} mu(a)={r['mu_alpha']:.6g} "
-              f"mu(2a)={r['mu_2alpha']:.6g}")
+    if rows and regime is not None:
+        print(f"regime: case={regime.case_id} S(a)={regime.S_alpha:.6g} "
+              f"S(2a)={regime.S_2alpha:.6g} mu(a)={regime.mu_alpha:.6g} "
+              f"mu(2a)={regime.mu_2alpha:.6g}")
     for wmsg in warns:
         print(f"warning: {wmsg}", file=sys.stderr)
 
     try:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
-            write_csv(records, cfg.experiment, fh)
+            write_csv(rows, cfg.experiment, fh)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 4
-    took = records[0].wall_time if records else 0.0
-    print(f"wrote {len(records)} rows to {cfg.output} ({took:.2f}s)")
+    print(f"wrote {len(rows)} rows to {cfg.output} ({took:.2f}s)")
     return status
 
 

@@ -201,6 +201,17 @@ def _iid_block_rows(n):
     return max(1, _ROW_BUDGET // max(n, 1))
 
 
+def _row_blocks(law, n, n_rows, rng):
+    """n_rows i.i.d. rows of length n, drawn from rng in (m, n) blocks of
+    _iid_block_rows(n) rows, the last one partial."""
+    block = _iid_block_rows(n)
+    done = 0
+    while done < n_rows:
+        m = min(block, n_rows - done)
+        yield law.sample(rng, m * n).reshape(m, n)
+        done += m
+
+
 def iid_baseline(law, n, x, N, rng) -> BaselineEstimate:
     """Tail ratios for the plain i.i.d. sum at the stable scaling n^(1/a).
 
@@ -213,15 +224,22 @@ def iid_baseline(law, n, x, N, rng) -> BaselineEstimate:
     c0 = law.c0_plus + law.c0_minus
     threshold = x * n ** (1.0 / alpha)
     hits_sum, hits_max = iid_hit_counts(law, n, [threshold], N, rng)
-    p_sum = float(hits_sum[0]) / N
-    p_max = float(hits_max[0]) / N
-    return BaselineEstimate(
-        n=n, x=float(x), N=N,
-        p_sum=p_sum, se_sum=_binom_se(p_sum, N),
-        p_max=p_max, se_max=_binom_se(p_max, N),
-        ratio_paper=x ** alpha * p_sum / c0,
-        ratio_max=p_sum / p_max if p_max > 0 else math.nan,
-    )
+    return assemble_baseline_estimates(n, [x], N, hits_sum, hits_max, alpha, c0)[0]
+
+
+def assemble_baseline_estimates(n, xs, N, hits_sum, hits_max, alpha, c0):
+    out = []
+    for x, hs, hm in zip(xs, hits_sum, hits_max):
+        p_sum = hs / N
+        p_max = hm / N
+        out.append(BaselineEstimate(
+            n=int(n), x=float(x), N=int(N),
+            p_sum=p_sum, se_sum=_binom_se(p_sum, N),
+            p_max=p_max, se_max=_binom_se(p_max, N),
+            ratio_paper=x ** alpha * p_sum / c0,
+            ratio_max=p_sum / p_max if hm > 0 else math.nan,
+        ))
+    return out
 
 
 def iid_hit_counts(law, n, thresholds, n_rows, rng):
@@ -231,19 +249,14 @@ def iid_hit_counts(law, n, thresholds, n_rows, rng):
     from disjoint row blocks merge by addition.
     """
     thresholds = np.asarray(thresholds, dtype=float)
-    block = _iid_block_rows(n)
     hits_sum = np.zeros(thresholds.size, dtype=np.int64)
     hits_max = np.zeros(thresholds.size, dtype=np.int64)
-    done = 0
-    while done < n_rows:
-        m = min(block, n_rows - done)
-        x = law.sample(rng, m * n).reshape(m, n)
+    for x in _row_blocks(law, n, n_rows, rng):
         s = np.abs(x.sum(axis=1))
         a = np.maximum(x.max(axis=1), -x.min(axis=1))
         for i, thr in enumerate(thresholds):
             hits_sum[i] += int((s > thr).sum())
             hits_max[i] += int((a > thr).sum())
-        done += m
     return hits_sum, hits_max
 
 
@@ -301,34 +314,22 @@ def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
 
 
 def _weighted_hit_counts(law, b, x, n_rows, rng):
-    n = b.size
-    block = _iid_block_rows(n)
     hits_sum = 0
     hits_max = 0
-    done = 0
-    while done < n_rows:
-        m = min(block, n_rows - done)
-        xv = law.sample(rng, m * n).reshape(m, n)
+    for xv in _row_blocks(law, b.size, n_rows, rng):
         s = xv @ b
         np.abs(xv, out=xv)
         xv *= b
         hits_sum += int((np.abs(s) > x).sum())
         hits_max += int((xv.max(axis=1) > x).sum())
-        done += m
     return hits_sum, hits_max
 
 
 def _delta_factor(law, b, b_max, y, n_rows, rng):
-    n = b.size
-    block = _iid_block_rows(n)
     hits = 0
-    done = 0
-    while done < n_rows:
-        m = min(block, n_rows - done)
-        xv = law.sample(rng, m * n).reshape(m, n)
+    for xv in _row_blocks(law, b.size, n_rows, rng):
         s = xv @ b
         hits += int((np.abs(s) + b_max * np.abs(xv[:, 0]) <= y).sum())
-        done += m
     return hits / n_rows
 
 

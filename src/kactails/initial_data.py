@@ -308,11 +308,6 @@ class UserLaw:
         return self.envelope(0.0)
 
 
-def sample_initial(law, rng, size=None):
-    """Draw from F_0 (inverse transform for the catalog kinds)."""
-    return law.sample(rng, size)
-
-
 def tail_profile(law) -> TailProfile:
     """Assemble (c0, K0, K1, Rbar) for the finite-n deviation bounds.
 

@@ -196,11 +196,6 @@ class UserKernel(CollisionKernel):
         return None if self._moment is None else float(self._moment(s))
 
 
-def sample_collision(kernel: CollisionKernel, rng: np.random.Generator):
-    """One i.i.d. draw of the pair (L, R)."""
-    return kernel.sample(rng)
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     s: float

@@ -28,6 +28,12 @@ from .weights import grow_weights, grow_weights_batch
 
 _DEFAULT_LEAF_BUDGET = 1 << 23
 
+# Largest t at which every leaf count fits in int64.  The largest inverse-
+# transform draw is log(2^-53) / log1p(-e^-t), about 36.74 e^t leaves:
+# 8.6e18 < 2^63 at t = 40, past 2^63 beyond t ~ 40.06.  (e^-t itself
+# underflows to 0 beyond t ~ 745.)
+YULE_T_MAX = 40.0
+
 
 @dataclass(frozen=True)
 class PathSample:
@@ -58,13 +64,16 @@ def sample_yule(t, rng, size=None):
     """Leaf count at time t: geometric on {1, 2, ...} with p = e^-t.
 
     Inverse transform: n = ceil(log(1-u) / log(1-p)).  Raises ValueError
-    when p underflows to 0 (t > ~745), where the transform would return 1.
+    unless 0 <= t <= YULE_T_MAX: beyond it the cast to int64 overflows,
+    and beyond t ~ 745 p underflows to 0, where the transform returns 1.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
+    if not t <= YULE_T_MAX:
+        raise ValueError(f"leaf counts at t = {t!r} are not representable: they overflow "
+                         f"int64 beyond t = {YULE_T_MAX:g}, and e^-t underflows to 0 "
+                         "beyond t ~ 745")
     p = math.exp(-t)
-    if p == 0.0:
-        raise ValueError(f"e^-t underflows to 0 at t = {t!r}; no leaf count is representable")
     scalar = size is None
     m = 1 if scalar else int(size)
     if p >= 1.0:
@@ -93,12 +102,6 @@ def sample_path(kernel, law, t, alpha, rng) -> PathSample:
         beta_max=w.beta_max,
         alpha=float(alpha),
     )
-
-
-def rescaled(p: PathSample, mu_alpha):
-    """(e^{-mu(alpha) t} V, e^{-mu(alpha) t} H)."""
-    f = math.exp(-mu_alpha * p.t)
-    return f * p.V, f * p.H
 
 
 def forest_statistics(kernel, t, alphas, n_paths, rng, law=None,

@@ -258,19 +258,38 @@ N: 50000
         assert vals["mc"] <= vals["upper"] + 3 * vals["mc_se"]
 
 
-def test_records_echo_inputs_and_regime():
+def test_run_returns_rows_regime_and_status():
     cfg = cli.parse_config(MINIMAL.replace("N: 100000", "N: 20000")
                            .replace("t: 3.0", "t: 0.0"))
-    records, status, _ = cli.run(cfg)
-    assert status == 0
-    rec = records[0]
-    # enough metadata to re-run the row standalone
-    assert rec.inputs["seed"] == 42
-    assert rec.inputs["kernel"] == {"kind": "kac"}
-    assert rec.inputs["initial"]["alpha"] == 1.5
-    assert rec.inputs["N"] == 20000
-    assert rec.regime["case_id"] == "unrestricted"
-    assert rec.wall_time >= 0.0
+    rows, status, (regime, messages) = cli.run(cfg)
+    assert status == 0 and messages == []
+    assert len(rows) == 1 and set(cli.SCHEMAS["tail"]) <= set(rows[0])
+    assert rows[0]["t"] == 0.0 and rows[0]["x"] == 10.0 and rows[0]["N"] == 20000
+    assert regime.case_id == "unrestricted"
+
+
+# small runs with several chunks (or jobs) each, so workers 2 splits the work
+SMALL_RUNS = {
+    "tail": "t: [0.5, 1.0]\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 4096",
+    "cdf-H": "t: 1.0\nxs: [0.5, 2.0]\nN: 6000\nchunk_size: 2048\npool_size: 2000\niterations: 3",
+    "cf-V": "t: 1.0\nxs: [0.5, 2.0]\nN: 6000\nchunk_size: 2048\npool_size: 2000\niterations: 3",
+    "fixed-point": "pool_size: 2000\niterations: 3",
+    "bounds": "n: 4\nxs: [5.0, 10.0]\nN: 5000",
+    "baseline": "n: 100\nxs: [2.0, 5.0]\nN: 2000\nchunk_size: 128",
+    "ode-residual": "t: 1.0\nx: 2.0\nN: 3000",
+    "martingale": "n: [16, 256]\nN: 3000\nchunk_size: 512",
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_every_experiment_is_byte_identical_across_worker_counts(tmp_path, experiment):
+    text = (f"experiment: {experiment}\nseed: 5\nkernel: {{kind: kac}}\n"
+            f"initial: {{kind: symmetric-pareto, alpha: 1.5}}\n{SMALL_RUNS[experiment]}\n")
+    code1, bytes1 = _run_to_csv(tmp_path, text, "w1", workers=1)
+    code2, bytes2 = _run_to_csv(tmp_path, text, "w2", workers=2)
+    assert code1 == code2 == 0
+    assert bytes1 == bytes2
+    assert bytes1.count(b"\n") > 1
 
 
 def test_console_entry_point(tmp_path):
@@ -287,7 +306,7 @@ def test_console_entry_point(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("t", ["-1.0", "800.0", "[1.0, -0.5]", ".inf", ".nan"])
+@pytest.mark.parametrize("t", ["-1.0", "44.0", "800.0", "[1.0, -0.5]", ".inf", ".nan"])
 def test_parse_rejects_negative_or_underflowing_t(tmp_path, t):
     text = MINIMAL.replace("t: 3.0", f"t: {t}")
     with pytest.raises(cli.ConfigError) as exc:

@@ -249,11 +249,6 @@ def test_h_of_t_remaining_rows():
     assert abs(h_of_t(reg, 2.0) - 2.0 * math.exp(1.2)) < 1e-12
 
 
-def test_sample_collision_scalar():
-    l, r = kt.sample_collision(kt.KacKernel(), rng(8))
-    assert 0 <= l <= 1 and 0 <= r <= 1
-
-
 def test_kac_scalar_and_batch_draws_agree():
     # one double per draw in both paths: scalar draws replay the batch
     k = kt.KacKernel()

@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,17 +93,6 @@ def test_geometric_gamma_series_identity():
             assert abs(total - u ** -(gam + 1.0)) < 1e-6 * u ** -(gam + 1.0)
 
 
-def test_rescaled_helper():
-    p = kt.PathSample(t=0.0, n=1, V=3.0, H=3.0, M_alpha=1.0, beta_max=1.0, alpha=1.5)
-    assert kt.rescaled(p, 0.7) == (3.0, 3.0)
-    p2 = kt.PathSample(t=math.log(4.0), n=4, V=8.0, H=2.0, M_alpha=1.0,
-                       beta_max=0.5, alpha=1.5)
-    v, h = kt.rescaled(p2, 1.0)
-    assert abs(v - 2.0) < 1e-12
-    assert abs(h - 0.5) < 1e-12
-    assert kt.rescaled(p2, 0.0) == (8.0, 2.0)
-
-
 def test_wild_oracle_base_cases():
     g = rng(8)
     law = kt.SymmetricPareto(1.5)
@@ -170,3 +161,21 @@ def test_yule_refuses_underflowing_success_probability():
         kt.sample_yule(800.0, rng(4))
     with pytest.raises(ValueError, match="underflow"):
         kt.sample_yule(800.0, rng(4), 10)
+
+
+@pytest.mark.parametrize("t", [40.07, 43.0, 44.0, 60.0, 700.0])
+def test_yule_refuses_counts_that_overflow_int64(t):
+    # the largest draw, about 36.74 e^t leaves, passes 2^63 beyond t ~ 40.06;
+    # the int64 cast used to warn and hand out junk counts there
+    with pytest.raises(ValueError, match="overflow"):
+        kt.sample_yule(t, rng(4), 5)
+
+
+def test_yule_counts_fit_int64_up_to_the_bound():
+    top = SimpleNamespace(random=lambda m: np.full(m, 1.0 - 2.0 ** -53))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = kt.sample_yule(40.0, rng(5), 10 ** 5)
+        largest = kt.sample_yule(40.0, top, 1)
+    assert n.min() >= 1
+    assert 8e18 < largest[0] < 2 ** 63
