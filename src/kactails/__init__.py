@@ -30,19 +30,14 @@ from .initial_data import (
     tail_remainder,
 )
 from .weights import (
-    WeightArray,
     WeightNorm,
-    grow_weights,
     grow_weights_batch,
     mean_weight_norm,
     mean_weight_norm_table,
-    tilde_M,
 )
 from .processes import (
     ForestSample,
-    PathSample,
     forest_statistics,
-    sample_path,
     sample_yule,
     wild_oracle_max,
 )

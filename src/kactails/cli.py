@@ -133,6 +133,47 @@ def build_law(block):
     raise ValueError(f"unknown initial law kind {kind!r}")
 
 
+# Top-level fields read by _read_fields: (type, shape).  Shape "one" takes
+# one value, "many" one value or a list of them, "list" a list.
+_FIELDS = {
+    "t": (float, "many"), "xs": (float, "many"), "N": (int, "one"),
+    "pool_size": (int, "one"), "iterations": (int, "one"), "pool_init": (str, "one"),
+    "n": (int, "many"), "b": (float, "list"), "x": (float, "one"),
+    "delta": (float, "one"), "epsilon": (float, "one"), "gamma": (float, "one"),
+    "eta": (float, "one"), "workers": (int, "one"), "chunk_size": (int, "one"),
+    "output": (str, "one"), "format": (str, "one"),
+}
+
+
+def _cast(value, kind):
+    """value as `kind`; a bool is no number, and an int takes no fraction."""
+    if kind is not str and isinstance(value, bool) or \
+            kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return kind(value)
+
+
+def _read_fields(doc, errors):
+    """The _FIELDS given in doc, cast, as ExperimentConfig keywords.  A null
+    leaves the default; a value that does not cast is reported in errors."""
+    values = {}
+    for name, (kind, shape) in _FIELDS.items():
+        v = doc.get(name)
+        if v is None:
+            continue
+        try:
+            if shape == "one":
+                values[name] = _cast(v, kind)
+            else:
+                items = v if shape == "list" or isinstance(v, list) else [v]
+                values[name] = [_cast(e, kind) for e in items]
+        except (TypeError, ValueError, OverflowError):
+            one, many = ("an integer", "integers") if kind is int else ("a number", "numbers")
+            want = {"one": one, "many": f"{one} or a list of {many}", "list": f"a list of {many}"}
+            errors.append(f"{name} must be {want[shape]}, got {v!r}")
+    return values
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; collects every error found."""
     try:
@@ -150,7 +191,7 @@ def parse_config(text: str) -> ExperimentConfig:
     seed = doc.get("seed")
     if seed is None:
         errors.append("seed is required (runs must be reproducible from the config alone)")
-    elif not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+    elif isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         errors.append("seed must be an integer in [0, 2^64)")
 
     kernel_block = doc.get("kernel")
@@ -169,7 +210,7 @@ def parse_config(text: str) -> ExperimentConfig:
         initial_block = {}
     else:
         alpha = initial_block.get("alpha")
-        if not isinstance(alpha, (int, float)) or not 0 < float(alpha) < 2:
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 2:
             errors.append("initial.alpha must lie in the open interval (0, 2)")
         elif float(alpha) == 1.0:
             cp = initial_block.get("c_plus")
@@ -183,36 +224,10 @@ def parse_config(text: str) -> ExperimentConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 errors.append(f"initial block invalid: {exc}")
 
-    def listify(v, cast):
-        if v is None:
-            return []
-        if isinstance(v, (list, tuple)):
-            return [cast(e) for e in v]
-        return [cast(v)]
-
-    cfg = ExperimentConfig(
-        experiment=experiment if experiment in EXPERIMENTS else "tail",
-        seed=int(seed) if isinstance(seed, int) else 0,
-        kernel=kernel_block,
-        initial=initial_block,
-        t=listify(doc.get("t"), float),
-        xs=listify(doc.get("xs"), float),
-        N=int(doc.get("N", 0)),
-        pool_size=int(doc.get("pool_size", 100_000)),
-        iterations=int(doc.get("iterations", 60)),
-        pool_init=str(doc.get("pool_init", "ones")),
-        n=listify(doc.get("n"), int),
-        b=None if doc.get("b") is None else [float(v) for v in doc["b"]],
-        x=None if doc.get("x") is None else float(doc["x"]),
-        delta=float(doc.get("delta", 0.01)),
-        epsilon=float(doc.get("epsilon", 0.5)),
-        gamma=float(doc.get("gamma", 0.75)),
-        eta=float(doc.get("eta", 0.1)),
-        workers=int(doc.get("workers", 1)),
-        chunk_size=int(doc.get("chunk_size", 16384)),
-        output=str(doc.get("output", "results.csv")),
-        format=str(doc.get("format", "csv")),
-    )
+    cfg = ExperimentConfig(experiment=experiment if experiment in EXPERIMENTS else "tail",
+                           seed=seed if isinstance(seed, int) else 0,
+                           kernel=kernel_block, initial=initial_block,
+                           **_read_fields(doc, errors))
 
     if cfg.format != "csv":
         errors.append(f"unsupported output format {cfg.format!r}")
@@ -237,7 +252,7 @@ def parse_config(text: str) -> ExperimentConfig:
         "ode-residual": ("t", "x", "delta", "N"),
         "martingale": ("n", "N"),
     }
-    if experiment in needs:
+    if experiment in EXPERIMENTS:
         for name in needs[experiment]:
             v = getattr(cfg, name)
             if v is None or (isinstance(v, (list, tuple)) and not v) \

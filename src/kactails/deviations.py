@@ -92,8 +92,7 @@ def _binom_se(p, n):
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def estimate_tail(kernel, law, t, xs, N, rng, leaf_budget=1 << 23,
-                  check_regime=True) -> list[TailEstimate]:
+def estimate_tail(kernel, law, t, xs, N, rng, check_regime=True) -> list[TailEstimate]:
     """Single-pass tail estimates of rescaled |V_t| and H_t at each x.
 
     All x thresholds and the V/H pair share the same N paths (common
@@ -124,20 +123,17 @@ def estimate_tail(kernel, law, t, xs, N, rng, leaf_budget=1 << 23,
             warnings.warn("regime classification unavailable for this kernel",
                           AdmissibilityWarning, stacklevel=2)
 
-    hits_v, hits_h = tail_hit_counts(kernel, law, t, mu, xs, N, rng,
-                                     leaf_budget=leaf_budget)
+    hits_v, hits_h = tail_hit_counts(kernel, law, t, mu, xs, N, rng)
     return assemble_tail_estimates(t, xs, N, hits_v, hits_h, alpha, c0)
 
 
-def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng,
-                    leaf_budget=1 << 23):
+def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
     """Exceedance counts of (rescaled |V|, rescaled H) over shared paths.
 
     This is the mergeable chunk primitive: counts from disjoint path
     blocks add associatively.
     """
-    stats = forest_statistics(kernel, t, (law.alpha,), n_paths, rng,
-                              law=law, leaf_budget=leaf_budget)
+    stats = forest_statistics(kernel, t, (law.alpha,), n_paths, rng, law=law)
     f = math.exp(-mu_alpha * t)
     av = np.abs(stats.V) * f
     ah = stats.H * f
@@ -333,7 +329,7 @@ def _delta_factor(law, b, b_max, y, n_rows, rng):
     return hits / n_rows
 
 
-def max_ode_residual(kernel, law, t, x, delta, N, rng, leaf_budget=1 << 23):
+def max_ode_residual(kernel, law, t, x, delta, N, rng):
     """Finite-difference residual of the max-process kinetic equation.
 
     residual = [F_{t+d}(x) - F_t(x)] / d + F_t(x) - E[F_t(x/L) F_t(x/R)]
@@ -349,10 +345,8 @@ def max_ode_residual(kernel, law, t, x, delta, N, rng, leaf_budget=1 << 23):
     if x == 0:
         raise ValueError("x must be nonzero")
     N = int(N)
-    h_t = np.sort(forest_statistics(kernel, t, (law.alpha,), N, rng, law=law,
-                                    leaf_budget=leaf_budget).H)
-    h_td = forest_statistics(kernel, t + delta, (law.alpha,), N, rng, law=law,
-                             leaf_budget=leaf_budget).H
+    h_t = np.sort(forest_statistics(kernel, t, (law.alpha,), N, rng, law=law).H)
+    h_td = forest_statistics(kernel, t + delta, (law.alpha,), N, rng, law=law).H
 
     def ecdf_t(q):
         return np.searchsorted(h_t, q, side="right") / N

@@ -122,14 +122,14 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     return ZPool(z, a, s, "fixed-point")
 
 
-def zpool_from_trees(kernel, alpha, t, size, rng, leaf_budget=1 << 23) -> ZPool:
+def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
     """Pool of e^{-Q(a) t} M_{nu_t}(a) draws from the branching sampler.
 
     Warns when the rescaled maximal weight is not yet small at this t
     (the tree functional is then still far from its limit).
     """
     s_alpha = spectral(kernel, alpha, rng=rng).Q_s
-    stats = forest_statistics(kernel, t, (alpha,), size, rng, leaf_budget=leaf_budget)
+    stats = forest_statistics(kernel, t, (alpha,), size, rng)
     z = math.exp(-s_alpha * t) * stats.M[float(alpha)]
     mu = s_alpha / alpha
     beta_scale = float(np.median(stats.beta_max)) * math.exp(-mu * t)

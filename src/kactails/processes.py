@@ -24,28 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import grow_weights, grow_weights_batch
+from .weights import grow_weights_batch
 
-_DEFAULT_LEAF_BUDGET = 1 << 23
+# Expected leaf total per forest_statistics sub-batch (it fixes the order
+# in which the rng stream is consumed; see forest_statistics).
+_LEAF_BUDGET = 1 << 23
 
 # Largest t at which every leaf count fits in int64.  The largest inverse-
 # transform draw is log(2^-53) / log1p(-e^-t), about 36.74 e^t leaves:
 # 8.6e18 < 2^63 at t = 40, past 2^63 beyond t ~ 40.06.  (e^-t itself
 # underflows to 0 beyond t ~ 745.)
 YULE_T_MAX = 40.0
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One draw of the branching representation at time t."""
-
-    t: float
-    n: int
-    V: float
-    H: float
-    M_alpha: float
-    beta_max: float
-    alpha: float
 
 
 @dataclass
@@ -85,34 +74,16 @@ def sample_yule(t, rng, size=None):
     return int(n[0]) if scalar else n
 
 
-def sample_path(kernel, law, t, alpha, rng) -> PathSample:
-    """One path sample: V and H are computed from the same weights and X's."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    n = sample_yule(t, rng)
-    w = grow_weights(kernel, n, (alpha,), rng)
-    x = law.sample(rng, n)
-    prod = w.betas * x
-    return PathSample(
-        t=float(t),
-        n=n,
-        V=float(prod.sum()),
-        H=float(np.abs(prod).max()),
-        M_alpha=w.M[float(alpha)],
-        beta_max=w.beta_max,
-        alpha=float(alpha),
-    )
-
-
-def forest_statistics(kernel, t, alphas, n_paths, rng, law=None,
-                      leaf_budget=_DEFAULT_LEAF_BUDGET) -> ForestSample:
+def forest_statistics(kernel, t, alphas, n_paths, rng, law=None) -> ForestSample:
     """Sample n_paths independent paths at time t, vectorized.
 
     Always returns nu, M(alpha) for each tracked alpha, and beta_max; when
     a law is given it also returns V and H from shared per-leaf products.
-    Internally processes sub-batches sized so the expected leaf total per
-    batch stays near leaf_budget; the output is a function of the rng
-    stream alone (sub-batching does not alter it).
+    Paths are drawn in sub-batches of at most 2^16, sized so the expected
+    leaf total per batch stays near _LEAF_BUDGET.  Each sub-batch draws its
+    Yule counts, kernel pairs and initial values in turn, so the batch size
+    fixes the order in which the rng stream is consumed: changing
+    _LEAF_BUDGET changes every result for a given stream.
     """
     alphas = tuple(float(a) for a in alphas)
     n_paths = int(n_paths)
@@ -123,7 +94,7 @@ def forest_statistics(kernel, t, alphas, n_paths, rng, law=None,
     v_out = np.empty(n_paths) if with_vh else None
     h_out = np.empty(n_paths) if with_vh else None
 
-    batch = int(min(max(leaf_budget / math.exp(t), 32), 1 << 16))
+    batch = int(min(max(_LEAF_BUDGET / math.exp(t), 32), 1 << 16))
     done = 0
     while done < n_paths:
         m = min(batch, n_paths - done)

@@ -1,9 +1,10 @@
 """Recursive collision weights beta_{j,n} and their alpha-sums.
 
 Growth rule: beta_{1,1} = 1; the step from n to n+1 picks a uniform index
-I and replaces beta_I by the pair (L*beta_I, R*beta_I).  The tracked sums
-M_n(alpha) = sum_j beta_{j,n}^alpha update incrementally by
-beta_I^alpha (L^alpha + R^alpha - 1).
+I and replaces beta_I by the pair (L*beta_I, R*beta_I).  grow_weights_batch
+applies it to a whole forest at once, one step index at a time; callers
+take the sums M_n(alpha) = sum_j beta_{j,n}^alpha from the grown weights
+with a segmented reduction over its layout.
 
 The mean normalization m_n(alpha) = Gamma(n+Q(a)) / (Gamma(n) Gamma(Q(a)+1))
 is evaluated through its multiplicative recurrence
@@ -20,49 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
-class WeightArray:
-    """Weights after growth to n leaves, with tracked alpha-sums."""
-
-    n: int
-    betas: np.ndarray
-    M: dict[float, float]
-    beta_max: float
-    steps: list[tuple[int, float, float]] | None = None
-
-
 @dataclass(frozen=True)
 class WeightNorm:
     S_alpha: float
     n: int
     m: float
     log_m: float
-
-
-def grow_weights(kernel, n, alphas, rng, record_steps=False) -> WeightArray:
-    """Grow a single weight array to n leaves.
-
-    O(n * len(alphas)) time, O(n) memory.  With record_steps the split
-    history (index, L, R) is kept for replay checks.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    alphas = tuple(float(a) for a in alphas)
-    betas = np.zeros(n)
-    betas[0] = 1.0
-    M = {a: 1.0 for a in alphas}
-    steps = [] if record_steps else None
-    for k in range(1, n):
-        i = int(rng.integers(0, k))
-        L, R = kernel.sample(rng)
-        old = betas[i]
-        betas[i] = old * L
-        betas[k] = old * R
-        for a in alphas:
-            M[a] += old ** a * (L ** a + R ** a - 1.0)
-        if steps is not None:
-            steps.append((i, float(L), float(R)))
-    return WeightArray(n=n, betas=betas, M=M, beta_max=float(betas.max()), steps=steps)
 
 
 def grow_weights_batch(kernel, sizes, rng):
@@ -141,11 +105,3 @@ def mean_weight_norm_table(S_alpha, n_max) -> np.ndarray:
     if n_max > 1:
         out[1:] = np.exp(np.cumsum(np.log1p(S_alpha / np.arange(1, n_max, dtype=float))))
     return out
-
-
-def tilde_M(w: WeightArray, alpha, S_alpha) -> float:
-    """Martingale ratio M_n(alpha) / m_n(alpha)."""
-    alpha = float(alpha)
-    if alpha not in w.M:
-        raise ValueError(f"alpha={alpha} was not tracked during growth")
-    return w.M[alpha] / mean_weight_norm(S_alpha, w.n).m

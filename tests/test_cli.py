@@ -1,8 +1,12 @@
+import dataclasses
+import string
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 import kactails.cli as cli
 
@@ -315,3 +319,37 @@ def test_parse_rejects_negative_or_underflowing_t(tmp_path, t):
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     assert cli.main(["--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("N", "abc"), ("N", "1e6"), ("pool_size", "x"), ("xs", "[a]"), ("t", "[a]"),
+    ("delta", "abc"), ("b", "3"), ("x", "[1]"), ("seed", "true"),
+    ("initial.alpha", "true"), ("workers", "2.5"), ("n", "[2.5]")])
+def test_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, key, value):
+    # a value of the wrong type is a config error: no traceback, no silent cast
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL)
+    code = cli.main(["--config", str(path), "--output", str(tmp_path / "out.csv"),
+                     "--override", f"{key}={value}"])
+    assert code == 2
+    assert f"config error: {key} must" in capsys.readouterr().err
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(string.printable, max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+                           + ["initial.alpha"]),
+       value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+       experiment=st.sampled_from(cli.EXPERIMENTS))
+def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
+    doc = yaml.safe_load(MINIMAL)
+    doc.update(experiment=experiment, n=[4], x=1.0)
+    node, leaf = (doc["initial"], "alpha") if key == "initial.alpha" else (doc, key)
+    node[leaf] = value
+    try:
+        cli.parse_config(yaml.safe_dump(doc))
+    except cli.ConfigError:
+        pass

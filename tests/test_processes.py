@@ -10,6 +10,8 @@ import kactails as kt
 from kactails.processes import forest_statistics
 from kactails.weights import mean_weight_norm_table
 
+from growth_reference import grow_tree
+
 S1_KAC = 4.0 / math.pi - 1.0
 
 
@@ -43,11 +45,11 @@ def test_yule_mean():
 def test_path_sample_at_time_zero():
     g = rng(4)
     law = kt.SymmetricPareto(1.5)
-    p = kt.sample_path(kt.KacKernel(), law, 0.0, 1.5, g)
-    assert p.n == 1
-    assert p.H == abs(p.V)
-    assert p.M_alpha == 1.0
-    assert p.beta_max == 1.0
+    fs = forest_statistics(kt.KacKernel(), 0.0, (1.5,), 100, g, law=law)
+    assert np.all(fs.nu == 1)
+    np.testing.assert_array_equal(fs.H, np.abs(fs.V))
+    assert np.all(fs.M[1.5] == 1.0)
+    assert np.all(fs.beta_max == 1.0)
 
 
 def test_conservative_kernel_path_invariant():
@@ -131,8 +133,12 @@ def test_forest_matches_single_path_sampler():
     law = kt.SymmetricPareto(1.5)
     kernel = kt.KacKernel()
     fs = forest_statistics(kernel, 1.0, (1.5,), 3000, g1, law=law)
-    singles = np.array([kt.sample_path(kernel, law, 1.0, 1.5, g2).V
-                        for _ in range(3000)])
+
+    def single_path_V():
+        n = kt.sample_yule(1.0, g2)
+        return (grow_tree(kernel, n, g2) * law.sample(g2, n)).sum()
+
+    singles = np.array([single_path_V() for _ in range(3000)])
     d = stats.ks_2samp(fs.V, singles)
     assert d.statistic < 0.05
 

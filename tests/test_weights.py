@@ -7,6 +7,8 @@ from scipy import stats
 import kactails as kt
 from kactails.weights import grow_weights_batch, mean_weight_norm_table
 
+from growth_reference import grow_tree, replay_batch
+
 S1_KAC = 4.0 / math.pi - 1.0
 
 
@@ -14,47 +16,37 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def test_two_leaf_array_is_first_collision_pair():
-    g = rng(1)
-    w = kt.grow_weights(kt.KacKernel(), 2, (1.0,), g, record_steps=True)
-    _, L, R = w.steps[0]
-    assert w.betas.tolist() == [L, R]
-    assert abs(w.M[1.0] - (L + R)) < 1e-15
+KERNELS = {
+    "kac": kt.KacKernel(),
+    "deterministic": kt.DeterministicKernel(0.6, 0.7),
+    "mixture": kt.DiscreteKernel(((0.9, 0.4), (0.3, 0.8)), (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_batch_replays_growth_rule_exactly(name):
+    # the batch consumes its draws exactly as the tree-by-tree growth rule does
+    sizes = [5, 1, 3, 7, 1, 4, 7, 2]
+    flat, _, order = grow_weights_batch(KERNELS[name], sizes, rng(1))
+    ref_flat, ref_order = replay_batch(KERNELS[name], sizes, rng(1))
+    assert flat.tobytes() == ref_flat.tobytes()
+    np.testing.assert_array_equal(order, ref_order)
 
 
 def test_single_tree_invariants():
-    g = rng(2)
-    w = kt.grow_weights(kt.KacKernel(), 64, (1.0, 2.0), g)
-    assert w.n == 64 and w.betas.size == 64
-    assert w.beta_max == w.betas.max()
-    assert w.M[1.0] >= w.beta_max  # M(a) >= beta_max^a
-    assert abs(w.M[1.0] - w.betas.sum()) < 1e-12
-    assert abs(w.M[2.0] - (w.betas ** 2).sum()) < 1e-12
+    flat, starts, order = grow_weights_batch(kt.KacKernel(), [64], rng(2))
+    assert flat.size == 64 and starts.tolist() == [0] and order.tolist() == [0]
+    assert np.all(flat > 0) and flat.max() <= 1.0
+    assert flat.sum() >= flat.max()  # M(a) >= beta_max^a
+    # L^2 + R^2 = 1 for the Kac kernel, so every split keeps M(2) = 1
+    assert abs((flat ** 2).sum() - 1.0) < 1e-12
 
 
 def test_conservative_kernel_preserves_alpha_sum():
     a = 1.5
     k = kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
-    w = kt.grow_weights(k, 512, (a,), rng(3))
-    assert abs(w.M[a] - 1.0) < 1e-12
-    assert abs((w.betas ** a).sum() - 1.0) < 1e-12
-
-
-def test_single_split_conservation_replay():
-    # replay the recorded steps: each one changes one entry into two and
-    # shifts M(a) by exactly beta_I^a (L^a + R^a - 1)
-    a = 1.3
-    g = rng(4)
-    w = kt.grow_weights(kt.KacKernel(), 64, (a,), g, record_steps=True)
-    betas = [1.0]
-    m = 1.0
-    for (i, L, R) in w.steps:
-        old = betas[i]
-        m += old ** a * (L ** a + R ** a - 1.0)
-        betas[i] = old * L
-        betas.append(old * R)
-    assert abs(m - w.M[a]) < 1e-12
-    np.testing.assert_allclose(np.array(betas), w.betas, rtol=1e-15)
+    flat, starts, _ = grow_weights_batch(k, [512, 3, 1], rng(3))
+    np.testing.assert_allclose(np.add.reduceat(flat ** a, starts), 1.0, rtol=0, atol=1e-12)
 
 
 def test_martingale_mean_small_grid():
@@ -118,18 +110,6 @@ def test_mean_weight_norm_table_matches_scalar():
         assert abs(tab[n - 1] - kt.mean_weight_norm(0.4, n).m) < 1e-10
 
 
-def test_tilde_M_trivial_cases():
-    g = rng(7)
-    w1 = kt.grow_weights(kt.KacKernel(), 1, (1.0,), g)
-    assert kt.tilde_M(w1, 1.0, S1_KAC) == 1.0
-    a = 1.5
-    k = kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
-    w = kt.grow_weights(k, 200, (a,), g)
-    assert abs(kt.tilde_M(w, a, 0.0) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        kt.tilde_M(w, 0.5, 0.0)
-
-
 def test_batch_layout_and_distributional_match():
     g = rng(8)
     sizes = np.array([5, 1, 3, 7, 1, 4])
@@ -141,14 +121,11 @@ def test_batch_layout_and_distributional_match():
     np.testing.assert_array_equal(seg, sizes[order])
     # M~ from the batch engine and from single-tree growth share one law
     n = 8
-    a = 1.0
     m_n = kt.mean_weight_norm(S1_KAC, n).m
     flat, starts, _ = grow_weights_batch(kt.KacKernel(), np.full(3000, n), g)
     tm_batch = np.add.reduceat(flat, starts) / m_n
-    tm_single = np.array([
-        kt.tilde_M(kt.grow_weights(kt.KacKernel(), n, (a,), g), a, S1_KAC)
-        for _ in range(3000)
-    ])
+    tm_single = np.array([grow_tree(kt.KacKernel(), n, g).sum() / m_n
+                          for _ in range(3000)])
     d = stats.ks_2samp(tm_batch, tm_single)
     assert d.statistic < 0.05
 
@@ -183,7 +160,5 @@ def test_second_moment_growth_bounded():
 
 
 def test_grow_weights_validates_n():
-    with pytest.raises(ValueError):
-        kt.grow_weights(kt.KacKernel(), 0, (1.0,), rng(0))
     with pytest.raises(ValueError):
         grow_weights_batch(kt.KacKernel(), np.array([3, 0]), rng(0))
