@@ -174,12 +174,17 @@ def _read_fields(doc, errors):
     return values
 
 
+def _load_yaml(text, what):
+    """yaml.safe_load(text); malformed YAML is a ConfigError naming `what`."""
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"{what} is not valid YAML: {exc}"]) from exc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; collects every error found."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
+    doc = _load_yaml(text, "config")
     if not isinstance(doc, dict):
         raise ConfigError(["config must be a mapping"])
     errors = []
@@ -269,6 +274,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append("bounds weight list b must have length n")
         if experiment == "ode-residual" and not 0 < cfg.delta <= 0.1:
             errors.append("ode-residual requires delta in (0, 0.1]")
+        if experiment == "ode-residual" and cfg.x is not None \
+                and not (math.isfinite(cfg.x) and cfg.x != 0):
+            errors.append("ode-residual requires a finite nonzero x")
 
     if errors:
         raise ConfigError(errors)
@@ -533,7 +541,7 @@ def main(argv=None) -> int:
         return 4
 
     try:
-        doc = yaml.safe_load(text)
+        doc = _load_yaml(text, "config")
         if not isinstance(doc, dict):
             raise ConfigError(["config must be a mapping"])
         for item in args.override:
@@ -546,7 +554,7 @@ def main(argv=None) -> int:
                 node = node.setdefault(p, {})
                 if not isinstance(node, dict):
                     raise ConfigError([f"override {key!r} does not address a mapping"])
-            node[parts[-1]] = yaml.safe_load(raw)
+            node[parts[-1]] = _load_yaml(raw, f"override {item!r}")
         if args.workers is not None:
             doc["workers"] = args.workers
         if args.output is not None:

@@ -262,6 +262,8 @@ class UserLaw:
     mandatory; rbar (the non-increasing envelope, defined on [0, inf) with
     rbar(0) = ||R||_inf) is required by the deviation bounds, abs_tail by
     tail_remainder, gamma0 and trunc_mean_dev by the alpha = 1 bounds.
+    Like every law here, sample() returns an array the caller owns (a copy
+    of the sampler's), so callers may work in it in place.
     """
 
     def __init__(self, sampler, alpha, c0_plus, c0_minus, gamma0=None,
@@ -286,7 +288,7 @@ class UserLaw:
 
     def sample(self, rng, size=None):
         scalar = size is None
-        x = np.asarray(self._sampler(rng, 1 if scalar else size), dtype=float)
+        x = np.array(self._sampler(rng, 1 if scalar else size), dtype=float)
         return float(x.ravel()[0]) if scalar else x
 
     def abs_tail(self, x):

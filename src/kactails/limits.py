@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import spectral
+from .kernels import DeterministicKernel, spectral
 from .processes import forest_statistics
 
 
@@ -101,6 +101,13 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     with replacement from the previous pool.  The mean is preserved in
     expectation since E[Theta^Q(a)] E[L^a + R^a] = 1.  At Q(a) = 0 the
     Theta factor is the constant 1 and no uniform draw is consumed.
+
+    A DeterministicKernel is not sampled: its draw consumes nothing from
+    the stream and is the same pair every time, so (l^a, r^a) is computed
+    once per call and scales the resampled Z1, Z2 in place.  The powers go
+    through NumPy's array power, the same routine that acts on a sampled
+    (L, R); Python's float ** can differ from it in the last bit.  Other
+    kernels draw (L, R) every step and raise the draws to the power a.
     """
     z = pool.samples
     n = z.size
@@ -110,15 +117,24 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     if s <= -1.0:
         raise ValueError("fixed-point iteration needs S_alpha > -1")
     a = pool.alpha
+    fixed = isinstance(kernel, DeterministicKernel)
+    if fixed:
+        la, ra = np.array([kernel.l, kernel.r]) ** a
     for _ in range(int(iterations)):
-        z1 = z[rng.integers(0, n, size=n)]
-        z2 = z[rng.integers(0, n, size=n)]
-        lk, rk = kernel.sample(rng, n)
-        mix = lk ** a * z1 + rk ** a * z2
+        z1 = np.take(z, rng.integers(0, n, size=n))
+        z2 = np.take(z, rng.integers(0, n, size=n))
+        if fixed:
+            z1 *= la
+            z2 *= ra
+        else:
+            lk, rk = kernel.sample(rng, n)
+            z1 *= lk ** a
+            z2 *= rk ** a
+        z1 += z2
         if s != 0.0:
             # 1 - u lies in (0, 1]: safe under the negative powers used here
-            mix *= (1.0 - rng.random(n)) ** s
-        z = mix
+            z1 *= (1.0 - rng.random(n)) ** s
+        z = z1
     return ZPool(z, a, s, "fixed-point")
 
 

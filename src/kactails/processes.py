@@ -39,12 +39,17 @@ YULE_T_MAX = 40.0
 
 @dataclass
 class ForestSample:
-    """Vectorized path statistics; arrays are aligned by path index."""
+    """Vectorized path statistics; arrays are aligned by path index.
+
+    nu is always filled.  A call with a law fills V and H and leaves M and
+    beta_max None; a call without one fills M (one array per tracked
+    alpha) and beta_max and leaves V and H None.
+    """
 
     t: float
     nu: np.ndarray
-    M: dict[float, np.ndarray]
-    beta_max: np.ndarray
+    M: dict[float, np.ndarray] | None = None
+    beta_max: np.ndarray | None = None
     V: np.ndarray | None = None
     H: np.ndarray | None = None
 
@@ -77,22 +82,24 @@ def sample_yule(t, rng, size=None):
 def forest_statistics(kernel, t, alphas, n_paths, rng, law=None) -> ForestSample:
     """Sample n_paths independent paths at time t, vectorized.
 
-    Always returns nu, M(alpha) for each tracked alpha, and beta_max; when
-    a law is given it also returns V and H from shared per-leaf products.
-    Paths are drawn in sub-batches of at most 2^16, sized so the expected
-    leaf total per batch stays near _LEAF_BUDGET.  Each sub-batch draws its
-    Yule counts, kernel pairs and initial values in turn, so the batch size
-    fixes the order in which the rng stream is consumed: changing
-    _LEAF_BUDGET changes every result for a given stream.
+    Returns nu and, with a law, V and H from shared per-leaf products
+    beta_j X_j; without one, M(alpha) for each alpha in alphas and
+    beta_max.  alphas is read only when no law is given.  Paths are drawn
+    in sub-batches of at most 2^16, sized so the expected leaf total per
+    batch stays near _LEAF_BUDGET.  Each sub-batch draws its Yule counts,
+    kernel pairs and initial values in turn, so the batch size fixes the
+    order in which the rng stream is consumed: changing _LEAF_BUDGET
+    changes every result for a given stream.
     """
-    alphas = tuple(float(a) for a in alphas)
     n_paths = int(n_paths)
     nu_out = np.empty(n_paths, dtype=np.int64)
-    m_out = {a: np.empty(n_paths) for a in alphas}
-    bmax_out = np.empty(n_paths)
-    with_vh = law is not None
-    v_out = np.empty(n_paths) if with_vh else None
-    h_out = np.empty(n_paths) if with_vh else None
+    if law is None:
+        alphas = tuple(float(a) for a in alphas)
+        m_out = {a: np.empty(n_paths) for a in alphas}
+        bmax_out = np.empty(n_paths)
+    else:
+        v_out = np.empty(n_paths)
+        h_out = np.empty(n_paths)
 
     batch = int(min(max(_LEAF_BUDGET / math.exp(t), 32), 1 << 16))
     done = 0
@@ -102,22 +109,20 @@ def forest_statistics(kernel, t, alphas, n_paths, rng, law=None) -> ForestSample
         flat, starts, order = grow_weights_batch(kernel, nu, rng)
         sl = slice(done, done + m)
         nu_out[sl] = nu
-        scatter = np.empty(m)
-        for a in alphas:
-            scatter[order] = np.add.reduceat(flat ** a, starts)
-            m_out[a][sl] = scatter
-        scatter[order] = np.maximum.reduceat(flat, starts)
-        bmax_out[sl] = scatter
-        if with_vh:
-            x = law.sample(rng, flat.size)
-            prod = flat * x
-            scatter[order] = np.add.reduceat(prod, starts)
-            v_out[sl] = scatter
+        if law is None:
+            for a in alphas:
+                m_out[a][sl][order] = np.add.reduceat(flat ** a, starts)
+            bmax_out[sl][order] = np.maximum.reduceat(flat, starts)
+        else:
+            prod = law.sample(rng, flat.size)
+            prod *= flat
+            v_out[sl][order] = np.add.reduceat(prod, starts)
             np.abs(prod, out=prod)
-            scatter[order] = np.maximum.reduceat(prod, starts)
-            h_out[sl] = scatter
+            h_out[sl][order] = np.maximum.reduceat(prod, starts)
         done += m
-    return ForestSample(t=float(t), nu=nu_out, M=m_out, beta_max=bmax_out, V=v_out, H=h_out)
+    if law is None:
+        return ForestSample(t=float(t), nu=nu_out, M=m_out, beta_max=bmax_out)
+    return ForestSample(t=float(t), nu=nu_out, V=v_out, H=h_out)
 
 
 def wild_oracle_max(kernel, law, n, rng, size=None):

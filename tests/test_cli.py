@@ -163,6 +163,32 @@ def test_config_error_exit_code(tmp_path):
     assert cli.main(["--config", str(tmp_path / "missing.yaml")]) == 4
 
 
+@pytest.mark.parametrize("text, override", [
+    ("experiment: tail\nkernel: {kind: kac\n", []),
+    (MINIMAL, ["--override", "N=[1"]),
+])
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys, text, override):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert cli.main(["--config", str(path), *override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "is not valid YAML" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("x", ["0", "-0.0", ".nan", ".inf"])
+def test_ode_residual_rejects_zero_or_nonfinite_x(tmp_path, capsys, x):
+    # x = 0 used to raise inside the run; x = nan printed residual -100, se 0
+    text = MINIMAL.replace("experiment: tail", "experiment: ode-residual") + f"x: {x}\n"
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(text)
+    assert exc.value.errors == ["ode-residual requires a finite nonzero x"]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    assert cli.main(["--config", str(path)]) == 2
+    assert "config error: ode-residual requires a finite nonzero x" in capsys.readouterr().err
+
+
 def test_io_error_exit_code(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(MINIMAL.replace("N: 100000", "N: 20000")

@@ -70,6 +70,53 @@ def test_zpool_validation():
         kt.zpool_iterate(pool, kt.KacKernel(), rng(0))
 
 
+def _replay_zpool_iterate(pool, kernel, g, iterations):
+    """zpool_iterate as first written: every step samples (L, R) and powers
+    the draws, whatever the kernel."""
+    z, n, a, s = pool.samples, pool.samples.size, pool.alpha, pool.S_alpha
+    for _ in range(iterations):
+        z1 = z[g.integers(0, n, size=n)]
+        z2 = z[g.integers(0, n, size=n)]
+        lk, rk = kernel.sample(g, n)
+        z = lk ** a * z1 + rk ** a * z2
+        if s != 0.0:
+            z *= (1.0 - g.random(n)) ** s
+    return z
+
+
+def _pow_disagreement(a):
+    """A coefficient whose Python float power differs in the last bit from
+    NumPy's array power, where the platform's two routines differ at all."""
+    grid = np.linspace(0.05, 0.95, 4001)
+    powered = grid ** a
+    for v, p in zip(grid.tolist(), powered.tolist()):
+        if v ** a != p:
+            return v
+    return 0.55
+
+
+ZPOOL_KERNELS = {
+    "det-0.6-0.7": lambda a: kt.DeterministicKernel(0.6, 0.7),
+    "det-conservative-1.5": lambda a: kt.DeterministicKernel(2 ** (-2 / 3), 2 ** (-2 / 3)),
+    "det-pow-disagreement": lambda a: kt.DeterministicKernel(_pow_disagreement(a), 0.75),
+    "kac": lambda a: kt.KacKernel(),
+    "mixture": lambda a: kt.DiscreteKernel(((0.9, 0.3), (0.5, 0.8)), (0.4, 0.6)),
+}
+
+
+@pytest.mark.parametrize("s_alpha", [0.0, 0.25])
+@pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
+@pytest.mark.parametrize("name", sorted(ZPOOL_KERNELS))
+def test_zpool_iterate_matches_sampling_replay(name, alpha, s_alpha):
+    kernel = ZPOOL_KERNELS[name](alpha)
+    start = kt.ZPool.from_samples(rng(30).standard_exponential(1001), alpha, s_alpha)
+    g1, g2 = rng(31), rng(31)
+    out = kt.zpool_iterate(start, kernel, g1, iterations=3)
+    ref = _replay_zpool_iterate(start, kernel, g2, 3)
+    assert out.samples.tobytes() == ref.tobytes()
+    assert g1.random() == g2.random()  # the same stream was consumed
+
+
 def test_tree_pool_conservative_kernel_is_degenerate():
     pool = kt.zpool_from_trees(det_kernel(), 1.5, 6.0, 2000, rng(5))
     np.testing.assert_allclose(pool.samples, 1.0, atol=1e-9)

@@ -48,19 +48,77 @@ def test_path_sample_at_time_zero():
     fs = forest_statistics(kt.KacKernel(), 0.0, (1.5,), 100, g, law=law)
     assert np.all(fs.nu == 1)
     np.testing.assert_array_equal(fs.H, np.abs(fs.V))
-    assert np.all(fs.M[1.5] == 1.0)
-    assert np.all(fs.beta_max == 1.0)
+    trees = forest_statistics(kt.KacKernel(), 0.0, (1.5,), 100, g)
+    assert np.all(trees.M[1.5] == 1.0)
+    assert np.all(trees.beta_max == 1.0)
 
 
 def test_conservative_kernel_path_invariant():
     a = 1.5
     k = kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
     law = kt.SymmetricPareto(a)
+    trees = forest_statistics(k, 3.0, (a,), 2000, rng(5))
+    np.testing.assert_allclose(trees.M[a], 1.0, atol=1e-10)
     fs = forest_statistics(k, 3.0, (a,), 2000, rng(5), law=law)
-    np.testing.assert_allclose(fs.M[a], 1.0, atol=1e-10)
     # H is the max of per-leaf products, hence H <= sum of |products| = |V| bound fails,
     # but H <= (sum |b x|^a)^(1/a) is not asserted either; only positivity here
     assert np.all(fs.H >= 0)
+
+
+def _reference_forest(kernel, t, alphas, n_paths, g, law, batch):
+    """forest_statistics written out: sub-batches of `batch` paths, each
+    reduced from the whole grown forest and its per-leaf law draws."""
+    cols = {"nu": [], "V": [], "H": [], "beta_max": [], **{a: [] for a in alphas}}
+    for done in range(0, n_paths, batch):
+        m = min(batch, n_paths - done)
+        nu = kt.sample_yule(t, g, m)
+        flat, starts, order = kt.grow_weights_batch(kernel, nu, g)
+
+        def per_path(values, reduce):
+            out = np.empty(m)
+            out[order] = reduce.reduceat(values, starts)
+            return out
+
+        cols["nu"].append(nu)
+        if law is None:
+            for a in alphas:
+                cols[a].append(per_path(flat ** a, np.add))
+            cols["beta_max"].append(per_path(flat, np.maximum))
+        else:
+            prod = flat * law.sample(g, flat.size)
+            cols["V"].append(per_path(prod, np.add))
+            cols["H"].append(per_path(np.abs(prod), np.maximum))
+    return {k: np.concatenate(v) for k, v in cols.items() if v}
+
+
+FOREST_CASES = [
+    (kt.KacKernel(), kt.SymmetricPareto(1.5)),
+    (kt.DeterministicKernel(0.6, 0.7), kt.AsymmetricPareto(1.2, 0.7, 0.3)),
+    (kt.DiscreteKernel(((0.9, 0.3), (0.5, 0.8)), (0.4, 0.6)), kt.SymmetricPareto(0.8)),
+]
+
+
+@pytest.mark.parametrize("kernel, law", FOREST_CASES)
+def test_forest_statistics_equals_reference_reduction(monkeypatch, kernel, law):
+    # a small leaf budget splits 300 paths into sub-batches of 94
+    monkeypatch.setattr(kt.processes, "_LEAF_BUDGET", 256)
+    batch = int(256 / math.e)
+    alphas = (law.alpha, 2.0)
+    fs = forest_statistics(kernel, 1.0, alphas, 300, rng(21), law=law)
+    ref = _reference_forest(kernel, 1.0, alphas, 300, rng(21), law, batch)
+    np.testing.assert_array_equal(fs.nu, ref["nu"])
+    assert fs.V.tobytes() == ref["V"].tobytes()
+    assert fs.H.tobytes() == ref["H"].tobytes()
+    assert fs.M is None and fs.beta_max is None
+
+    trees = forest_statistics(kernel, 1.0, alphas, 300, rng(22))
+    ref = _reference_forest(kernel, 1.0, alphas, 300, rng(22), None, batch)
+    np.testing.assert_array_equal(trees.nu, ref["nu"])
+    assert sorted(trees.M) == sorted(alphas)
+    for a in alphas:
+        assert trees.M[a].tobytes() == ref[a].tobytes()
+    assert trees.beta_max.tobytes() == ref["beta_max"].tobytes()
+    assert trees.V is None and trees.H is None
 
 
 def test_rescaled_tree_sum_has_unit_mean():
