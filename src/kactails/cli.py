@@ -31,7 +31,7 @@ import math
 import multiprocessing
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -76,29 +76,58 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
+def _field(kind, needs, default=MISSING, shape="one", ok=None, rule="finite", error=None):
+    """A config field's one declaration: its value is cast to `kind` in
+    `shape` ("one", "many": one or a list, "list"), must be finite and pass
+    `ok`, the range worded by `rule` (or `error`, the whole message), and
+    is read by the `needs` experiments, which must give it if no default."""
+    required = default is MISSING
+    return field(default=None if required else default, metadata=dict(
+        kind=kind, shape=shape, needs=needs, ok=ok, rule=rule, error=error, required=required))
+
+
+_TIMED = ("tail", "cdf-H", "cf-V", "ode-residual")
+_POOLED = ("cdf-H", "cf-V", "fixed-point")
+_CHUNKED = ("tail", "cdf-H", "cf-V", "baseline", "martingale")
+_POSITIVE = {"ok": lambda v: v >= 1, "rule": ">= 1"}
+
+
 @dataclass
 class ExperimentConfig:
+    """A validated config.  Each field after `initial` is declared once, by
+    `_field`; `_read_fields` and the README config reference follow it."""
+
     experiment: str
     seed: int
     kernel: dict
     initial: dict
-    t: list[float] = field(default_factory=list)
-    xs: list[float] = field(default_factory=list)
-    N: int = 0
-    pool_size: int = 100_000
-    iterations: int = 60
-    pool_init: str = "ones"
-    n: list[int] = field(default_factory=list)
-    b: list[float] | None = None
-    x: float | None = None
-    delta: float = 0.01
-    epsilon: float = 0.5
-    gamma: float = 0.75
-    eta: float = 0.1
-    workers: int = 1
-    chunk_size: int = 16384
-    output: str = "results.csv"
-    format: str = "csv"
+    t: list[float] = _field(
+        float, _TIMED, shape="many", ok=lambda ts: all(0 <= t <= YULE_T_MAX for t in ts),
+        rule=f"non-negative and at most {YULE_T_MAX:g} (leaf counts overflow int64 beyond it)")
+    xs: list[float] = _field(float, ("tail", "cdf-H", "cf-V", "bounds", "baseline"), shape="many")
+    N: int = _field(int, _TIMED + ("bounds", "baseline", "martingale"), **_POSITIVE)
+    pool_size: int = _field(int, _POOLED, 100_000, **_POSITIVE)
+    iterations: int = _field(int, _POOLED, 60, **_POSITIVE)
+    pool_init: str = _field(str, ("fixed-point",), "ones",
+                            ok=lambda v: v in ("ones", "exponential"),
+                            rule="'ones' or 'exponential'")
+    n: list[int] = _field(int, ("bounds", "baseline", "martingale"), shape="many",
+                          ok=lambda ns: all(n >= 1 for n in ns), rule=">= 1")
+    b: list[float] | None = _field(float, ("bounds",), None, shape="list",
+                                   ok=lambda b: all(w >= 0 for w in b) and any(b),
+                                   rule="finite, >= 0 and not all 0")
+    x: float | None = _field(float, ("ode-residual",), ok=lambda v: v != 0,
+                             rule="finite and nonzero",
+                             error="ode-residual requires a finite nonzero x")
+    delta: float = _field(float, ("ode-residual",), 0.01, ok=lambda v: 0 < v <= 0.1,
+                          rule="in (0, 0.1]")
+    epsilon: float = _field(float, ("bounds",), 0.5, ok=lambda v: 0 < v < 1, rule="in (0, 1)")
+    gamma: float = _field(float, ("bounds",), 0.75, ok=lambda v: v > 0, rule="finite and > 0")
+    eta: float = _field(float, EXPERIMENTS, 0.1, ok=lambda v: v > 0, rule="finite and > 0")
+    workers: int = _field(int, _CHUNKED + ("bounds",), 1, **_POSITIVE)
+    chunk_size: int = _field(int, _CHUNKED, 16384, **_POSITIVE)
+    output: str = _field(str, EXPERIMENTS, "results.csv")
+    format: str = _field(str, EXPERIMENTS, "csv", ok=lambda v: v == "csv", rule="'csv'")
 
 
 def derive_stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
@@ -109,42 +138,6 @@ def derive_stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def build_kernel(block):
-    kind = block.get("kind")
-    if kind == "deterministic":
-        return DeterministicKernel(float(block["l"]), float(block["r"]))
-    if kind == "kac":
-        return KacKernel()
-    if kind == "discrete-mixture":
-        atoms = tuple((float(l), float(r)) for l, r in block["atoms"])
-        return DiscreteKernel(atoms, tuple(float(p) for p in block["probs"]))
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
-def build_law(block):
-    kind = block.get("kind")
-    alpha = float(block["alpha"])
-    if kind == "symmetric-pareto":
-        return SymmetricPareto(alpha, float(block.get("xmin", 1.0)))
-    if kind == "asymmetric-pareto":
-        xmin = block.get("xmin")
-        return AsymmetricPareto(alpha, float(block["c_plus"]), float(block["c_minus"]),
-                                None if xmin is None else float(xmin))
-    raise ValueError(f"unknown initial law kind {kind!r}")
-
-
-# Top-level fields read by _read_fields: (type, shape).  Shape "one" takes
-# one value, "many" one value or a list of them, "list" a list.
-_FIELDS = {
-    "t": (float, "many"), "xs": (float, "many"), "N": (int, "one"),
-    "pool_size": (int, "one"), "iterations": (int, "one"), "pool_init": (str, "one"),
-    "n": (int, "many"), "b": (float, "list"), "x": (float, "one"),
-    "delta": (float, "one"), "epsilon": (float, "one"), "gamma": (float, "one"),
-    "eta": (float, "one"), "workers": (int, "one"), "chunk_size": (int, "one"),
-    "output": (str, "one"), "format": (str, "one"),
-}
-
-
 def _cast(value, kind):
     """value as `kind`; a bool is no number, and an int takes no fraction."""
     if kind is not str and isinstance(value, bool) or \
@@ -153,24 +146,72 @@ def _cast(value, kind):
     return kind(value)
 
 
-def _read_fields(doc, errors):
-    """The _FIELDS given in doc, cast, as ExperimentConfig keywords.  A null
-    leaves the default; a value that does not cast is reported in errors."""
+def _finite(value, name):
+    """A kernel or initial-law number: value through _cast as a finite float."""
+    try:
+        number = _cast(value, float)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def build_kernel(block):
+    kind = block.get("kind")
+    if kind == "deterministic":
+        return DeterministicKernel(*(_finite(block[k], f"kernel.{k}") for k in "lr"))
+    if kind == "kac":
+        return KacKernel()
+    if kind == "discrete-mixture":
+        atoms = tuple((_finite(l, "kernel.atoms"), _finite(r, "kernel.atoms"))
+                      for l, r in block["atoms"])
+        return DiscreteKernel(atoms, tuple(_finite(p, "kernel.probs") for p in block["probs"]))
+    raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+def build_law(block):
+    kind = block.get("kind")
+    alpha = _finite(block["alpha"], "initial.alpha")
+    if kind == "symmetric-pareto":
+        return SymmetricPareto(alpha, _finite(block.get("xmin", 1.0), "initial.xmin"))
+    if kind == "asymmetric-pareto":
+        xmin = block.get("xmin")
+        return AsymmetricPareto(alpha, _finite(block["c_plus"], "initial.c_plus"),
+                                _finite(block["c_minus"], "initial.c_minus"),
+                                None if xmin is None else _finite(xmin, "initial.xmin"))
+    raise ValueError(f"unknown initial law kind {kind!r}")
+
+
+def _read_fields(doc, experiment, errors):
+    """The declared fields given in doc, cast and in range, as
+    ExperimentConfig keywords.  A null leaves the default.  A value that
+    does not cast or is out of range, and a field that `experiment` needs
+    but is not given, are reported in errors."""
     values = {}
-    for name, (kind, shape) in _FIELDS.items():
-        v = doc.get(name)
-        if v is None:
-            continue
-        try:
-            if shape == "one":
-                values[name] = _cast(v, kind)
-            else:
-                items = v if shape == "list" or isinstance(v, list) else [v]
-                values[name] = [_cast(e, kind) for e in items]
-        except (TypeError, ValueError, OverflowError):
-            one, many = ("an integer", "integers") if kind is int else ("a number", "numbers")
-            want = {"one": one, "many": f"{one} or a list of {many}", "list": f"a list of {many}"}
-            errors.append(f"{name} must be {want[shape]}, got {v!r}")
+    for f in [f for f in fields(ExperimentConfig) if f.metadata]:
+        m, v = f.metadata, doc.get(f.name)
+        kind, shape = m["kind"], m["shape"]
+        if v is not None:
+            listed = isinstance(v, list) and shape != "one"
+            try:
+                if shape == "list" and not listed:
+                    raise TypeError(v)
+                items = [_cast(e, kind) for e in (v if listed else [v])]
+            except (TypeError, ValueError, OverflowError):
+                one, many = ("an integer", "integers") if kind is int else ("a number", "numbers")
+                want = {"one": one, "many": f"{one} or a list of {many}",
+                        "list": f"a list of {many}"}
+                errors.append(f"{f.name} must be {want[shape]}, got {v!r}")
+                continue
+            value = items[0] if shape == "one" else items
+            finite = kind is not float or all(map(math.isfinite, items))
+            if not finite or m["ok"] and not m["ok"](value):
+                errors.append(m["error"] or f"{f.name} must be {m['rule']}, got {v!r}")
+                continue
+            values[f.name] = value
+        if m["required"] and experiment in m["needs"] and values.get(f.name) in (None, []):
+            errors.append(f"experiment {experiment!r} requires field {f.name!r}")
     return values
 
 
@@ -192,6 +233,7 @@ def parse_config(text: str) -> ExperimentConfig:
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
         errors.append(f"experiment must be one of {EXPERIMENTS}, got {experiment!r}")
+        experiment = None
 
     seed = doc.get("seed")
     if seed is None:
@@ -199,84 +241,53 @@ def parse_config(text: str) -> ExperimentConfig:
     elif isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         errors.append("seed must be an integer in [0, 2^64)")
 
+    kernel = law = None
     kernel_block = doc.get("kernel")
     if not isinstance(kernel_block, dict):
         errors.append("kernel block is required")
-        kernel_block = {}
     else:
         try:
-            build_kernel(kernel_block)
+            kernel = build_kernel(kernel_block)
         except (KeyError, TypeError, ValueError) as exc:
             errors.append(f"kernel block invalid: {exc}")
 
     initial_block = doc.get("initial")
     if not isinstance(initial_block, dict):
         errors.append("initial block is required")
-        initial_block = {}
     else:
         alpha = initial_block.get("alpha")
         if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 2:
             errors.append("initial.alpha must lie in the open interval (0, 2)")
-        elif float(alpha) == 1.0:
-            cp = initial_block.get("c_plus")
-            cm = initial_block.get("c_minus")
-            if cp is not None and cp != cm:
-                errors.append("alpha = 1 requires c_plus = c_minus "
-                              "(limit-theorem hypothesis)")
-        if not errors or all("alpha" not in e and "c_plus" not in e for e in errors):
+        elif alpha == 1 and initial_block.get("c_plus") not in \
+                (None, initial_block.get("c_minus")):
+            errors.append("alpha = 1 requires c_plus = c_minus (limit-theorem hypothesis)")
+        else:
             try:
-                build_law(initial_block)
+                law = build_law(initial_block)
             except (KeyError, TypeError, ValueError) as exc:
                 errors.append(f"initial block invalid: {exc}")
 
-    cfg = ExperimentConfig(experiment=experiment if experiment in EXPERIMENTS else "tail",
+    if kernel is not None and law is not None:
+        try:
+            classify_regime(kernel, law.alpha)
+        except RegimeUnavailableError as exc:
+            errors.append(f"kernel has no regime at alpha = {law.alpha:g}: {exc}")
+
+    cfg = ExperimentConfig(experiment=experiment or "tail",
                            seed=seed if isinstance(seed, int) else 0,
                            kernel=kernel_block, initial=initial_block,
-                           **_read_fields(doc, errors))
+                           **_read_fields(doc, experiment, errors))
 
-    if cfg.format != "csv":
-        errors.append(f"unsupported output format {cfg.format!r}")
-    if cfg.workers < 1:
-        errors.append("workers must be >= 1")
-    if cfg.chunk_size < 1:
-        errors.append("chunk_size must be >= 1")
-    if cfg.pool_init not in ("ones", "exponential"):
-        errors.append("pool_init must be 'ones' or 'exponential'")
-    for t in cfg.t:
-        if not 0 <= t <= YULE_T_MAX:
-            errors.append(f"t must be non-negative and at most {YULE_T_MAX:g} "
-                          f"(leaf counts overflow int64 beyond it), got {t!r}")
-
-    needs = {
-        "tail": ("t", "xs", "N"),
-        "cdf-H": ("t", "xs", "N", "pool_size"),
-        "cf-V": ("t", "xs", "N", "pool_size"),
-        "fixed-point": ("pool_size", "iterations"),
-        "bounds": ("n", "xs", "N"),
-        "baseline": ("n", "xs", "N"),
-        "ode-residual": ("t", "x", "delta", "N"),
-        "martingale": ("n", "N"),
-    }
-    if experiment in EXPERIMENTS:
-        for name in needs[experiment]:
-            v = getattr(cfg, name)
-            if v is None or (isinstance(v, (list, tuple)) and not v) \
-                    or (name in ("N", "pool_size", "iterations") and int(v) < 1):
-                errors.append(f"experiment {experiment!r} requires field {name!r}")
-        if experiment == "tail" and cfg.N and cfg.N < 10_000:
-            errors.append("tail experiment requires N >= 1e4")
-        if experiment in ("bounds", "baseline") and len(cfg.n) > 1:
-            errors.append(f"experiment {experiment!r} takes a single n")
-        if experiment == "bounds":
-            if not 0 < cfg.epsilon < 1:
-                errors.append("bounds experiment requires epsilon in (0, 1)")
-            if cfg.b is not None and cfg.n and len(cfg.b) != cfg.n[0]:
-                errors.append("bounds weight list b must have length n")
-        if experiment == "ode-residual" and not 0 < cfg.delta <= 0.1:
-            errors.append("ode-residual requires delta in (0, 0.1]")
-        if experiment == "ode-residual" and cfg.x is not None \
-                and not (math.isfinite(cfg.x) and cfg.x != 0):
-            errors.append("ode-residual requires a finite nonzero x")
+    # the rules that join fields
+    least_n = {"tail": 10_000, "ode-residual": 2}.get(experiment, 1)
+    if cfg.N is not None and cfg.N < least_n:
+        errors.append(f"experiment {experiment!r} requires N >= {least_n}")
+    if experiment in ("tail", "baseline", "bounds") and cfg.xs and min(cfg.xs) <= 0:
+        errors.append(f"experiment {experiment!r} requires every x in xs to be > 0")
+    if experiment in ("bounds", "baseline") and len(cfg.n or ()) > 1:
+        errors.append(f"experiment {experiment!r} takes a single n")
+    if experiment == "bounds" and cfg.b is not None and cfg.n and len(cfg.b) != cfg.n[0]:
+        errors.append("bounds weight list b must have length n")
 
     if errors:
         raise ConfigError(errors)
@@ -284,12 +295,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _chunks(total, chunk_size):
-    sizes = []
-    left = int(total)
-    while left > 0:
-        sizes.append(min(chunk_size, left))
-        left -= sizes[-1]
-    return sizes
+    return [min(chunk_size, total - i) for i in range(0, total, chunk_size)]
 
 
 # ---- chunk jobs (top level so they pickle) ----
@@ -334,7 +340,7 @@ def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
 # ---- experiment runners ----
 
 def _run_tail(cfg, kernel, law, regime, warnings_out, notes_out):
-    if regime is not None and regime.case_id != CASE_UNRESTRICTED:
+    if regime.case_id != CASE_UNRESTRICTED:
         warnings_out.append(
             f"regime {regime.case_id!r} restricts admissible schedules; a single "
             "(t, x) row cannot certify x_t -> infinity against h(t)")
@@ -484,17 +490,12 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig):
     """Returns (rows, exit_status, (regime, messages)): each row maps the
-    SCHEMAS columns to values, regime is None when unavailable, and the
-    messages are the warnings and notes to print."""
+    SCHEMAS columns to values, and the messages are the warnings and notes
+    to print.  parse_config has checked that the kernel has a regime."""
     kernel = build_kernel(cfg.kernel)
     law = build_law(cfg.initial)
-    regime = None
-    warnings_out = []
-    try:
-        regime = classify_regime(kernel, law.alpha, eta=cfg.eta)
-    except RegimeUnavailableError as exc:
-        warnings_out.append(f"regime unavailable: {exc}")
-    notes_out = []
+    regime = classify_regime(kernel, law.alpha, eta=cfg.eta)
+    warnings_out, notes_out = [], []
     rows = _RUNNERS[cfg.experiment](cfg, kernel, law, regime, warnings_out, notes_out)
     # only admissibility-class warnings change the exit status; notes are
     # informational and printed alongside
@@ -569,10 +570,9 @@ def main(argv=None) -> int:
     rows, status, (regime, warns) = run(cfg)
     took = time.perf_counter() - start
 
-    if rows and regime is not None:
-        print(f"regime: case={regime.case_id} S(a)={regime.S_alpha:.6g} "
-              f"S(2a)={regime.S_2alpha:.6g} mu(a)={regime.mu_alpha:.6g} "
-              f"mu(2a)={regime.mu_2alpha:.6g}")
+    print(f"regime: case={regime.case_id} S(a)={regime.S_alpha:.6g} "
+          f"S(2a)={regime.S_2alpha:.6g} mu(a)={regime.mu_alpha:.6g} "
+          f"mu(2a)={regime.mu_2alpha:.6g}")
     for wmsg in warns:
         print(f"warning: {wmsg}", file=sys.stderr)
 

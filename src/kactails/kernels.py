@@ -280,7 +280,8 @@ def classify_regime(kernel, alpha, eta=0.1, tol=1e-9, rng=None, budget=200_000) 
 
     Equality comparisons (mu(2a) = mu(a), 2Q(a) in {-1, 0}) are resolved
     within the relative tolerance `tol`.  Raises RegimeUnavailableError
-    when Q(2*alpha) is infinite.
+    when Q(alpha) or Q(2*alpha) is infinite or overflows a float, or when
+    Q(alpha) underflows to -1.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -288,11 +289,18 @@ def classify_regime(kernel, alpha, eta=0.1, tol=1e-9, rng=None, budget=200_000) 
         raise ValueError("eta must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s_a = spectral(kernel, alpha, budget=budget, rng=rng).Q_s
-    s_2a = spectral(kernel, 2.0 * alpha, budget=budget, rng=rng).Q_s
+    try:
+        s_a = spectral(kernel, alpha, budget=budget, rng=rng).Q_s
+        s_2a = spectral(kernel, 2.0 * alpha, budget=budget, rng=rng).Q_s
+    except OverflowError:  # a closed-form moment past the float range
+        s_a = s_2a = math.inf
     if not math.isfinite(s_2a) or not math.isfinite(s_a):
         raise RegimeUnavailableError(
             f"Q({2 * alpha:g}) is not finite; no regime classification applies"
+        )
+    if s_a <= -1.0:  # E[L^a + R^a] > 0 for every kernel, unless it underflows
+        raise RegimeUnavailableError(
+            f"Q({alpha:g}) = -1: the kernel's moments underflow; no regime classification applies"
         )
     mu_a = s_a / alpha
     mu_2a = s_2a / (2.0 * alpha)

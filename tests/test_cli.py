@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import re
 import string
 import subprocess
 import sys
@@ -365,17 +367,93 @@ _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                      st.text(string.printable, max_size=6))
 
 
+_DET = {"kind": "deterministic", "l": 0.6, "r": 0.7}
+_ASYM = {"kind": "asymmetric-pareto", "alpha": 1.2, "c_plus": 0.5, "c_minus": 0.5}
+# a nested key and the block it is drawn in
+_BLOCK_OF = {"initial.alpha": {"kind": "symmetric-pareto", "alpha": 1.5},
+             "initial.xmin": {"kind": "symmetric-pareto", "alpha": 1.5},
+             "kernel.l": _DET, "kernel.r": _DET,
+             "initial.c_plus": _ASYM, "initial.c_minus": _ASYM}
+
+
 @settings(max_examples=400, deadline=None)
 @given(key=st.sampled_from([f.name for f in dataclasses.fields(cli.ExperimentConfig)]
-                           + ["initial.alpha"]),
+                           + list(_BLOCK_OF)),
        value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
        experiment=st.sampled_from(cli.EXPERIMENTS))
 def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     doc = yaml.safe_load(MINIMAL)
     doc.update(experiment=experiment, n=[4], x=1.0)
-    node, leaf = (doc["initial"], "alpha") if key == "initial.alpha" else (doc, key)
+    if key in _BLOCK_OF:
+        block, leaf = key.split(".")
+        node = doc[block] = dict(_BLOCK_OF[key])
+    else:
+        node, leaf = doc, key
     node[leaf] = value
     try:
         cli.parse_config(yaml.safe_dump(doc))
     except cli.ConfigError:
         pass
+
+
+@pytest.mark.parametrize("experiment, overrides, code, named", [
+    # each of these ran into a traceback, a NaN, a complex ratio or a silent value
+    ("tail", ["xs=[0]"], 2, "xs"),
+    ("tail", ["xs=[-1.0]"], 2, "xs"),
+    ("baseline", ["xs=[-1.0]"], 2, "xs"),
+    ("baseline", ["n=0"], 2, "n"),
+    ("bounds", ["n=0"], 2, "n"),
+    ("martingale", ["n=0"], 2, "n"),
+    ("tail", ["eta=-1"], 2, "eta"),
+    ("bounds", ["gamma=0"], 2, "gamma"),
+    ("bounds", ["n=3", "b=[-1, 1, 1]"], 2, "b"),
+    ("ode-residual", ["N=1"], 2, "N"),
+    ("cdf-H", ["iterations=-1"], 2, "iterations"),
+    ("tail", ["kernel={kind: deterministic, l: .inf, r: 0.5}"], 2, "kernel.l"),
+    ("tail", ["kernel={kind: deterministic, l: true, r: 0.5}"], 2, "kernel.l"),
+    ("tail", ["initial.xmin=.inf"], 2, "initial.xmin"),
+    ("tail", ["initial={kind: asymmetric-pareto, alpha: 1.2, c_plus: .inf, c_minus: 0.5}"],
+     2, "initial.c_plus"),
+    ("tail", ["kernel={kind: deterministic, l: 1.0e+200, r: 0.5}"], 2, "kernel"),
+    ("tail", ["kernel={kind: discrete-mixture, atoms: [[1.0e+200, 0.5], [0.5, 0.5]], "
+                "probs: [0.5, 0.5]}"], 2, "kernel"),
+    ("fixed-point", ["kernel={kind: deterministic, l: 1.0e-300, r: 1.0e-300}"], 2, "kernel"),
+    # in-range edges that run
+    ("baseline", ["n=1"], 0, None),
+    ("martingale", ["n=[1]"], 0, None),
+    ("ode-residual", ["N=2"], 0, None),
+    ("cdf-H", ["xs=[0.0]"], 0, None),
+    ("cf-V", ["xs=[-1.0]"], 0, None),
+])
+def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
+                                                   overrides, code, named):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"experiment: {experiment}\nseed: 5\nkernel: {{kind: kac}}\n"
+                    f"initial: {{kind: symmetric-pareto, alpha: 1.5}}\n"
+                    f"{SMALL_RUNS[experiment]}\noutput: {tmp_path / 'out.csv'}\n")
+    args = ["--config", str(path)]
+    for item in overrides:
+        args += ["--override", item]
+    assert cli.main(args) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if named is None:
+        assert "config error" not in err and (tmp_path / "out.csv").exists()
+    else:
+        assert err.startswith("config error: ")
+        assert re.search(rf"(?<![\w.]){re.escape(named)}(?![\w])", err), err
+
+
+def test_readme_config_reference_follows_the_field_declarations():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    table = [[c.strip() for c in line.strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("|")]
+    needed = table[0].index("needed by")
+    rows = {cells[0].strip("`"): cells for cells in table[2:]}
+    for f in dataclasses.fields(cli.ExperimentConfig):
+        assert f.name in rows, f"README config reference has no row for {f.name!r}"
+        if f.metadata:
+            cell = rows[f.name][needed]
+            listed = set(cli.EXPERIMENTS) if cell == "all" else set(re.findall(r"`([^`]+)`", cell))
+            assert listed == set(f.metadata["needs"]), f.name

@@ -213,6 +213,18 @@ def test_classify_regime_rejects_infinite_second_moment():
         kt.classify_regime(kt.UserKernel(heavy), 1.0, rng=rng(7), budget=20_000)
 
 
+@pytest.mark.parametrize("kernel", [
+    kt.DeterministicKernel(1e200, 0.5),
+    kt.DiscreteKernel(((1e200, 0.5), (0.5, 0.5)), (0.5, 0.5)),
+    kt.DeterministicKernel(1e-300, 1e-300),
+])
+def test_classify_regime_reports_an_out_of_range_moment_as_unavailable(kernel):
+    # l^(2a) past the float range used to escape as an OverflowError, and
+    # l^a underflowing to 0 gave Q(a) = -1, which the pool and m_n refuse
+    with pytest.raises(RegimeUnavailableError):
+        kt.classify_regime(kernel, 1.5)
+
+
 def test_classify_regime_validates_inputs():
     k = kt.KacKernel()
     with pytest.raises(ValueError):
