@@ -17,7 +17,6 @@ from .kernels import (
     SpectralReport,
     UserKernel,
     classify_regime,
-    h_of_t,
     spectral,
 )
 from .initial_data import (
@@ -33,13 +32,11 @@ from .weights import (
     WeightNorm,
     grow_weights_batch,
     mean_weight_norm,
-    mean_weight_norm_table,
 )
 from .processes import (
     ForestSample,
     forest_statistics,
     sample_yule,
-    wild_oracle_max,
 )
 from .limits import (
     StableParams,

@@ -32,6 +32,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -40,6 +41,7 @@ from . import deviations, limits
 from .initial_data import AsymmetricPareto, SymmetricPareto
 from .kernels import (
     CASE_UNRESTRICTED,
+    CollisionKernel,
     DeterministicKernel,
     DiscreteKernel,
     KacKernel,
@@ -94,13 +96,14 @@ _POSITIVE = {"ok": lambda v: v >= 1, "rule": ">= 1"}
 
 @dataclass
 class ExperimentConfig:
-    """A validated config.  Each field after `initial` is declared once, by
+    """A validated config.  `kernel` and `initial` hold the kernel and law
+    built from their blocks.  Each later field is declared once, by
     `_field`; `_read_fields` and the README config reference follow it."""
 
     experiment: str
     seed: int
-    kernel: dict
-    initial: dict
+    kernel: CollisionKernel
+    initial: SymmetricPareto | AsymmetricPareto
     t: list[float] = _field(
         float, _TIMED, shape="many", ok=lambda ts: all(0 <= t <= YULE_T_MAX for t in ts),
         rule=f"non-negative and at most {YULE_T_MAX:g} (leaf counts overflow int64 beyond it)")
@@ -128,6 +131,12 @@ class ExperimentConfig:
     chunk_size: int = _field(int, _CHUNKED, 16384, **_POSITIVE)
     output: str = _field(str, EXPERIMENTS, "results.csv")
     format: str = _field(str, EXPERIMENTS, "csv", ok=lambda v: v == "csv", rule="'csv'")
+
+    @cached_property
+    def regime(self):
+        """The kernel's regime at the law's alpha, classified on first use;
+        RegimeUnavailableError when it has none."""
+        return classify_regime(self.kernel, self.initial.alpha, eta=self.eta)
 
 
 def derive_stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
@@ -223,12 +232,35 @@ def _load_yaml(text, what):
         raise ConfigError([f"{what} is not valid YAML: {exc}"]) from exc
 
 
+def _threshold_power_errors(experiment, xs, a, gamma):
+    """The powers x^e of each threshold x > 0 that the experiment takes
+    must be finite and nonzero floats; one error per x where one is not."""
+    powers = {"tail": {"alpha": a}, "baseline": {"alpha": a}, "cdf-H": {"-alpha": -a},
+              "bounds": {"alpha": a, "(2 - alpha)(1 - gamma)": (2 - a) * (1 - gamma),
+                         "alpha (2 gamma - 1)": a * (2 * gamma - 1),
+                         "2 - alpha + 2 (alpha - 1) gamma": 2 - a + 2 * (a - 1) * gamma}}
+    given = f"alpha = {a:g}" + (f", gamma = {gamma:g}" if experiment == "bounds" else "")
+    errors = []
+    for x in xs:
+        for name, e in powers[experiment].items():
+            try:
+                value = x ** e if x > 0 else 1.0
+            except OverflowError:
+                value = math.inf
+            if value in (0.0, math.inf):
+                errors.append(f"xs: x = {x!r} gives x^({name}) = {value!r} at {given}; "
+                              f"experiment {experiment!r} needs it finite and nonzero")
+                break
+    return errors
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; collects every error found."""
     doc = _load_yaml(text, "config")
     if not isinstance(doc, dict):
         raise ConfigError(["config must be a mapping"])
-    errors = []
+    names = {f.name for f in fields(ExperimentConfig)}
+    errors = [f"unknown key {key!r}: not a config field" for key in doc if key not in names]
 
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENTS:
@@ -267,16 +299,16 @@ def parse_config(text: str) -> ExperimentConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 errors.append(f"initial block invalid: {exc}")
 
-    if kernel is not None and law is not None:
-        try:
-            classify_regime(kernel, law.alpha)
-        except RegimeUnavailableError as exc:
-            errors.append(f"kernel has no regime at alpha = {law.alpha:g}: {exc}")
-
+    block_errors = len(errors)
     cfg = ExperimentConfig(experiment=experiment or "tail",
                            seed=seed if isinstance(seed, int) else 0,
-                           kernel=kernel_block, initial=initial_block,
+                           kernel=kernel, initial=law,
                            **_read_fields(doc, experiment, errors))
+    if kernel is not None and law is not None:
+        try:
+            cfg.regime
+        except RegimeUnavailableError as exc:
+            errors.insert(block_errors, f"kernel has no regime at alpha = {law.alpha:g}: {exc}")
 
     # the rules that join fields
     least_n = {"tail": 10_000, "ode-residual": 2}.get(experiment, 1)
@@ -288,6 +320,8 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"experiment {experiment!r} takes a single n")
     if experiment == "bounds" and cfg.b is not None and cfg.n and len(cfg.b) != cfg.n[0]:
         errors.append("bounds weight list b must have length n")
+    if law is not None and experiment in ("tail", "baseline", "bounds", "cdf-H"):
+        errors += _threshold_power_errors(experiment, cfg.xs or (), law.alpha, cfg.gamma)
 
     if errors:
         raise ConfigError(errors)
@@ -320,9 +354,9 @@ def _summed_jobs(cfg, tag, fn, chunk_args):
     return [np.sum(part, axis=0) for part in zip(*_run_jobs(cfg, tag, fn, chunk_args))]
 
 
-def _paths_task(kernel, law, t, alpha, mu, xs, xis, size, rng):
+def _paths_task(kernel, law, t, mu, xs, xis, size, rng):
     """Per-chunk path statistics for cdf-H / cf-V: counts and CF sums."""
-    stats = forest_statistics(kernel, t, (alpha,), size, rng, law=law)
+    stats = forest_statistics(kernel, t, size, rng, law=law)
     f = math.exp(-mu * t)
     h = stats.H * f
     v = stats.V * f
@@ -337,37 +371,29 @@ def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
     return float(tm.sum()), float((tm ** 2).sum()), tm.size
 
 
-# ---- experiment runners ----
+# ---- experiment runners: each returns its rows ----
 
-def _run_tail(cfg, kernel, law, regime, warnings_out, notes_out):
-    if regime.case_id != CASE_UNRESTRICTED:
-        warnings_out.append(
-            f"regime {regime.case_id!r} restricts admissible schedules; a single "
-            "(t, x) row cannot certify x_t -> infinity against h(t)")
+def _run_tail(cfg):
+    law = cfg.initial
     c0 = law.c0_plus + law.c0_minus
     rows = []
     for it, t in enumerate(cfg.t):
         hits_v, hits_h = _summed_jobs(
             cfg, f"tail/{it}", deviations.tail_hit_counts,
-            [(kernel, law, t, regime.mu_alpha, cfg.xs, m)
+            [(cfg.kernel, law, t, cfg.regime.mu_alpha, cfg.xs, m)
              for m in _chunks(cfg.N, cfg.chunk_size)])
-        for est in deviations.assemble_tail_estimates(
-                t, cfg.xs, cfg.N, hits_v, hits_h, law.alpha, c0):
-            if est.low_precision:
-                notes_out.append(
-                    f"low precision at t={t:g}, x={est.x:g}: expected hits "
-                    f"{cfg.N * c0 / est.x ** law.alpha:.1f} < 20")
-            rows.append(asdict(est))
+        rows += map(asdict, deviations.assemble_tail_estimates(
+            t, cfg.xs, cfg.N, hits_v, hits_h, law.alpha, c0))
     return rows
 
 
-def _run_martingale(cfg, kernel, law, regime, warnings_out, notes_out):
+def _run_martingale(cfg):
     rows = []
     for ni, n in enumerate(cfg.n):
-        m_n = mean_weight_norm(regime.S_alpha, n).m
+        m_n = mean_weight_norm(cfg.regime.S_alpha, n).m
         sizes = _chunks(cfg.N, max(1, cfg.chunk_size // max(1, n // 64)))
         parts = _run_jobs(cfg, f"martingale/{ni}", _martingale_sum_task,
-                          [(kernel, int(n), law.alpha, m_n, m) for m in sizes])
+                          [(cfg.kernel, int(n), cfg.initial.alpha, m_n, m) for m in sizes])
         total, total_sq, count = map(sum, zip(*parts))
         mean = total / count
         var = max(total_sq / count - mean ** 2, 0.0)
@@ -376,8 +402,8 @@ def _run_martingale(cfg, kernel, law, regime, warnings_out, notes_out):
     return rows
 
 
-def _run_baseline(cfg, kernel, law, regime, warnings_out, notes_out):
-    n = cfg.n[0]
+def _run_baseline(cfg):
+    law, n = cfg.initial, cfg.n[0]
     thresholds = [x * n ** (1.0 / law.alpha) for x in cfg.xs]
     rows_per_chunk = max(1, cfg.chunk_size * 256 // max(n, 1))
     hits_sum, hits_max = _summed_jobs(
@@ -387,8 +413,8 @@ def _run_baseline(cfg, kernel, law, regime, warnings_out, notes_out):
         n, cfg.xs, cfg.N, hits_sum, hits_max, law.alpha, law.c0_plus + law.c0_minus)]
 
 
-def _run_bounds(cfg, kernel, law, regime, warnings_out, notes_out):
-    n = cfg.n[0]
+def _run_bounds(cfg):
+    law, n = cfg.initial, cfg.n[0]
     b = np.asarray(cfg.b, dtype=float) if cfg.b is not None \
         else np.full(n, n ** (-1.0 / law.alpha))
     reports = _run_jobs(cfg, "bounds", deviations.lemma_bounds,
@@ -399,14 +425,14 @@ def _run_bounds(cfg, kernel, law, regime, warnings_out, notes_out):
              "mc": r.mc_estimate, "mc_se": r.mc_se} for r in reports]
 
 
-def _run_fixed_point(cfg, kernel, law, regime, warnings_out, notes_out):
+def _run_fixed_point(cfg):
     rng = derive_stream(cfg.seed, "fixed-point", 0)
-    alpha = law.alpha
+    alpha, s_alpha = cfg.initial.alpha, cfg.regime.S_alpha
     if cfg.pool_init == "exponential":
         pool = limits.ZPool.from_samples(rng.standard_exponential(cfg.pool_size),
-                                         alpha, regime.S_alpha)
+                                         alpha, s_alpha)
     else:
-        pool = limits.ZPool.ones(cfg.pool_size, alpha, regime.S_alpha)
+        pool = limits.ZPool.ones(cfg.pool_size, alpha, s_alpha)
 
     def row(i, p):
         z = p.samples
@@ -416,25 +442,26 @@ def _run_fixed_point(cfg, kernel, law, regime, warnings_out, notes_out):
 
     rows = [row(0, pool)]
     for i in range(1, cfg.iterations + 1):
-        pool = limits.zpool_iterate(pool, kernel, rng)
+        pool = limits.zpool_iterate(pool, cfg.kernel, rng)
         rows.append(row(i, pool))
     return rows
 
 
-def _zpool_for_limit(cfg, kernel, law, regime):
+def _zpool_for_limit(cfg):
     rng = derive_stream(cfg.seed, "limit-pool", 0)
-    pool = limits.ZPool.ones(cfg.pool_size, law.alpha, regime.S_alpha)
-    return limits.zpool_iterate(pool, kernel, rng, iterations=cfg.iterations)
+    pool = limits.ZPool.ones(cfg.pool_size, cfg.initial.alpha, cfg.regime.S_alpha)
+    return limits.zpool_iterate(pool, cfg.kernel, rng, iterations=cfg.iterations)
 
 
-def _run_cdf_h(cfg, kernel, law, regime, warnings_out, notes_out):
-    pool = _zpool_for_limit(cfg, kernel, law, regime)
+def _run_cdf_h(cfg):
+    law = cfg.initial
+    pool = _zpool_for_limit(cfg)
     c0 = law.c0_plus + law.c0_minus
     rows = []
     for it, t in enumerate(cfg.t):
         counts, _ = _summed_jobs(
             cfg, f"cdf-H/{it}", _paths_task,
-            [(kernel, law, t, law.alpha, regime.mu_alpha, cfg.xs, (), m)
+            [(cfg.kernel, law, t, cfg.regime.mu_alpha, cfg.xs, (), m)
              for m in _chunks(cfg.N, cfg.chunk_size)])
         for x, c in zip(cfg.xs, counts):
             p = c / cfg.N
@@ -445,15 +472,16 @@ def _run_cdf_h(cfg, kernel, law, regime, warnings_out, notes_out):
     return rows
 
 
-def _run_cf_v(cfg, kernel, law, regime, warnings_out, notes_out):
-    pool = _zpool_for_limit(cfg, kernel, law, regime)
+def _run_cf_v(cfg):
+    law = cfg.initial
+    pool = _zpool_for_limit(cfg)
     params = limits.stable_params(law.c0_plus, law.c0_minus, law.alpha,
                                   gamma0=law.gamma0 or 0.0)
     rows = []
     for it, t in enumerate(cfg.t):
         _, cf_sums = _summed_jobs(
             cfg, f"cf-V/{it}", _paths_task,
-            [(kernel, law, t, law.alpha, regime.mu_alpha, (), cfg.xs, m)
+            [(cfg.kernel, law, t, cfg.regime.mu_alpha, (), cfg.xs, m)
              for m in _chunks(cfg.N, cfg.chunk_size)])
         for xi, s in zip(cfg.xs, cf_sums):
             emp = s / cfg.N
@@ -465,12 +493,12 @@ def _run_cf_v(cfg, kernel, law, regime, warnings_out, notes_out):
     return rows
 
 
-def _run_ode_residual(cfg, kernel, law, regime, warnings_out, notes_out):
+def _run_ode_residual(cfg):
     rng = derive_stream(cfg.seed, "ode-residual", 0)
     rows = []
     for t in cfg.t:
-        res, se = deviations.max_ode_residual(kernel, law, t, cfg.x, cfg.delta,
-                                              cfg.N, rng)
+        res, se = deviations.max_ode_residual(cfg.kernel, cfg.initial, t, cfg.x,
+                                              cfg.delta, cfg.N, rng)
         rows.append({"t": t, "x": cfg.x, "delta": cfg.delta, "N": cfg.N,
                      "residual": res, "se": se})
     return rows
@@ -491,16 +519,21 @@ _RUNNERS = {
 def run(cfg: ExperimentConfig):
     """Returns (rows, exit_status, (regime, messages)): each row maps the
     SCHEMAS columns to values, and the messages are the warnings and notes
-    to print.  parse_config has checked that the kernel has a regime."""
-    kernel = build_kernel(cfg.kernel)
-    law = build_law(cfg.initial)
-    regime = classify_regime(kernel, law.alpha, eta=cfg.eta)
-    warnings_out, notes_out = [], []
-    rows = _RUNNERS[cfg.experiment](cfg, kernel, law, regime, warnings_out, notes_out)
-    # only admissibility-class warnings change the exit status; notes are
-    # informational and printed alongside
-    status = 3 if warnings_out else 0
-    return rows, status, (regime, warnings_out + notes_out)
+    to print.  A tail run outside the unrestricted regime warns, which
+    makes the exit status 3; a tail row with fewer than 20 expected hits
+    adds a note, which is informational only."""
+    regime, law = cfg.regime, cfg.initial
+    rows = _RUNNERS[cfg.experiment](cfg)
+    warnings = []
+    if cfg.experiment == "tail" and regime.case_id != CASE_UNRESTRICTED:
+        warnings.append(
+            f"regime {regime.case_id!r} restricts admissible schedules; a single "
+            "(t, x) row cannot certify x_t -> infinity against h(t)")
+    c0 = law.c0_plus + law.c0_minus
+    notes = [f"low precision at t={r['t']:g}, x={r['x']:g}: expected hits "
+             f"{cfg.N * c0 / r['x'] ** law.alpha:.1f} < 20"
+             for r in rows if r.get("low_precision")]
+    return rows, 3 if warnings else 0, (regime, warnings + notes)
 
 
 def _fmt(v):

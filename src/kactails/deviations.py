@@ -92,7 +92,7 @@ def _binom_se(p, n):
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def estimate_tail(kernel, law, t, xs, N, rng, check_regime=True) -> list[TailEstimate]:
+def estimate_tail(kernel, law, t, xs, N, rng) -> list[TailEstimate]:
     """Single-pass tail estimates of rescaled |V_t| and H_t at each x.
 
     All x thresholds and the V/H pair share the same N paths (common
@@ -109,19 +109,18 @@ def estimate_tail(kernel, law, t, xs, N, rng, check_regime=True) -> list[TailEst
     alpha = law.alpha
     mu = spectral(kernel, alpha, rng=rng).mu_s
     c0 = law.c0_plus + law.c0_minus
-    if check_regime:
-        try:
-            regime = classify_regime(kernel, alpha, rng=rng)
-            if regime.case_id != CASE_UNRESTRICTED:
-                warnings.warn(
-                    f"regime {regime.case_id!r} restricts admissible schedules; "
-                    "verify x_t with admissible_schedule",
-                    AdmissibilityWarning,
-                    stacklevel=2,
-                )
-        except ValueError:
-            warnings.warn("regime classification unavailable for this kernel",
-                          AdmissibilityWarning, stacklevel=2)
+    try:
+        regime = classify_regime(kernel, alpha, rng=rng)
+        if regime.case_id != CASE_UNRESTRICTED:
+            warnings.warn(
+                f"regime {regime.case_id!r} restricts admissible schedules; "
+                "verify x_t with admissible_schedule",
+                AdmissibilityWarning,
+                stacklevel=2,
+            )
+    except ValueError:
+        warnings.warn("regime classification unavailable for this kernel",
+                      AdmissibilityWarning, stacklevel=2)
 
     hits_v, hits_h = tail_hit_counts(kernel, law, t, mu, xs, N, rng)
     return assemble_tail_estimates(t, xs, N, hits_v, hits_h, alpha, c0)
@@ -133,7 +132,7 @@ def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
     This is the mergeable chunk primitive: counts from disjoint path
     blocks add associatively.
     """
-    stats = forest_statistics(kernel, t, (law.alpha,), n_paths, rng, law=law)
+    stats = forest_statistics(kernel, t, n_paths, rng, law=law)
     f = math.exp(-mu_alpha * t)
     av = np.abs(stats.V) * f
     ah = stats.H * f
@@ -345,8 +344,8 @@ def max_ode_residual(kernel, law, t, x, delta, N, rng):
     if x == 0:
         raise ValueError("x must be nonzero")
     N = int(N)
-    h_t = np.sort(forest_statistics(kernel, t, (law.alpha,), N, rng, law=law).H)
-    h_td = forest_statistics(kernel, t + delta, (law.alpha,), N, rng, law=law).H
+    h_t = np.sort(forest_statistics(kernel, t, N, rng, law=law).H)
+    h_td = forest_statistics(kernel, t + delta, N, rng, law=law).H
 
     def ecdf_t(q):
         return np.searchsorted(h_t, q, side="right") / N

@@ -42,6 +42,18 @@ class TailProfile:
     rbar: Callable[[float], float]
 
 
+def _check_tail_constant(xmin, alpha):
+    """A ValueError unless xmin and c0 = xmin^alpha, the tail constant of a
+    Pareto magnitude on [xmin, inf), are finite and positive floats."""
+    try:
+        c0 = xmin ** alpha
+    except OverflowError:
+        c0 = math.inf
+    if not (0 < xmin < math.inf and 0 < c0 < math.inf):
+        raise ValueError(f"xmin = {xmin!r} gives tail constant c0 = xmin^alpha = {c0!r}; "
+                         "both must be finite and positive")
+
+
 def _pareto_magnitude(rng, size, xmin, alpha):
     # xmin * max(u, floor)^(-1/alpha), computed in place on the draw buffer
     m = rng.random(size)
@@ -67,6 +79,7 @@ class SymmetricPareto:
             raise ValueError("alpha must lie in (0, 2)")
         if self.xmin <= 0:
             raise ValueError("xmin must be positive")
+        _check_tail_constant(self.xmin, self.alpha)
 
     @property
     def c0_plus(self):
@@ -151,9 +164,13 @@ class AsymmetricPareto:
             raise ValueError("alpha = 1 requires c_plus = c_minus")
         xmin = self.xmin
         if xmin is None:
-            xmin = (self.c_plus + self.c_minus) ** (1.0 / self.alpha)
+            try:
+                xmin = (self.c_plus + self.c_minus) ** (1.0 / self.alpha)
+            except OverflowError:
+                xmin = math.inf
         elif xmin <= 0:
             raise ValueError("xmin must be positive")
+        _check_tail_constant(xmin, self.alpha)
         object.__setattr__(self, "xmin", float(xmin))
         p = self.c_plus / (self.c_plus + self.c_minus)
         object.__setattr__(self, "_p", p)
@@ -270,8 +287,8 @@ class UserLaw:
                  rbar=None, abs_tail=None, trunc_mean_dev=None):
         if not 0.0 < alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
-        if c0_plus < 0 or c0_minus < 0 or c0_plus + c0_minus <= 0:
-            raise ValueError("need c0_plus, c0_minus >= 0 with c0_plus + c0_minus > 0")
+        if not (c0_plus >= 0 and c0_minus >= 0 and 0 < c0_plus + c0_minus < math.inf):
+            raise ValueError("need c0_plus, c0_minus >= 0 with c0_plus + c0_minus finite and > 0")
         if alpha == 1.0:
             if c0_plus != c0_minus:
                 raise ValueError("alpha = 1 requires c0_plus = c0_minus")

@@ -38,17 +38,6 @@ CASE_FLAT_STEEP = "mu-flat-steep"          # mu(2a) = mu(a), 2Q(a) < -1  -> t ex
 CASE_FLAT_CRITICAL = "mu-flat-critical"    # mu(2a) = mu(a), 2Q(a) = -1  -> t^2
 CASE_FLAT_MODERATE = "mu-flat-moderate"    # mu(2a) = mu(a), -1 < 2Q(a) <= 0 -> t
 
-ALL_CASES = (
-    CASE_UNRESTRICTED,
-    CASE_DOWN_CRITICAL,
-    CASE_DOWN_STEEP,
-    CASE_UP,
-    CASE_FLAT_POSITIVE,
-    CASE_FLAT_STEEP,
-    CASE_FLAT_CRITICAL,
-    CASE_FLAT_MODERATE,
-)
-
 
 class RegimeUnavailableError(ValueError):
     """Q(2*alpha) is infinite, so no tail-regime classification exists."""
@@ -201,49 +190,25 @@ class SpectralReport:
     s: float
     Q_s: float
     mu_s: float
-    method: str          # "closed-form" | "quadrature" | "monte-carlo"
+    method: str          # "closed-form" | "monte-carlo"
     std_error: float
 
 
-def spectral(kernel, s, budget=None, method=None, rng=None) -> SpectralReport:
+def spectral(kernel, s, budget=None, rng=None) -> SpectralReport:
     """Estimate Q(s) = E[L^s + R^s] - 1 and mu(s) = Q(s)/s.
 
-    Uses the kernel's closed form when available.  The quadrature route
-    exists for the kac kernel only and integrates the angle density
-    directly (an independent check of the Gamma-function closed form).
-    Monte Carlo requires a budget of at least 1000 draws and flags a
-    diverging moment (heavy single-draw dominance) as Q_s = +inf.
+    Uses the kernel's closed form when it has one, and Monte Carlo
+    otherwise.  Monte Carlo requires an rng and a budget of at least 1000
+    draws and flags a diverging moment (heavy single-draw dominance) as
+    Q_s = +inf.
     """
     if s <= 0:
         raise ValueError("spectral data defined for s > 0 only")
-    if method is None:
-        method = "closed-form" if kernel.pair_moment(s) is not None else "monte-carlo"
-
-    if method == "closed-form":
-        m = kernel.pair_moment(s)
-        if m is None:
-            raise ValueError(f"{kernel.kind} kernel has no closed-form moment")
+    m = kernel.pair_moment(s)
+    if m is not None:
         q = m - 1.0
         return SpectralReport(s, q, q / s, "closed-form", 0.0)
 
-    if method == "quadrature":
-        if not isinstance(kernel, KacKernel):
-            raise ValueError("quadrature is implemented for the kac kernel only")
-        from scipy import integrate
-
-        nodes = int(budget) if budget else 2048
-        theta = (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
-        vals = np.abs(np.sin(theta)) ** s + np.abs(np.cos(theta)) ** s
-        coarse = float(vals.mean()) - 1.0
-        fine, err = integrate.quad(
-            lambda th: (abs(math.sin(th)) ** s + abs(math.cos(th)) ** s) / (2.0 * math.pi),
-            0.0, 2.0 * math.pi, limit=200,
-        )
-        q = fine - 1.0
-        return SpectralReport(s, q, q / s, "quadrature", max(err, abs(fine - 1.0 - coarse)))
-
-    if method != "monte-carlo":
-        raise ValueError(f"unknown spectral method {method!r}")
     if rng is None:
         raise ValueError("monte-carlo spectral estimation needs an rng")
     n = int(budget) if budget else 100_000
@@ -329,30 +294,9 @@ def classify_regime(kernel, alpha, eta=0.1, tol=1e-9, rng=None, budget=200_000) 
     return Regime(alpha, s_a, s_2a, mu_a, mu_2a, case, eta, tol)
 
 
-def h_of_t(regime: Regime, t: float) -> float:
-    """Growth function of the regime; 1 for the unrestricted case."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    c = regime.case_id
-    if c == CASE_UNRESTRICTED:
-        return 1.0
-    if c in (CASE_DOWN_CRITICAL, CASE_FLAT_MODERATE):
-        return t
-    if c == CASE_DOWN_STEEP:
-        return math.exp(-(2.0 * regime.S_alpha + 1.0) * t)
-    if c == CASE_UP:
-        return math.exp((regime.S_2alpha - 2.0 * regime.S_alpha) * t)
-    if c == CASE_FLAT_POSITIVE:
-        return math.exp(regime.eta * t)
-    if c == CASE_FLAT_STEEP:
-        return t * math.exp(-(2.0 * regime.S_alpha + 1.0) * t)
-    if c == CASE_FLAT_CRITICAL:
-        return t * t
-    raise ValueError(f"unknown case id {c!r}")
-
-
 def log_h_of_t(regime: Regime, t: float) -> float:
-    """log h(t); preferred for schedule witnesses since h can overflow."""
+    """log h(t) for the regime's schedule growth function h = exp(log h),
+    which is 1 when unrestricted and can overflow a float otherwise."""
     if t < 0:
         raise ValueError("t must be non-negative")
     c = regime.case_id

@@ -58,13 +58,6 @@ class ZPool:
             raise ValueError("pool entries must be non-negative")
         return cls(samples, float(alpha), float(S_alpha), provenance)
 
-    def to_csv(self, path):
-        np.savetxt(path, self.samples, fmt="%.17g")
-
-    def to_binary(self, path):
-        """Raw little-endian float64 dump, one value per sample."""
-        self.samples.astype("<f8").tofile(path)
-
 
 @dataclass(frozen=True)
 class StableParams:
@@ -145,8 +138,8 @@ def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
     (the tree functional is then still far from its limit).
     """
     s_alpha = spectral(kernel, alpha, rng=rng).Q_s
-    stats = forest_statistics(kernel, t, (alpha,), size, rng)
-    z = math.exp(-s_alpha * t) * stats.M[float(alpha)]
+    stats = forest_statistics(kernel, t, size, rng, alpha=alpha)
+    z = math.exp(-s_alpha * t) * stats.M
     mu = s_alpha / alpha
     beta_scale = float(np.median(stats.beta_max)) * math.exp(-mu * t)
     if beta_scale > 0.25:

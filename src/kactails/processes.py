@@ -9,12 +9,6 @@ of per-leaf products the samplers report
     V_t = sum_j beta_j X_j      and      H_t = max_j |beta_j X_j|,
 
 so tail-ratio estimates of the pair use common random numbers.
-
-wild_oracle_max draws H conditioned on nu_t = n through an independent
-route: a uniform split recursion (size i against n-i, i uniform on
-1..n-1) composed with max(L*., R*.).  Its cost is exponential in n, which
-caps it at n <= 12; it exists purely as a distributional oracle for the
-tree sampler.
 """
 
 from __future__ import annotations
@@ -42,13 +36,13 @@ class ForestSample:
     """Vectorized path statistics; arrays are aligned by path index.
 
     nu is always filled.  A call with a law fills V and H and leaves M and
-    beta_max None; a call without one fills M (one array per tracked
-    alpha) and beta_max and leaves V and H None.
+    beta_max None; a call without one fills M (the alpha-sums M_nu(alpha)
+    for its one alpha) and beta_max and leaves V and H None.
     """
 
     t: float
     nu: np.ndarray
-    M: dict[float, np.ndarray] | None = None
+    M: np.ndarray | None = None
     beta_max: np.ndarray | None = None
     V: np.ndarray | None = None
     H: np.ndarray | None = None
@@ -79,23 +73,25 @@ def sample_yule(t, rng, size=None):
     return int(n[0]) if scalar else n
 
 
-def forest_statistics(kernel, t, alphas, n_paths, rng, law=None) -> ForestSample:
+def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSample:
     """Sample n_paths independent paths at time t, vectorized.
 
     Returns nu and, with a law, V and H from shared per-leaf products
-    beta_j X_j; without one, M(alpha) for each alpha in alphas and
-    beta_max.  alphas is read only when no law is given.  Paths are drawn
-    in sub-batches of at most 2^16, sized so the expected leaf total per
-    batch stays near _LEAF_BUDGET.  Each sub-batch draws its Yule counts,
-    kernel pairs and initial values in turn, so the batch size fixes the
-    order in which the rng stream is consumed: changing _LEAF_BUDGET
-    changes every result for a given stream.
+    beta_j X_j; without one, M(alpha) and beta_max.  alpha is read only
+    when no law is given.  Paths are drawn in sub-batches of at most
+    2^16, sized so the expected leaf total per batch stays near
+    _LEAF_BUDGET.  Each sub-batch draws its Yule counts, kernel pairs and
+    initial values in turn, so the batch size fixes the order in which
+    the rng stream is consumed: changing _LEAF_BUDGET changes every
+    result for a given stream.
     """
     n_paths = int(n_paths)
     nu_out = np.empty(n_paths, dtype=np.int64)
     if law is None:
-        alphas = tuple(float(a) for a in alphas)
-        m_out = {a: np.empty(n_paths) for a in alphas}
+        if alpha is None:
+            raise ValueError("forest_statistics needs a law or an alpha")
+        alpha = float(alpha)
+        m_out = np.empty(n_paths)
         bmax_out = np.empty(n_paths)
     else:
         v_out = np.empty(n_paths)
@@ -110,8 +106,7 @@ def forest_statistics(kernel, t, alphas, n_paths, rng, law=None) -> ForestSample
         sl = slice(done, done + m)
         nu_out[sl] = nu
         if law is None:
-            for a in alphas:
-                m_out[a][sl][order] = np.add.reduceat(flat ** a, starts)
+            m_out[sl][order] = np.add.reduceat(flat ** alpha, starts)
             bmax_out[sl][order] = np.maximum.reduceat(flat, starts)
         else:
             prod = law.sample(rng, flat.size)
@@ -123,34 +118,3 @@ def forest_statistics(kernel, t, alphas, n_paths, rng, law=None) -> ForestSample
     if law is None:
         return ForestSample(t=float(t), nu=nu_out, M=m_out, beta_max=bmax_out)
     return ForestSample(t=float(t), nu=nu_out, V=v_out, H=h_out)
-
-
-def wild_oracle_max(kernel, law, n, rng, size=None):
-    """Independent sampler of the max process conditioned on n leaves.
-
-    Recursion: level 1 is |X|; level n picks i uniform on {1..n-1} and
-    returns max(L * draw(i), R * draw(n-i)).
-    """
-    if not 1 <= n <= 12:
-        raise ValueError("wild oracle supports 1 <= n <= 12 (exponential cost)")
-    scalar = size is None
-    out = _wild_batch(kernel, law, int(n), rng, 1 if scalar else int(size))
-    return float(out[0]) if scalar else out
-
-
-def _wild_batch(kernel, law, n, rng, m):
-    if m == 0:
-        return np.empty(0)
-    if n == 1:
-        return np.abs(law.sample(rng, m))
-    split = rng.integers(1, n, size=m)
-    lk, rk = kernel.sample(rng, m)
-    out = np.empty(m)
-    for i in range(1, n):
-        sel = np.flatnonzero(split == i)
-        if sel.size == 0:
-            continue
-        a = _wild_batch(kernel, law, i, rng, sel.size)
-        b = _wild_batch(kernel, law, n - i, rng, sel.size)
-        out[sel] = np.maximum(lk[sel] * a, rk[sel] * b)
-    return out

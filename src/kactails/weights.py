@@ -92,16 +92,3 @@ def mean_weight_norm(S_alpha, n) -> WeightNorm:
         return WeightNorm(S_alpha=S_alpha, n=n, m=1.0, log_m=0.0)
     log_m = math.fsum(np.log1p(S_alpha / np.arange(1, n, dtype=float)))
     return WeightNorm(S_alpha=S_alpha, n=n, m=math.exp(log_m), log_m=log_m)
-
-
-def mean_weight_norm_table(S_alpha, n_max) -> np.ndarray:
-    """Array [m_1, ..., m_{n_max}] for vectorized lookups by tree size."""
-    if S_alpha <= -1.0:
-        raise ValueError("mean weight norm needs S_alpha > -1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    out = np.empty(n_max)
-    out[0] = 1.0
-    if n_max > 1:
-        out[1:] = np.exp(np.cumsum(np.log1p(S_alpha / np.arange(1, n_max, dtype=float))))
-    return out

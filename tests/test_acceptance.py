@@ -19,9 +19,11 @@ from scipy import stats
 import kactails as kt
 import kactails.cli as cli
 from kactails.processes import forest_statistics
-from kactails.weights import grow_weights_batch, mean_weight_norm_table
+from kactails.weights import grow_weights_batch
 
 from stable_reference import stable_abs_tail_ratio
+from weight_norm_reference import mean_weight_norm_table
+from wild_oracle import wild_oracle_max
 
 SEED = 20260810
 S1_KAC = 4.0 / math.pi - 1.0
@@ -86,8 +88,7 @@ def test_criterion_03_normalization_identity():
 
 def test_criterion_04_large_deviation_ratios():
     law = kt.SymmetricPareto(ALPHA)
-    ests = kt.estimate_tail(det_kernel(), law, 3.0, [10.0, 20.0], 2_000_000,
-                            rng(4), check_regime=False)
+    ests = kt.estimate_tail(det_kernel(), law, 3.0, [10.0, 20.0], 2_000_000, rng(4))
     ok = True
     details = []
     for est in ests:
@@ -100,7 +101,7 @@ def test_criterion_04_large_deviation_ratios():
 
 def test_criterion_05_frechet_limit_of_max():
     law = kt.SymmetricPareto(ALPHA)
-    fs = forest_statistics(det_kernel(), 6.0, (ALPHA,), 100_000, rng(5), law=law)
+    fs = forest_statistics(det_kernel(), 6.0, 100_000, rng(5), law=law)
     h = np.sort(fs.H)  # mu(alpha) = 0 for this kernel, no rescaling factor
     limit = np.exp(-h ** -ALPHA)
     n = h.size
@@ -114,7 +115,7 @@ def test_criterion_05_frechet_limit_of_max():
 def test_criterion_06_characteristic_function():
     law = kt.SymmetricPareto(ALPHA)
     g = rng(6)
-    fs = forest_statistics(det_kernel(), 6.0, (ALPHA,), 100_000, g, law=law)
+    fs = forest_statistics(det_kernel(), 6.0, 100_000, g, law=law)
     pool = kt.zpool_iterate(kt.ZPool.ones(100_000, ALPHA, 0.0), det_kernel(),
                             g, iterations=60)
     params = kt.stable_params(0.5, 0.5, ALPHA)
@@ -199,7 +200,7 @@ def test_criterion_10_wild_oracle_equivalence():
     g = rng(10)
     law = kt.SymmetricPareto(ALPHA)
     kernel = kt.KacKernel()
-    oracle = kt.wild_oracle_max(kernel, law, 5, g, size=100_000)
+    oracle = wild_oracle_max(kernel, law, 5, g, size=100_000)
     flat, starts, _ = grow_weights_batch(kernel, np.full(100_000, 5), g)
     x = law.sample(g, flat.size)
     tree = np.maximum.reduceat(np.abs(flat * x), starts)

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
+import io
 import pathlib
 import re
 import string
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -424,6 +428,21 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     ("ode-residual", ["N=2"], 0, None),
     ("cdf-H", ["xs=[0.0]"], 0, None),
     ("cf-V", ["xs=[-1.0]"], 0, None),
+    # thresholds whose powers leave the float range: OverflowError or ZeroDivisionError
+    ("tail", ["xs=[1.0e+300]"], 2, "xs"),
+    ("tail", ["xs=[1.0e-300]"], 2, "xs"),
+    ("baseline", ["xs=[1.0e+300]"], 2, "xs"),
+    ("bounds", ["xs=[1.0e-300]"], 2, "xs"),
+    ("bounds", ["xs=[2.0]", "gamma=1000"], 2, "gamma"),
+    ("cdf-H", ["xs=[1.0e-300]"], 2, "xs"),
+    # tail constants out of the float range: c0 = 0 gave NaN or all-zero rows
+    ("tail", ["initial.xmin=1.0e-300"], 2, "xmin"),
+    ("bounds", ["initial.xmin=1.0e-300"], 2, "xmin"),
+    ("tail", ["initial={kind: asymmetric-pareto, alpha: 0.1, c_plus: 1.0e+300, "
+              "c_minus: 1.0e+300}"], 2, "xmin"),
+    # misspelt top-level keys used to be ignored, running with the defaults
+    ("cdf-H", ["pool_sise=1000000"], 2, "pool_sise"),
+    ("cdf-H", ["iteration=200"], 2, "iteration"),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):
@@ -457,3 +476,36 @@ def test_readme_config_reference_follows_the_field_declarations():
             cell = rows[f.name][needed]
             listed = set(cli.EXPERIMENTS) if cell == "all" else set(re.findall(r"`([^`]+)`", cell))
             assert listed == set(f.metadata["needs"]), f.name
+
+
+_OVERRIDE_KEYS = st.one_of(
+    st.sampled_from([f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+                    + list(_BLOCK_OF) + ["kernel.kind", "initial.kind", "kernel.atoms"]),
+    st.lists(st.text(string.ascii_letters + "_.", max_size=6), min_size=1, max_size=3)
+    .map(".".join))
+_YAML_TEXTS = st.one_of(
+    st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+    .map(lambda v: yaml.safe_dump(v, default_flow_style=True)),
+    st.text(string.printable, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(overrides=st.lists(st.tuples(_OVERRIDE_KEYS, _YAML_TEXTS), min_size=1, max_size=3),
+       experiment=st.sampled_from(cli.EXPERIMENTS))
+def test_any_override_exits_0_2_or_3(overrides, experiment):
+    # main's override path: no input gives a traceback; run is stubbed out
+    def no_experiment(cfg):
+        return [], 0, (cfg.regime, [])
+
+    with tempfile.TemporaryDirectory() as work:
+        path = pathlib.Path(work) / "cfg.yaml"
+        path.write_text(MINIMAL.replace("experiment: tail", f"experiment: {experiment}")
+                        + "n: [4]\nx: 1.0\n")
+        args = ["--config", str(path), "--output", str(pathlib.Path(work) / "out.csv")]
+        for key, raw in overrides:
+            args += ["--override", f"{key}={raw}"]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "run", no_experiment), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+    assert code in (0, 2, 3), err.getvalue()

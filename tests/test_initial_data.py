@@ -236,3 +236,16 @@ def test_asymmetric_pareto_edge_uniforms(law):
     x = law.sample(_StubGenerator(u), u.size)
     assert x.tobytes() == _asymmetric_oracle(law, u, u).tobytes()
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kt.SymmetricPareto(1.5, 1.0e-300),                # c0 = xmin^a underflows to 0
+    lambda: kt.SymmetricPareto(1.5, 1.0e+300),                # c0 overflows
+    lambda: kt.AsymmetricPareto(0.1, 1.0e+300, 1.0e+300),     # the default xmin overflows
+    lambda: kt.AsymmetricPareto(1.5, 0.5, 0.5, xmin=1.0e-300),
+    lambda: kt.UserLaw(None, 1.5, 1.0e+308, 1.0e+308),        # c0+ + c0- overflows
+], ids=["sym-underflow", "sym-overflow", "asym-default-xmin", "asym-xmin", "user-sum"])
+def test_laws_reject_tail_constants_outside_the_float_range(make):
+    # c0 = 0 gave NaN tail ratios; an overflowing xmin raised OverflowError
+    with pytest.raises(ValueError):
+        make()

@@ -11,8 +11,10 @@ from kactails.kernels import (
     CASE_UP,
     Regime,
     RegimeUnavailableError,
-    h_of_t,
+    log_h_of_t,
 )
+
+from spectral_reference import kac_Q_quadrature
 
 Q1_KAC = 4.0 / math.pi - 1.0
 
@@ -90,10 +92,9 @@ def test_spectral_kac_closed_forms():
 def test_spectral_quadrature_agrees_with_closed_form():
     k = kt.KacKernel()
     for s in (0.5, 1.0, 1.7, 3.0):
-        quad = kt.spectral(k, s, method="quadrature")
+        quad, err = kac_Q_quadrature(s)
         closed = kt.spectral(k, s)
-        assert quad.method == "quadrature"
-        assert abs(quad.Q_s - closed.Q_s) <= max(1e-9, 5 * quad.std_error)
+        assert abs(quad - closed.Q_s) <= max(1e-9, 5 * err)
 
 
 def test_spectral_monte_carlo_matches_closed_form():
@@ -240,25 +241,27 @@ def _regime(case, S_a=-0.5, S_2a=-0.375, eta=0.1):
 
 
 def test_h_of_t_table_rows():
-    # growing-mu case with S(2a) - 2S(a) = 1/8 at t = 8 gives e^1
+    # the rows of h(t), read through log h = log_h_of_t
+    # growing-mu case with S(2a) - 2S(a) = 1/8 at t = 8 gives h = e^1
     reg = _regime(CASE_UP, S_a=-0.5, S_2a=-7 / 8)
-    assert abs(h_of_t(reg, 8.0) - math.e) < 1e-12
+    assert log_h_of_t(reg, 8.0) == 1.0
     # linear row
-    assert h_of_t(_regime(CASE_DOWN_CRITICAL), 5.0) == 5.0
-    assert h_of_t(_regime(CASE_FLAT_MODERATE), 5.0) == 5.0
-    # unrestricted convention
-    assert h_of_t(_regime(CASE_UNRESTRICTED), 3.7) == 1.0
-    assert h_of_t(_regime(CASE_UNRESTRICTED), 0.0) == 1.0
+    assert log_h_of_t(_regime(CASE_DOWN_CRITICAL), 5.0) == math.log(5.0)
+    assert log_h_of_t(_regime(CASE_FLAT_MODERATE), 5.0) == math.log(5.0)
+    # unrestricted convention h = 1
+    assert log_h_of_t(_regime(CASE_UNRESTRICTED), 3.7) == 0.0
+    assert log_h_of_t(_regime(CASE_UNRESTRICTED), 0.0) == 0.0
 
 
 def test_h_of_t_remaining_rows():
     from kactails.kernels import CASE_FLAT_CRITICAL, CASE_FLAT_POSITIVE, CASE_FLAT_STEEP, CASE_DOWN_STEEP
-    assert h_of_t(_regime(CASE_FLAT_CRITICAL), 3.0) == 9.0
-    assert abs(h_of_t(_regime(CASE_FLAT_POSITIVE, S_a=0.3), 2.0) - math.exp(0.2)) < 1e-12
+    # h = 9, e^0.2, e^1.2 and 2 e^1.2
+    assert log_h_of_t(_regime(CASE_FLAT_CRITICAL), 3.0) == 2.0 * math.log(3.0)
+    assert log_h_of_t(_regime(CASE_FLAT_POSITIVE, S_a=0.3), 2.0) == 0.2
     reg = _regime(CASE_DOWN_STEEP, S_a=-0.8)
-    assert abs(h_of_t(reg, 2.0) - math.exp(1.2)) < 1e-12
+    assert abs(log_h_of_t(reg, 2.0) - 1.2) < 1e-15
     reg = _regime(CASE_FLAT_STEEP, S_a=-0.8)
-    assert abs(h_of_t(reg, 2.0) - 2.0 * math.exp(1.2)) < 1e-12
+    assert abs(log_h_of_t(reg, 2.0) - (math.log(2.0) + 1.2)) < 1e-15
 
 
 def test_kac_scalar_and_batch_draws_agree():

@@ -142,18 +142,6 @@ def test_tree_and_fixed_point_pools_agree():
     assert d.statistic <= 0.03
 
 
-def test_pool_export_roundtrip(tmp_path):
-    pool = kt.ZPool.from_samples([0.5, 1.5, 1.0], 1.0, S1_KAC)
-    binpath = tmp_path / "pool.f64"
-    csvpath = tmp_path / "pool.csv"
-    pool.to_binary(binpath)
-    pool.to_csv(csvpath)
-    back = np.fromfile(binpath, dtype="<f8")
-    np.testing.assert_array_equal(back, pool.samples)
-    back_csv = np.loadtxt(csvpath)
-    np.testing.assert_array_equal(back_csv, pool.samples)
-
-
 def test_stable_params_values():
     p = kt.stable_params(0.5, 0.5, 1.5)
     assert abs(p.lam - LAMBDA_15) < 1e-12

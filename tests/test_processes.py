@@ -8,9 +8,10 @@ from scipy import stats
 
 import kactails as kt
 from kactails.processes import forest_statistics
-from kactails.weights import mean_weight_norm_table
 
 from growth_reference import grow_tree
+from weight_norm_reference import mean_weight_norm_table
+from wild_oracle import wild_oracle_max
 
 S1_KAC = 4.0 / math.pi - 1.0
 
@@ -45,11 +46,11 @@ def test_yule_mean():
 def test_path_sample_at_time_zero():
     g = rng(4)
     law = kt.SymmetricPareto(1.5)
-    fs = forest_statistics(kt.KacKernel(), 0.0, (1.5,), 100, g, law=law)
+    fs = forest_statistics(kt.KacKernel(), 0.0, 100, g, law=law)
     assert np.all(fs.nu == 1)
     np.testing.assert_array_equal(fs.H, np.abs(fs.V))
-    trees = forest_statistics(kt.KacKernel(), 0.0, (1.5,), 100, g)
-    assert np.all(trees.M[1.5] == 1.0)
+    trees = forest_statistics(kt.KacKernel(), 0.0, 100, g, alpha=1.5)
+    assert np.all(trees.M == 1.0)
     assert np.all(trees.beta_max == 1.0)
 
 
@@ -57,9 +58,9 @@ def test_conservative_kernel_path_invariant():
     a = 1.5
     k = kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
     law = kt.SymmetricPareto(a)
-    trees = forest_statistics(k, 3.0, (a,), 2000, rng(5))
-    np.testing.assert_allclose(trees.M[a], 1.0, atol=1e-10)
-    fs = forest_statistics(k, 3.0, (a,), 2000, rng(5), law=law)
+    trees = forest_statistics(k, 3.0, 2000, rng(5), alpha=a)
+    np.testing.assert_allclose(trees.M, 1.0, atol=1e-10)
+    fs = forest_statistics(k, 3.0, 2000, rng(5), law=law)
     # H is the max of per-leaf products, hence H <= sum of |products| = |V| bound fails,
     # but H <= (sum |b x|^a)^(1/a) is not asserted either; only positivity here
     assert np.all(fs.H >= 0)
@@ -104,28 +105,33 @@ def test_forest_statistics_equals_reference_reduction(monkeypatch, kernel, law):
     monkeypatch.setattr(kt.processes, "_LEAF_BUDGET", 256)
     batch = int(256 / math.e)
     alphas = (law.alpha, 2.0)
-    fs = forest_statistics(kernel, 1.0, alphas, 300, rng(21), law=law)
+    fs = forest_statistics(kernel, 1.0, 300, rng(21), law=law)
     ref = _reference_forest(kernel, 1.0, alphas, 300, rng(21), law, batch)
     np.testing.assert_array_equal(fs.nu, ref["nu"])
     assert fs.V.tobytes() == ref["V"].tobytes()
     assert fs.H.tobytes() == ref["H"].tobytes()
     assert fs.M is None and fs.beta_max is None
 
-    trees = forest_statistics(kernel, 1.0, alphas, 300, rng(22))
+    # one alpha per law-free call; M takes no draws, so each replays the stream
     ref = _reference_forest(kernel, 1.0, alphas, 300, rng(22), None, batch)
-    np.testing.assert_array_equal(trees.nu, ref["nu"])
-    assert sorted(trees.M) == sorted(alphas)
     for a in alphas:
-        assert trees.M[a].tobytes() == ref[a].tobytes()
-    assert trees.beta_max.tobytes() == ref["beta_max"].tobytes()
-    assert trees.V is None and trees.H is None
+        trees = forest_statistics(kernel, 1.0, 300, rng(22), alpha=a)
+        np.testing.assert_array_equal(trees.nu, ref["nu"])
+        assert trees.M.tobytes() == ref[a].tobytes()
+        assert trees.beta_max.tobytes() == ref["beta_max"].tobytes()
+        assert trees.V is None and trees.H is None
+
+
+def test_forest_statistics_needs_a_law_or_an_alpha():
+    with pytest.raises(ValueError, match="law or an alpha"):
+        forest_statistics(kt.KacKernel(), 1.0, 10, rng(0))
 
 
 def test_rescaled_tree_sum_has_unit_mean():
     # E[e^{-Q(a) t} M_{nu_t}(a)] = 1 at every t
     g = rng(6)
-    fs = forest_statistics(kt.KacKernel(), 3.0, (1.0,), 100_000, g)
-    z = math.exp(-S1_KAC * 3.0) * fs.M[1.0]
+    fs = forest_statistics(kt.KacKernel(), 3.0, 100_000, g, alpha=1.0)
+    z = math.exp(-S1_KAC * 3.0) * fs.M
     se = z.std(ddof=1) / math.sqrt(z.size)
     assert abs(z.mean() - 1.0) <= 4 * se
 
@@ -156,7 +162,7 @@ def test_geometric_gamma_series_identity():
 def test_wild_oracle_base_cases():
     g = rng(8)
     law = kt.SymmetricPareto(1.5)
-    draws = kt.wild_oracle_max(kt.KacKernel(), law, 1, g, size=5000)
+    draws = wild_oracle_max(kt.KacKernel(), law, 1, g, size=5000)
     assert np.all(draws >= 1.0)  # |X| >= xmin
     # n = 2 is max(L|X1|, R|X2|): compare against a direct construction
     direct_rng = rng(9)
@@ -164,7 +170,7 @@ def test_wild_oracle_base_cases():
     x1 = np.abs(law.sample(direct_rng, 20_000))
     x2 = np.abs(law.sample(direct_rng, 20_000))
     direct = np.maximum(L * x1, R * x2)
-    oracle = kt.wild_oracle_max(kt.KacKernel(), law, 2, g, size=20_000)
+    oracle = wild_oracle_max(kt.KacKernel(), law, 2, g, size=20_000)
     d = stats.ks_2samp(direct, oracle)
     assert d.statistic < 0.02
 
@@ -173,7 +179,7 @@ def test_wild_oracle_matches_tree_conditional_law():
     g = rng(10)
     law = kt.SymmetricPareto(1.5)
     kernel = kt.KacKernel()
-    oracle = kt.wild_oracle_max(kernel, law, 5, g, size=20_000)
+    oracle = wild_oracle_max(kernel, law, 5, g, size=20_000)
     flat, starts, _ = kt.grow_weights_batch(kernel, np.full(20_000, 5), g)
     x = law.sample(g, flat.size)
     tree = np.maximum.reduceat(np.abs(flat * x), starts)
@@ -183,14 +189,14 @@ def test_wild_oracle_matches_tree_conditional_law():
 
 def test_wild_oracle_range_check():
     with pytest.raises(ValueError):
-        kt.wild_oracle_max(kt.KacKernel(), kt.SymmetricPareto(1.5), 13, rng(0))
+        wild_oracle_max(kt.KacKernel(), kt.SymmetricPareto(1.5), 13, rng(0))
 
 
 def test_forest_matches_single_path_sampler():
     g1, g2 = rng(11), rng(12)
     law = kt.SymmetricPareto(1.5)
     kernel = kt.KacKernel()
-    fs = forest_statistics(kernel, 1.0, (1.5,), 3000, g1, law=law)
+    fs = forest_statistics(kernel, 1.0, 3000, g1, law=law)
 
     def single_path_V():
         n = kt.sample_yule(1.0, g2)
@@ -209,7 +215,7 @@ def test_rescaled_quantiles_are_tight_in_t():
     mu = S1_KAC
     qv, qh = {}, {}
     for t in (2.0, 4.0, 6.0):
-        fs = forest_statistics(kernel, t, (1.0,), 30_000, g, law=law)
+        fs = forest_statistics(kernel, t, 30_000, g, law=law)
         f = math.exp(-mu * t)
         qv[t] = np.quantile(np.abs(fs.V) * f, 0.99)
         qh[t] = np.quantile(fs.H * f, 0.99)

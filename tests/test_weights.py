@@ -5,9 +5,10 @@ import pytest
 from scipy import stats
 
 import kactails as kt
-from kactails.weights import grow_weights_batch, mean_weight_norm_table
+from kactails.weights import grow_weights_batch
 
 from growth_reference import grow_tree, replay_batch
+from weight_norm_reference import mean_weight_norm_table
 
 S1_KAC = 4.0 / math.pi - 1.0
 
