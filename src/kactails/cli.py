@@ -166,6 +166,24 @@ def _finite(value, name):
     return number
 
 
+# the keys each kind of kernel and initial block takes, besides `kind`
+KERNEL_KEYS = {"deterministic": ("l", "r"), "kac": (), "discrete-mixture": ("atoms", "probs")}
+LAW_KEYS = {"symmetric-pareto": ("alpha", "xmin"),
+            "asymmetric-pareto": ("alpha", "c_plus", "c_minus", "xmin")}
+
+
+def _unknown_block_keys(name, block, kinds):
+    """An error for each key of the `name` block that its kind does not
+    take; none when the kind itself is unknown (build_* reports that)."""
+    kind = block.get("kind")
+    keys = kinds.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        return []
+    takes = ", ".join(keys) or "no keys"
+    return [f"unknown key '{name}.{key}': {name} kind {kind!r} takes {takes}"
+            for key in block if key not in ("kind", *keys)]
+
+
 def build_kernel(block):
     kind = block.get("kind")
     if kind == "deterministic":
@@ -234,22 +252,28 @@ def _load_yaml(text, what):
 
 def _threshold_power_errors(experiment, xs, a, gamma):
     """The powers x^e of each threshold x > 0 that the experiment takes
-    must be finite and nonzero floats; one error per x where one is not."""
+    must be finite and nonzero floats; one error per x where one is not.
+    cf-V takes |xi|^alpha of every xi, which need only be finite: where it
+    underflows to 0 the limit's characteristic function is 1 to rounding."""
     powers = {"tail": {"alpha": a}, "baseline": {"alpha": a}, "cdf-H": {"-alpha": -a},
+              "cf-V": {"alpha": a},
               "bounds": {"alpha": a, "(2 - alpha)(1 - gamma)": (2 - a) * (1 - gamma),
                          "alpha (2 gamma - 1)": a * (2 * gamma - 1),
                          "2 - alpha + 2 (alpha - 1) gamma": 2 - a + 2 * (a - 1) * gamma}}
     given = f"alpha = {a:g}" + (f", gamma = {gamma:g}" if experiment == "bounds" else "")
+    cf = experiment == "cf-V"
     errors = []
     for x in xs:
+        base = abs(x) if cf else x
         for name, e in powers[experiment].items():
             try:
-                value = x ** e if x > 0 else 1.0
+                value = base ** e if base > 0 else 1.0
             except OverflowError:
                 value = math.inf
-            if value in (0.0, math.inf):
-                errors.append(f"xs: x = {x!r} gives x^({name}) = {value!r} at {given}; "
-                              f"experiment {experiment!r} needs it finite and nonzero")
+            if value == math.inf or value == 0.0 and not cf:
+                errors.append(f"xs: x = {x!r} gives {'|x|' if cf else 'x'}^({name}) = {value!r} "
+                              f"at {given}; experiment {experiment!r} needs it finite"
+                              + ("" if cf else " and nonzero"))
                 break
     return errors
 
@@ -278,6 +302,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(kernel_block, dict):
         errors.append("kernel block is required")
     else:
+        errors += _unknown_block_keys("kernel", kernel_block, KERNEL_KEYS)
         try:
             kernel = build_kernel(kernel_block)
         except (KeyError, TypeError, ValueError) as exc:
@@ -287,6 +312,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(initial_block, dict):
         errors.append("initial block is required")
     else:
+        errors += _unknown_block_keys("initial", initial_block, LAW_KEYS)
         alpha = initial_block.get("alpha")
         if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 2:
             errors.append("initial.alpha must lie in the open interval (0, 2)")
@@ -320,7 +346,7 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"experiment {experiment!r} takes a single n")
     if experiment == "bounds" and cfg.b is not None and cfg.n and len(cfg.b) != cfg.n[0]:
         errors.append("bounds weight list b must have length n")
-    if law is not None and experiment in ("tail", "baseline", "bounds", "cdf-H"):
+    if law is not None and experiment in ("tail", "baseline", "bounds", "cdf-H", "cf-V"):
         errors += _threshold_power_errors(experiment, cfg.xs or (), law.alpha, cfg.gamma)
 
     if errors:

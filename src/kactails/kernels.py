@@ -49,7 +49,8 @@ class CollisionKernel:
     kind = "abstract"
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw (L, R).  Scalars when size is None, float arrays otherwise."""
+        """Draw (L, R).  Scalars when size is None, otherwise new float
+        arrays that the caller may overwrite."""
         raise NotImplementedError
 
     def pair_moment(self, s: float) -> float | None:
@@ -179,7 +180,7 @@ class UserKernel(CollisionKernel):
             l, r = self._sampler(rng, 1)
             return float(np.asarray(l).ravel()[0]), float(np.asarray(r).ravel()[0])
         l, r = self._sampler(rng, size)
-        return np.asarray(l, dtype=float), np.asarray(r, dtype=float)
+        return np.array(l, dtype=float), np.array(r, dtype=float)
 
     def pair_moment(self, s):
         return None if self._moment is None else float(self._moment(s))

@@ -100,7 +100,17 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     once per call and scales the resampled Z1, Z2 in place.  The powers go
     through NumPy's array power, the same routine that acts on a sampled
     (L, R); Python's float ** can differ from it in the last bit.  Other
-    kernels draw (L, R) every step and raise the draws to the power a.
+    kernels draw (L, R) every step and raise the draws to the power a in
+    place (the kernels hand out new arrays).
+
+    The working arrays are allocated once per call, not once per step: at
+    pool sizes near 1e6 each fresh 8 MB array costs its page faults anew.
+    Step i writes its pool into buffer i % 2 while reading the other (or,
+    at the first step, the caller's samples, which are never written), and
+    Z2 is gathered into a third buffer.  `np.take` with `out=` buffers its
+    result under the default mode="raise"; mode="clip" writes straight
+    into `out`, and changes nothing here since `rng.integers(0, n)` only
+    gives indices in range.
     """
     z = pool.samples
     n = z.size
@@ -113,20 +123,27 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     fixed = isinstance(kernel, DeterministicKernel)
     if fixed:
         la, ra = np.array([kernel.l, kernel.r]) ** a
-    for _ in range(int(iterations)):
-        z1 = np.take(z, rng.integers(0, n, size=n))
-        z2 = np.take(z, rng.integers(0, n, size=n))
+    pools = (np.empty(n), np.empty(n))
+    z2 = np.empty(n)
+    for i in range(int(iterations)):
+        z1 = np.take(z, rng.integers(0, n, size=n), out=pools[i % 2], mode="clip")
+        np.take(z, rng.integers(0, n, size=n), out=z2, mode="clip")
         if fixed:
             z1 *= la
             z2 *= ra
         else:
             lk, rk = kernel.sample(rng, n)
-            z1 *= lk ** a
-            z2 *= rk ** a
+            lk **= a
+            rk **= a
+            z1 *= lk
+            z2 *= rk
         z1 += z2
         if s != 0.0:
-            # 1 - u lies in (0, 1]: safe under the negative powers used here
-            z1 *= (1.0 - rng.random(n)) ** s
+            # Theta = 1 - u lies in (0, 1]: safe under the negative powers used here
+            theta = rng.random(n)
+            np.subtract(1.0, theta, out=theta)
+            theta **= s
+            z1 *= theta
         z = z1
     return ZPool(z, a, s, "fixed-point")
 

@@ -443,6 +443,15 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     # misspelt top-level keys used to be ignored, running with the defaults
     ("cdf-H", ["pool_sise=1000000"], 2, "pool_sise"),
     ("cdf-H", ["iteration=200"], 2, "iteration"),
+    # misspelt keys inside the kernel and initial blocks used to be ignored too
+    ("fixed-point", ["kernel.l=0.5"], 2, "kernel.l"),
+    ("fixed-point", ["initial.x_min=2.0"], 2, "initial.x_min"),
+    ("fixed-point", ["initial={kind: asymmetric-pareto, alpha: 1.2, c_plus: 0.5, "
+                     "c_minus: 0.5, cplus: 0.7}"], 2, "initial.cplus"),
+    # |xi|^alpha overflowed in cf_V_infinity: RuntimeWarnings and a zero limit
+    ("cf-V", ["xs=[1.0e+300]"], 2, "xs"),
+    ("cf-V", ["xs=[-1.0e+300]"], 2, "xs"),
+    ("cf-V", ["xs=[0.0, 1.0e-300, -1.0e+200]"], 0, None),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):

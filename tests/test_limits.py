@@ -101,6 +101,9 @@ ZPOOL_KERNELS = {
     "det-pow-disagreement": lambda a: kt.DeterministicKernel(_pow_disagreement(a), 0.75),
     "kac": lambda a: kt.KacKernel(),
     "mixture": lambda a: kt.DiscreteKernel(((0.9, 0.3), (0.5, 0.8)), (0.4, 0.6)),
+    # a sampler that hands out one array as both L and R
+    "user-aliased": lambda a: kt.UserKernel(
+        lambda g, n: (lambda u: (u, u))(0.3 + 0.4 * g.random(n))),
 }
 
 
@@ -110,11 +113,15 @@ ZPOOL_KERNELS = {
 def test_zpool_iterate_matches_sampling_replay(name, alpha, s_alpha):
     kernel = ZPOOL_KERNELS[name](alpha)
     start = kt.ZPool.from_samples(rng(30).standard_exponential(1001), alpha, s_alpha)
-    g1, g2 = rng(31), rng(31)
-    out = kt.zpool_iterate(start, kernel, g1, iterations=3)
-    ref = _replay_zpool_iterate(start, kernel, g2, 3)
-    assert out.samples.tobytes() == ref.tobytes()
-    assert g1.random() == g2.random()  # the same stream was consumed
+    before = start.samples.tobytes()
+    # 0 to 3 steps, so the last step writes either of the two pool buffers
+    for iterations in range(4):
+        g1, g2 = rng(31), rng(31)
+        out = kt.zpool_iterate(start, kernel, g1, iterations=iterations)
+        ref = _replay_zpool_iterate(start, kernel, g2, iterations)
+        assert out.samples.tobytes() == ref.tobytes()
+        assert g1.random() == g2.random()  # the same stream was consumed
+        assert start.samples.tobytes() == before  # the caller's pool is never written
 
 
 def test_tree_pool_conservative_kernel_is_degenerate():

@@ -10,6 +10,10 @@ exit code, stderr, and stdout with the elapsed time masked.  The matrix:
 - the 8 experiments x Kac, deterministic (0.6, 0.7) and discrete-mixture
   kernels x symmetric Pareto 1.5 and asymmetric Pareto 1.2 x seeds 1, 2
   x workers 1, 2, at small sizes with several chunks each;
+- the conservative kernel of `configs/tail_demo.yaml` (l = r = 2^(-2/3),
+  so Q(1.5) = 0 and the pool iteration draws no Theta) x symmetric
+  Pareto 1.5 through fixed-point, cdf-H and cf-V x seeds 1, 2 x workers
+  1, 2;
 - both `configs/` demos, each read from its own tree;
 - a tail run that warns (exit 3) and a run with `--override` flags.
 
@@ -37,6 +41,7 @@ LAWS = {
     "sym1.5": "{kind: symmetric-pareto, alpha: 1.5}",
     "asym1.2": "{kind: asymmetric-pareto, alpha: 1.2, c_plus: 0.7, c_minus: 0.3}",
 }
+CONSERVATIVE = ("cons", "{kind: deterministic, l: 0.6299605249474366, r: 0.6299605249474366}")
 # small sizes with several chunks (or jobs) each, so workers 2 splits the work
 SIZES = {
     "tail": "t: [0.5, 1.0]\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 4096",
@@ -62,8 +67,10 @@ _ELAPSED = re.compile(r"\(\d+\.\d+s\)")
 def matrix():
     """(name, config text or None, tree-relative config path or None, extra args)."""
     runs = []
-    for exp, (kn, kernel), (ln, law), seed, workers in itertools.product(
-            SIZES, KERNELS.items(), LAWS.items(), (1, 2), (1, 2)):
+    for exp, (kn, kernel), (ln, law), seed, workers in itertools.chain(
+            itertools.product(SIZES, KERNELS.items(), LAWS.items(), (1, 2), (1, 2)),
+            itertools.product(("fixed-point", "cdf-H", "cf-V"), [CONSERVATIVE],
+                              [("sym1.5", LAWS["sym1.5"])], (1, 2), (1, 2))):
         text = (f"experiment: {exp}\nseed: {seed}\nkernel: {kernel}\ninitial: {law}\n"
                 f"{SIZES[exp]}\nworkers: {workers}\n")
         runs.append((f"{exp}/{kn}/{ln}/seed{seed}/w{workers}", text, None, []))
