@@ -103,7 +103,7 @@ class ExperimentConfig:
     experiment: str
     seed: int
     kernel: CollisionKernel
-    initial: SymmetricPareto | AsymmetricPareto
+    initial: AsymmetricPareto
     t: list[float] = _field(
         float, _TIMED, shape="many", ok=lambda ts: all(0 <= t <= YULE_T_MAX for t in ts),
         rule=f"non-negative and at most {YULE_T_MAX:g} (leaf counts overflow int64 beyond it)")
@@ -126,7 +126,6 @@ class ExperimentConfig:
                           rule="in (0, 0.1]")
     epsilon: float = _field(float, ("bounds",), 0.5, ok=lambda v: 0 < v < 1, rule="in (0, 1)")
     gamma: float = _field(float, ("bounds",), 0.75, ok=lambda v: v > 0, rule="finite and > 0")
-    eta: float = _field(float, EXPERIMENTS, 0.1, ok=lambda v: v > 0, rule="finite and > 0")
     workers: int = _field(int, _CHUNKED + ("bounds",), 1, **_POSITIVE)
     chunk_size: int = _field(int, _CHUNKED, 16384, **_POSITIVE)
     output: str = _field(str, EXPERIMENTS, "results.csv")
@@ -136,7 +135,7 @@ class ExperimentConfig:
     def regime(self):
         """The kernel's regime at the law's alpha, classified on first use;
         RegimeUnavailableError when it has none."""
-        return classify_regime(self.kernel, self.initial.alpha, eta=self.eta)
+        return classify_regime(self.kernel, self.initial.alpha)
 
 
 def derive_stream(seed: int, tag: str, chunk: int) -> np.random.Generator:

@@ -64,78 +64,6 @@ def _pareto_magnitude(rng, size, xmin, alpha):
 
 
 @dataclass(frozen=True)
-class SymmetricPareto:
-    """|X| Pareto(alpha) on [xmin, inf), independent fair sign.
-
-    P{|X| > x} = (x/xmin)^-alpha exactly for x >= xmin, so
-    c0+ = c0- = xmin^alpha / 2 and R(x) = 0 beyond xmin.
-    """
-
-    alpha: float
-    xmin: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
-        if self.xmin <= 0:
-            raise ValueError("xmin must be positive")
-        _check_tail_constant(self.xmin, self.alpha)
-
-    @property
-    def c0_plus(self):
-        return 0.5 * self.xmin ** self.alpha
-
-    @property
-    def c0_minus(self):
-        return 0.5 * self.xmin ** self.alpha
-
-    @property
-    def gamma0(self):
-        # truncated means vanish by symmetry (alpha = 1 hypothesis)
-        return 0.0 if self.alpha == 1.0 else None
-
-    def sample(self, rng, size=None):
-        scalar = size is None
-        # one uniform per draw: v = 2u - 1 carries the sign (v < 0 exactly
-        # when u < 0.5; u = 0.5 gives +0.0, a positive draw) and 1 - |v|
-        # the magnitude; every step writes into one of two buffers.  With
-        # u in [2^-53, 1 - 2^-53], 1 - |v| >= 2^-52 is exact and positive,
-        # so it needs no floor of its own before the negative power.
-        v = rng.random(1 if scalar else size)
-        np.maximum(v, _U_FLOOR, out=v)
-        v *= 2.0
-        v -= 1.0
-        m = np.abs(v)
-        np.subtract(1.0, m, out=m)
-        m **= -1.0 / self.alpha
-        m *= self.xmin
-        x = np.copysign(m, v, out=m)
-        return float(x[0]) if scalar else x
-
-    def abs_tail(self, x):
-        return np.minimum(1.0, (np.asarray(x, dtype=float) / self.xmin) ** -self.alpha)
-
-    def remainder(self, x):
-        # exact power tail: R(x) = 0 beyond xmin, (x/xmin)^alpha - 1 below
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.xmin, 0.0, (x / self.xmin) ** self.alpha - 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def envelope(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x >= self.xmin, 0.0, 1.0 - (x / self.xmin) ** self.alpha)
-        return float(out) if out.ndim == 0 else out
-
-    @property
-    def r_sup(self):
-        return 1.0
-
-    @property
-    def trunc_mean_dev(self):
-        return 0.0
-
-
-@dataclass(frozen=True)
 class AsymmetricPareto:
     """Signed Pareto magnitude: sign + with probability c_plus/(c_plus+c_minus).
 
@@ -204,39 +132,34 @@ class AsymmetricPareto:
         x -= self._shift
         return float(x[0]) if scalar else x
 
-    def _raw_upper(self, y):
-        # P{sign * magnitude > y}
+    def _signed_tails(self, y):
+        # (P{X > y}, P{X < -y}) elementwise, with X = S M - shift, S = +1 with
+        # probability p and M Pareto on [xmin, inf).  T(u) = P{M > |u|} is
+        # (max(|u|, xmin)/xmin)^-alpha: 1 on [-xmin, xmin], and 0 is never
+        # raised to a negative power.
         p, q, xmin, a = self._p, 1.0 - self._p, self.xmin, self.alpha
-        if y >= xmin:
-            return p * (y / xmin) ** -a
-        if y > -xmin:
-            return p
-        return p + q * (1.0 - (abs(y) / xmin) ** -a)
-
-    def _raw_lower(self, z):
-        # P{sign * magnitude < z}
-        p, q, xmin, a = self._p, 1.0 - self._p, self.xmin, self.alpha
-        if z <= -xmin:
-            return q * (abs(z) / xmin) ** -a
-        if z < xmin:
-            return q
-        return q + p * (1.0 - (z / xmin) ** -a)
+        y = np.asarray(y, dtype=float)
+        u = y + self._shift             # X > y   iff  S M > u
+        v = self._shift - y             # X < -y  iff  S M < v
+        tu = (np.maximum(np.abs(u), xmin) / xmin) ** -a
+        tv = (np.maximum(np.abs(v), xmin) / xmin) ** -a
+        upper = np.where(u > -xmin, p * tu, p + q * (1.0 - tu))
+        lower = np.where(v < xmin, q * tv, q + p * (1.0 - tv))
+        return upper, lower
 
     def abs_tail(self, x):
-        x = np.asarray(x, dtype=float)
-        m = self._shift
-        flat = np.atleast_1d(x)
-        out = np.array([self._raw_upper(v + m) + self._raw_lower(m - v) for v in flat])
-        return float(out[0]) if x.ndim == 0 else out
+        upper, lower = self._signed_tails(x)
+        out = upper + lower
+        return float(out) if np.ndim(out) == 0 else out
 
     def remainder(self, x):
-        if self._shift == 0.0:
-            x = np.asarray(x, dtype=float)
-            out = np.where(x >= self.xmin, 0.0, (x / self.xmin) ** self.alpha - 1.0)
-            return float(out) if out.ndim == 0 else out
         x = np.asarray(x, dtype=float)
-        c0 = self.c0_plus + self.c0_minus
-        out = x ** self.alpha * self.abs_tail(x) / c0 - 1.0
+        if self._shift == 0.0:
+            # exact power tail: R(x) = 0 beyond xmin, (x/xmin)^alpha - 1 below
+            out = np.where(x >= self.xmin, 0.0, (x / self.xmin) ** self.alpha - 1.0)
+        else:
+            c0 = self.c0_plus + self.c0_minus
+            out = x ** self.alpha * self.abs_tail(x) / c0 - 1.0
         return float(out) if np.ndim(out) == 0 else out
 
     def envelope(self, x):
@@ -248,28 +171,44 @@ class AsymmetricPareto:
             out = np.where(x >= xmin, 0.0, 1.0 - (x / xmin) ** a)
             return float(out) if out.ndim == 0 else out
         # beyond x_far both shifted tails are pure powers and
-        # |R(y)| <= (1 - m/y)^-alpha - 1, which is decreasing in y
+        # |R(y)| <= (1 - m/y)^-alpha - 1, which is decreasing in y; below it
+        # T(x) <= 1 gives R(x) <= x_far^alpha/c0 - 1, and R >= -1 always
         x_far = xmin + m
-        cap = self._envelope_cap()
+        cap = max(1.0, x_far ** a / xmin ** a - 1.0, (1.0 - m / x_far) ** -a - 1.0)
         far = (1.0 - m / np.maximum(x, x_far)) ** -a - 1.0
         out = np.where(x >= x_far, np.minimum(far, cap), cap)
         return float(out) if out.ndim == 0 else out
 
-    def _envelope_cap(self):
-        # T(x) <= 1 gives R(x) <= x_far^alpha/c0 - 1 on (0, x_far]; R >= -1 always
-        m = abs(self._shift)
-        x_far = self.xmin + m
-        c0 = self.xmin ** self.alpha
-        return max(1.0, x_far ** self.alpha / c0 - 1.0,
-                   (1.0 - m / x_far) ** -self.alpha - 1.0)
-
-    @property
-    def r_sup(self):
-        return 1.0 if self._shift == 0.0 else self._envelope_cap()
-
     @property
     def trunc_mean_dev(self):
         return 0.0 if self.alpha == 1.0 else None
+
+
+class SymmetricPareto(AsymmetricPareto):
+    """The Pareto law at c+ = c-: |X| Pareto(alpha) on [xmin, inf), a fair
+    sign and no shift, so c0+ = c0- = xmin^alpha / 2 and R(x) = 0 beyond
+    xmin.  Only the sampler is its own: one uniform per draw."""
+
+    def __init__(self, alpha, xmin=1.0):
+        super().__init__(alpha, 0.5, 0.5, xmin)
+
+    def sample(self, rng, size=None):
+        scalar = size is None
+        # one uniform per draw: v = 2u - 1 carries the sign (v < 0 exactly
+        # when u < 0.5; u = 0.5 gives +0.0, a positive draw) and 1 - |v|
+        # the magnitude; every step writes into one of two buffers.  With
+        # u in [2^-53, 1 - 2^-53], 1 - |v| >= 2^-52 is exact and positive,
+        # so it needs no floor of its own before the negative power.
+        v = rng.random(1 if scalar else size)
+        np.maximum(v, _U_FLOOR, out=v)
+        v *= 2.0
+        v -= 1.0
+        m = np.abs(v)
+        np.subtract(1.0, m, out=m)
+        m **= -1.0 / self.alpha
+        m *= self.xmin
+        x = np.copysign(m, v, out=m)
+        return float(x[0]) if scalar else x
 
 
 class UserLaw:
@@ -322,10 +261,6 @@ class UserLaw:
         out = np.asarray(self._rbar(x), dtype=float)
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def r_sup(self):
-        return self.envelope(0.0)
-
 
 def tail_profile(law) -> TailProfile:
     """Assemble (c0, K0, K1, Rbar) for the finite-n deviation bounds.
@@ -336,9 +271,7 @@ def tail_profile(law) -> TailProfile:
     """
     c0 = law.c0_plus + law.c0_minus
     try:
-        r_sup = float(law.r_sup)
-    except UnsupportedLawError:
-        raise
+        r_sup = float(law.envelope(0.0))
     except AttributeError:
         raise UnsupportedLawError("law carries no remainder envelope") from None
     k0 = c0 * (r_sup + 1.0)

@@ -42,21 +42,20 @@ class ZPool:
     samples: np.ndarray
     alpha: float
     S_alpha: float
-    provenance: str
 
     @classmethod
     def ones(cls, size, alpha, S_alpha):
         """Default initial pool: degenerate at 1 (mean-1 consistent)."""
-        return cls(np.ones(int(size)), float(alpha), float(S_alpha), "fixed-point")
+        return cls(np.ones(int(size)), float(alpha), float(S_alpha))
 
     @classmethod
-    def from_samples(cls, samples, alpha, S_alpha, provenance="fixed-point"):
+    def from_samples(cls, samples, alpha, S_alpha):
         samples = np.asarray(samples, dtype=float)
         if samples.size == 0:
             raise ValueError("pool must be non-empty")
         if np.any(samples < 0):
             raise ValueError("pool entries must be non-negative")
-        return cls(samples, float(alpha), float(S_alpha), provenance)
+        return cls(samples, float(alpha), float(S_alpha))
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,7 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
             theta **= s
             z1 *= theta
         z = z1
-    return ZPool(z, a, s, "fixed-point")
+    return ZPool(z, a, s)
 
 
 def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
@@ -165,7 +164,7 @@ def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
             "increase t for a converged tree pool",
             stacklevel=2,
         )
-    return ZPool(z, float(alpha), float(s_alpha), f"tree(t={t:g})")
+    return ZPool(z, float(alpha), float(s_alpha))
 
 
 def _stable_standard(alpha, beta_skew, rng, size):
@@ -220,11 +219,18 @@ def cf_V_infinity(xi, pool: ZPool, params: StableParams):
     out = np.empty(flat.size, dtype=complex)
     for i, x in enumerate(flat):
         if a == 1.0:
-            arg = z * (1j * params.gamma0 * x - params.cauchy_scale * abs(x))
-        else:
-            skew = 1.0 - 1j * params.eta_skew * math.tan(math.pi * a / 2.0) * np.sign(x)
-            arg = -abs(x) ** a * params.lam * z * skew
-        out[i] = np.exp(arg).mean()
+            out[i] = np.exp(z * (1j * params.gamma0 * x - params.cauchy_scale * abs(x))).mean()
+            continue
+        skew = 1.0 - 1j * params.eta_skew * math.tan(math.pi * a / 2.0) * np.sign(x)
+        # each term is exp(-u) e^{icu} with u = |xi|^a lambda Z >= 0; where
+        # u overflows the term is 0 to rounding, whatever its phase
+        with np.errstate(over="ignore"):
+            u = abs(x) ** a * params.lam * z
+        inf = np.isinf(u)
+        u[inf] = 0.0
+        term = np.exp(-u * skew)
+        term[inf] = 0.0
+        out[i] = term.mean()
     return complex(out[0]) if xi_arr.ndim == 0 else out
 
 

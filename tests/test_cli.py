@@ -452,6 +452,8 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     ("cf-V", ["xs=[1.0e+300]"], 2, "xs"),
     ("cf-V", ["xs=[-1.0e+300]"], 2, "xs"),
     ("cf-V", ["xs=[0.0, 1.0e-300, -1.0e+200]"], 0, None),
+    # |xi|^alpha lambda Z overflowed in cf_V_infinity: RuntimeWarnings
+    ("cf-V", ["xs=[2.0e+205]"], 0, None),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):

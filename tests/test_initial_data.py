@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import kactails as kt
 from kactails.initial_data import UnsupportedLawError
+from pareto_tail_reference import abs_tail_reference
 
 
 def rng(seed=0):
@@ -249,3 +251,39 @@ def test_laws_reject_tail_constants_outside_the_float_range(make):
     # c0 = 0 gave NaN tail ratios; an overflowing xmin raised OverflowError
     with pytest.raises(ValueError):
         make()
+
+
+def _pareto_laws():
+    laws = []
+    for alpha in (0.5, 0.8, 1.0, 1.2, 1.5, 1.9):
+        laws += [kt.SymmetricPareto(alpha), kt.SymmetricPareto(alpha, 2.0)]
+        laws += [kt.AsymmetricPareto(alpha, cp, cm)
+                 for cp, cm in ((0.7, 0.3), (1.0, 0.0), (0.0, 2.0), (0.5, 0.5))
+                 if alpha != 1.0 or cp == cm]
+    return laws
+
+
+_PARETO_LAWS = _pareto_laws()
+
+
+@pytest.mark.parametrize("law", _PARETO_LAWS, ids=repr)
+def test_abs_tail_matches_the_scalar_signed_tails(law):
+    # the grid holds every branch point of the scalar reference: x = xmin,
+    # the shift, xmin +/- shift, their neighbours, and both signs
+    m, xmin = law._shift, law.xmin
+    points = [0.0, xmin, m, xmin + m, xmin - m, m - xmin, -xmin - m, 1.0e8]
+    points += [np.nextafter(v, s) for v in points[1:7] for s in (-np.inf, np.inf)]
+    grid = np.concatenate([points, np.geomspace(1e-3, 1e6, 300), -np.geomspace(1e-3, 1e6, 60)])
+    ref = np.array([abs_tail_reference(law, float(v)) for v in grid])
+    np.testing.assert_allclose(law.abs_tail(grid), ref, rtol=2e-15, atol=0)
+    scalars = np.array([law.abs_tail(float(v)) for v in grid])
+    np.testing.assert_allclose(scalars, ref, rtol=2e-15, atol=0)
+    assert all(isinstance(law.abs_tail(float(v)), float) for v in points)
+
+
+@pytest.mark.parametrize("law", _PARETO_LAWS, ids=repr)
+def test_abs_tail_at_zero_is_one_without_a_warning(law):
+    # (0/xmin)^-alpha divided by zero in the symmetric law's tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert law.abs_tail(0.0) == 1.0

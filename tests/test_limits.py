@@ -228,6 +228,24 @@ def test_cf_properties():
                - math.exp(-params.lam)) < 1e-12
 
 
+@pytest.mark.parametrize("c0_plus, c0_minus", [(0.5, 0.5), (0.7, 0.3)])
+def test_cf_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits(c0_plus, c0_minus):
+    # |xi|^a lambda = 7.1e307 is finite, times Z > 2.5 it overflows: the
+    # terms are 0, where an inf * 0 product used to give NaN phases
+    pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.5, 0.0)
+    params = kt.stable_params(c0_plus, c0_minus, 1.5)
+    assert kt.cf_V_infinity(2.0e205, pool, params) == 0j
+    assert kt.cf_V_infinity(-2.0e205, pool, params) == 0j
+    # where every exponent is finite, the value is the direct average
+    z = rng(15).standard_exponential(2000)
+    pool = kt.ZPool.from_samples(z, 1.5, 0.0)
+    grid = np.array([-3.0, -0.4, 0.0, 0.7, 2.5, 1.0e200])
+    tan = math.tan(0.75 * math.pi)
+    direct = [np.exp(-abs(x) ** 1.5 * params.lam * z
+                     * (1.0 - 1j * params.eta_skew * tan * np.sign(x))).mean() for x in grid]
+    assert kt.cf_V_infinity(grid, pool, params).tobytes() == np.array(direct).tobytes()
+
+
 def test_cdf_H_infinity_branches():
     pool = kt.ZPool.ones(1000, 1.5, 0.0)
     assert kt.cdf_H_infinity(-1.0, pool, 1.0, 1.5) == 0.0

@@ -14,6 +14,10 @@ exit code, stderr, and stdout with the elapsed time masked.  The matrix:
   so Q(1.5) = 0 and the pool iteration draws no Theta) x symmetric
   Pareto 1.5 through fixed-point, cdf-H and cf-V x seeds 1, 2 x workers
   1, 2;
+- the law branches the matrix above misses, symmetric Pareto alpha 1
+  (K1 from gamma0 and trunc_mean_dev) with an explicit xmin 2 and
+  asymmetric Pareto alpha 0.8 (below 1, no shift), x Kac kernel through
+  bounds, baseline and tail x seeds 1, 2 x workers 1, 2;
 - both `configs/` demos, each read from its own tree;
 - a tail run that warns (exit 3) and a run with `--override` flags.
 
@@ -40,6 +44,10 @@ KERNELS = {
 LAWS = {
     "sym1.5": "{kind: symmetric-pareto, alpha: 1.5}",
     "asym1.2": "{kind: asymmetric-pareto, alpha: 1.2, c_plus: 0.7, c_minus: 0.3}",
+}
+EDGE_LAWS = {
+    "sym1.0-xmin2": "{kind: symmetric-pareto, alpha: 1.0, xmin: 2.0}",
+    "asym0.8": "{kind: asymmetric-pareto, alpha: 0.8, c_plus: 0.7, c_minus: 0.3}",
 }
 CONSERVATIVE = ("cons", "{kind: deterministic, l: 0.6299605249474366, r: 0.6299605249474366}")
 # small sizes with several chunks (or jobs) each, so workers 2 splits the work
@@ -70,7 +78,9 @@ def matrix():
     for exp, (kn, kernel), (ln, law), seed, workers in itertools.chain(
             itertools.product(SIZES, KERNELS.items(), LAWS.items(), (1, 2), (1, 2)),
             itertools.product(("fixed-point", "cdf-H", "cf-V"), [CONSERVATIVE],
-                              [("sym1.5", LAWS["sym1.5"])], (1, 2), (1, 2))):
+                              [("sym1.5", LAWS["sym1.5"])], (1, 2), (1, 2)),
+            itertools.product(("bounds", "baseline", "tail"), [("kac", KERNELS["kac"])],
+                              EDGE_LAWS.items(), (1, 2), (1, 2))):
         text = (f"experiment: {exp}\nseed: {seed}\nkernel: {kernel}\ninitial: {law}\n"
                 f"{SIZES[exp]}\nworkers: {workers}\n")
         runs.append((f"{exp}/{kn}/{ln}/seed{seed}/w{workers}", text, None, []))
