@@ -28,7 +28,6 @@ import argparse
 import csv
 import hashlib
 import math
-import multiprocessing
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -370,6 +369,8 @@ def _run_jobs(cfg, tag, fn, chunk_args):
     tasks = [(fn, args, cfg.seed, tag, k) for k, args in enumerate(chunk_args)]
     if cfg.workers <= 1 or len(tasks) <= 1:
         return [_job(t) for t in tasks]
+    import multiprocessing  # ~10 ms to import, paid only by parallel runs
+
     with multiprocessing.Pool(min(cfg.workers, len(tasks))) as pool:
         return pool.map(_job, tasks)
 
@@ -386,7 +387,11 @@ def _paths_task(kernel, law, t, mu, xs, xis, size, rng):
     h = stats.H * f
     v = stats.V * f
     counts = np.array([(h <= x).sum() for x in xs], dtype=np.int64)
-    cf_sums = np.array([np.exp(1j * xi * v).sum() for xi in xis], dtype=complex)
+    # a path whose phase xi v overflows adds 0: its phase carries no
+    # information, and the characteristic function tends to 0 there
+    with np.errstate(over="ignore"):
+        phases = [xi * v for xi in xis]
+    cf_sums = np.array([np.exp(1j * p[np.isfinite(p)]).sum() for p in phases], dtype=complex)
     return counts, cf_sums
 
 

@@ -198,12 +198,14 @@ def _iid_block_rows(n):
 
 def _row_blocks(law, n, n_rows, rng):
     """n_rows i.i.d. rows of length n, drawn from rng in (m, n) blocks of
-    _iid_block_rows(n) rows, the last one partial."""
+    _iid_block_rows(n) rows, the last one partial.  Every block is a view
+    of one buffer that the next block overwrites."""
     block = _iid_block_rows(n)
+    buf = np.empty(min(block, n_rows) * n)
     done = 0
     while done < n_rows:
         m = min(block, n_rows - done)
-        yield law.sample(rng, m * n).reshape(m, n)
+        yield law.sample(rng, m * n, out=buf[:m * n]).reshape(m, n)
         done += m
 
 

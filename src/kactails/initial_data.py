@@ -27,6 +27,12 @@ import numpy as np
 # rng.random() can return exactly 0.0; inverse power transforms need (0, 1)
 _U_FLOOR = 2.0 ** -53
 
+# Elements per transform block of the Pareto samplers: a block and its
+# scratch stay in the L2 cache across the chain of elementwise passes.
+# The uniforms are drawn block by block too, which leaves the stream as
+# one rng.random(n) call would: the same doubles and the same final state.
+_BLOCK = 1 << 14
+
 
 class UnsupportedLawError(ValueError):
     """The law does not carry the tail metadata needed for this operation."""
@@ -54,13 +60,25 @@ def _check_tail_constant(xmin, alpha):
                          "both must be finite and positive")
 
 
-def _pareto_magnitude(rng, size, xmin, alpha):
-    # xmin * max(u, floor)^(-1/alpha), computed in place on the draw buffer
-    m = rng.random(size)
-    np.maximum(m, _U_FLOOR, out=m)
-    m **= -1.0 / alpha
-    m *= xmin
-    return m
+def _draw_buffer(size, out):
+    """The array a draw of `size` values fills: `out`, which must have shape
+    (size,), or a new one (one element for a scalar draw)."""
+    n = 1 if size is None else size
+    if out is None:
+        return np.empty(n)
+    if out.shape != (n,):
+        raise ValueError(f"out has shape {out.shape}; a draw of {n} values needs ({n},)")
+    return out
+
+
+def _blocks(x):
+    """Consecutive views of x of _BLOCK elements (the last one shorter),
+    each paired with a scratch view of its length; all pairs share one
+    scratch buffer, so a caller finishes a block before taking the next."""
+    scratch = np.empty(min(x.size, _BLOCK))
+    for lo in range(0, x.size, _BLOCK):
+        block = x[lo:lo + _BLOCK]
+        yield block, scratch[:block.size]
 
 
 @dataclass(frozen=True)
@@ -119,18 +137,25 @@ class AsymmetricPareto:
     def gamma0(self):
         return 0.0 if self.alpha == 1.0 else None
 
-    def sample(self, rng, size=None):
-        scalar = size is None
-        n = 1 if scalar else size
-        # the sign uniforms come first in the stream, then the magnitudes;
-        # sign = +0.5 where u < p and -0.5 elsewhere, applied by copysign
-        sign = rng.random(n)
-        np.less(sign, self._p, out=sign)
-        sign -= 0.5
-        x = _pareto_magnitude(rng, n, self.xmin, self.alpha)
-        np.copysign(x, sign, out=x)
-        x -= self._shift
-        return float(x[0]) if scalar else x
+    def sample(self, rng, size=None, out=None):
+        """A float for size None, else `size` draws: written into `out` (a
+        float64 array of shape (size,)) and returned when it is given, in
+        a new array otherwise."""
+        x = _draw_buffer(size, out)
+        # all n sign uniforms come first in the stream, then all n
+        # magnitudes; sign = +0.5 where u < p and -0.5 elsewhere, applied by
+        # copysign to xmin * max(u, floor)^(-1/alpha)
+        rng.random(out=x)
+        for sign, m in _blocks(x):
+            np.less(sign, self._p, out=sign)
+            sign -= 0.5
+            rng.random(out=m)
+            np.maximum(m, _U_FLOOR, out=m)
+            m **= -1.0 / self.alpha
+            m *= self.xmin
+            np.copysign(m, sign, out=sign)
+            sign -= self._shift
+        return float(x[0]) if size is None else x
 
     def _signed_tails(self, y):
         # (P{X > y}, P{X < -y}) elementwise, with X = S M - shift, S = +1 with
@@ -192,23 +217,24 @@ class SymmetricPareto(AsymmetricPareto):
     def __init__(self, alpha, xmin=1.0):
         super().__init__(alpha, 0.5, 0.5, xmin)
 
-    def sample(self, rng, size=None):
-        scalar = size is None
-        # one uniform per draw: v = 2u - 1 carries the sign (v < 0 exactly
-        # when u < 0.5; u = 0.5 gives +0.0, a positive draw) and 1 - |v|
-        # the magnitude; every step writes into one of two buffers.  With
-        # u in [2^-53, 1 - 2^-53], 1 - |v| >= 2^-52 is exact and positive,
-        # so it needs no floor of its own before the negative power.
-        v = rng.random(1 if scalar else size)
-        np.maximum(v, _U_FLOOR, out=v)
-        v *= 2.0
-        v -= 1.0
-        m = np.abs(v)
-        np.subtract(1.0, m, out=m)
-        m **= -1.0 / self.alpha
-        m *= self.xmin
-        x = np.copysign(m, v, out=m)
-        return float(x[0]) if scalar else x
+    def sample(self, rng, size=None, out=None):
+        """As AsymmetricPareto.sample, from one uniform per draw."""
+        x = _draw_buffer(size, out)
+        # v = 2u - 1 carries the sign (v < 0 exactly when u < 0.5; u = 0.5
+        # gives +0.0, a positive draw) and 1 - |v| the magnitude.  With u in
+        # [2^-53, 1 - 2^-53], 1 - |v| >= 2^-52 is exact and positive, so it
+        # needs no floor of its own before the negative power.
+        for v, m in _blocks(x):
+            rng.random(out=v)
+            np.maximum(v, _U_FLOOR, out=v)
+            v *= 2.0
+            v -= 1.0
+            np.abs(v, out=m)
+            np.subtract(1.0, m, out=m)
+            m **= -1.0 / self.alpha
+            m *= self.xmin
+            np.copysign(m, v, out=v)
+        return float(x[0]) if size is None else x
 
 
 class UserLaw:
@@ -219,7 +245,8 @@ class UserLaw:
     rbar(0) = ||R||_inf) is required by the deviation bounds, abs_tail by
     tail_remainder, gamma0 and trunc_mean_dev by the alpha = 1 bounds.
     Like every law here, sample() returns an array the caller owns (a copy
-    of the sampler's), so callers may work in it in place.
+    of the sampler's, or the caller's own `out`), so callers may work in it
+    in place.
     """
 
     def __init__(self, sampler, alpha, c0_plus, c0_minus, gamma0=None,
@@ -242,10 +269,17 @@ class UserLaw:
         self._abs_tail = abs_tail
         self.trunc_mean_dev = trunc_mean_dev
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size=None, out=None):
+        """A float for size None, else `size` draws of the sampler, copied
+        into `out` and returned when it is given."""
         scalar = size is None
         x = np.array(self._sampler(rng, 1 if scalar else size), dtype=float)
-        return float(x.ravel()[0]) if scalar else x
+        if scalar:
+            return float(x.ravel()[0])
+        if out is None:
+            return x
+        _draw_buffer(size, out)[...] = x
+        return out
 
     def abs_tail(self, x):
         if self._abs_tail is None:

@@ -219,7 +219,15 @@ def cf_V_infinity(xi, pool: ZPool, params: StableParams):
     out = np.empty(flat.size, dtype=complex)
     for i, x in enumerate(flat):
         if a == 1.0:
-            out[i] = np.exp(z * (1j * params.gamma0 * x - params.cauchy_scale * abs(x))).mean()
+            # the real part of each exponent is -c0+ pi |xi| Z; where it
+            # overflows the term is 0 to rounding, whatever its phase
+            with np.errstate(over="ignore"):
+                e = z * (1j * params.gamma0 * x - params.cauchy_scale * abs(x))
+            inf = np.isinf(e.real)
+            e[inf] = 0.0
+            term = np.exp(e)
+            term[inf] = 0.0
+            out[i] = term.mean()
             continue
         skew = 1.0 - 1j * params.eta_skew * math.tan(math.pi * a / 2.0) * np.sign(x)
         # each term is exp(-u) e^{icu} with u = |xi|^a lambda Z >= 0; where

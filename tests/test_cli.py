@@ -474,6 +474,21 @@ def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
         assert re.search(rf"(?<![\w.]){re.escape(named)}(?![\w])", err), err
 
 
+def test_cf_v_alpha_one_overflowing_phase_adds_zero(tmp_path):
+    # xi v and c0+ pi |xi| Z overflowed at xi = 1e308: RuntimeWarnings and
+    # NaN in the empirical columns; the 0.5 row is the same run without it
+    text = ("experiment: cf-V\nseed: 5\nkernel: {kind: kac}\n"
+            "initial: {kind: symmetric-pareto, alpha: 1.0}\n"
+            "t: 1.0\nN: 2000\npool_size: 1000\niterations: 3\n")
+    code, both = _run_to_csv(tmp_path, text + "xs: [1.0e+308, 0.5]", "both")
+    assert code == 0
+    header, big, half = both.decode().splitlines()
+    assert "nan" not in big and "inf" not in big
+    assert [float(v) for v in big.split(",")[6:8]] == [0.0, 0.0]
+    code, alone = _run_to_csv(tmp_path, text + "xs: [0.5]", "alone")
+    assert code == 0 and alone.decode().splitlines() == [header, half]
+
+
 def test_readme_config_reference_follows_the_field_declarations():
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]

@@ -251,6 +251,23 @@ def test_iid_hit_counts_match_abs_max_formula():
     assert ref_max.min() > 0
 
 
+def test_row_blocks_are_views_of_one_buffer():
+    # several blocks, the last one partial, all at one address; each holds
+    # the draws an allocating sample() call gives at its stream position
+    from kactails.deviations import _iid_block_rows, _row_blocks
+
+    law, n, n_rows = kt.AsymmetricPareto(1.2, 0.7, 0.3), 4096, 2500
+    twin = rng(44)
+    addresses, shapes = set(), []
+    for x in _row_blocks(law, n, n_rows, rng(44)):
+        addresses.add(x.__array_interface__["data"][0])
+        shapes.append(x.shape)
+        assert x.tobytes() == law.sample(twin, x.size).tobytes()
+    block = _iid_block_rows(n)
+    assert shapes == [(block, n), (block, n), (n_rows - 2 * block, n)]
+    assert len(addresses) == 1
+
+
 def test_weighted_hit_counts_match_abs_product_formula():
     from kactails.deviations import _weighted_hit_counts
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kactails as kt
-from kactails.initial_data import UnsupportedLawError
+from kactails.initial_data import _BLOCK, UnsupportedLawError
 from pareto_tail_reference import abs_tail_reference
 
 
@@ -184,9 +184,13 @@ class _StubGenerator:
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size=None):
-        assert size == self.u.size
-        return self.u.copy()
+    def random(self, size=None, out=None):
+        if out is None:
+            assert size == self.u.size
+            return self.u.copy()
+        assert out.size == self.u.size
+        out[...] = self.u
+        return out
 
 
 _EDGE_UNIFORMS = [0.0, 2.0 ** -54, 0.25, 0.5, 1.0 - 2.0 ** -53]
@@ -238,6 +242,48 @@ def test_asymmetric_pareto_edge_uniforms(law):
     x = law.sample(_StubGenerator(u), u.size)
     assert x.tobytes() == _asymmetric_oracle(law, u, u).tobytes()
     assert np.all(np.isfinite(x))
+
+
+# draw counts on both sides of each transform-block boundary
+_BLOCK_SIZES = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+@pytest.mark.parametrize("law", [kt.SymmetricPareto(1.5, 2.0), _ASYMMETRIC_LAWS[0]],
+                         ids=["sym", "asym"])
+def test_pareto_sample_into_out_keeps_bytes_and_stream(law, n):
+    g, twin, ref = rng(31), rng(31), rng(31)
+    buf = np.full(n, np.nan)
+    assert law.sample(g, n, out=buf) is buf
+    assert buf.tobytes() == law.sample(twin, n).tobytes()
+    if isinstance(law, kt.SymmetricPareto):
+        oracle = _symmetric_oracle(law, ref.random(n))
+    else:
+        oracle = _asymmetric_oracle(law, ref.random(n), ref.random(n))
+    assert buf.tobytes() == oracle.tobytes()
+    assert g.bit_generator.state == twin.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_user_law_sample_into_out_copies_the_sampler(n):
+    law = kt.UserLaw(lambda g, size: g.standard_cauchy(size), 1.0, 1 / math.pi,
+                     1 / math.pi, gamma0=0.0)
+    g, twin = rng(32), rng(32)
+    buf = np.full(n, np.nan)
+    assert law.sample(g, n, out=buf) is buf
+    assert buf.tobytes() == law.sample(twin, n).tobytes()
+    assert g.bit_generator.state == twin.bit_generator.state
+    assert law.sample(rng(33)) == float(rng(33).standard_cauchy(1)[0])
+
+
+@pytest.mark.parametrize("law", [
+    kt.SymmetricPareto(1.5), _ASYMMETRIC_LAWS[0],
+    kt.UserLaw(lambda g, size: g.standard_normal(size), 1.5, 0.5, 0.5),
+], ids=["sym", "asym", "user"])
+def test_sample_rejects_an_out_of_the_wrong_shape(law):
+    for bad in (np.empty(4), np.empty((5, 1))):
+        with pytest.raises(ValueError):
+            law.sample(rng(34), 5, out=bad)
 
 
 @pytest.mark.parametrize("make", [

@@ -246,6 +246,22 @@ def test_cf_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits(c0_plus
     assert kt.cf_V_infinity(grid, pool, params).tobytes() == np.array(direct).tobytes()
 
 
+@pytest.mark.parametrize("gamma0", [0.0, 0.3])
+def test_cf_alpha_one_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits(gamma0):
+    # c0+ pi |xi| = 1.6e308 is finite, times Z > 1.2 it overflows: the terms
+    # are 0, where the product used to warn and could give NaN phases
+    params = kt.stable_params(0.5, 0.5, 1.0, gamma0=gamma0)
+    pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.0, S1_KAC)
+    assert kt.cf_V_infinity(1.0e308, pool, params) == 0j
+    assert kt.cf_V_infinity(-1.0e308, pool, params) == 0j
+    z = rng(16).standard_exponential(2000)
+    pool = kt.ZPool.from_samples(z, 1.0, S1_KAC)
+    grid = np.array([-3.0, -0.4, 0.0, 0.7, 2.5, 1.0e200])
+    direct = [np.exp(z * (1j * gamma0 * x - params.cauchy_scale * abs(x))).mean()
+              for x in grid]
+    assert kt.cf_V_infinity(grid, pool, params).tobytes() == np.array(direct).tobytes()
+
+
 def test_cdf_H_infinity_branches():
     pool = kt.ZPool.ones(1000, 1.5, 0.0)
     assert kt.cdf_H_infinity(-1.0, pool, 1.0, 1.5) == 0.0

@@ -18,8 +18,16 @@ exit code, stderr, and stdout with the elapsed time masked.  The matrix:
   (K1 from gamma0 and trunc_mean_dev) with an explicit xmin 2 and
   asymmetric Pareto alpha 0.8 (below 1, no shift), x Kac kernel through
   bounds, baseline and tail x seeds 1, 2 x workers 1, 2;
+- runs that cross the transform blocks of the Pareto samplers
+  (`initial_data._BLOCK` draws) and the i.i.d. row blocks
+  (`deviations._ROW_BUDGET` draws): baseline and bounds at n = 1000 with
+  three row blocks per chunk or job, the last one partial, and a tail
+  run at t = 3 whose sub-batches hold more leaves than a transform
+  block, x Kac kernel x both laws of the first matrix x seeds 1, 2 x
+  workers 1, 2;
 - both `configs/` demos, each read from its own tree;
-- a tail run that warns (exit 3) and a run with `--override` flags.
+- a tail run that warns (exit 3), a run with `--override` flags, and a
+  cf-V run at alpha 1 whose xi = 1e308 overflows its phases.
 
 Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
@@ -61,6 +69,22 @@ SIZES = {
     "ode-residual": "t: 1.0\nx: 2.0\nN: 3000",
     "martingale": "n: [16, 256]\nN: 3000\nchunk_size: 512",
 }
+# sizes whose draws cross the sampler's transform blocks and row blocks
+BLOCKED_SIZES = {
+    "bounds": "n: 1000\nxs: [5.0, 10.0]\nN: 10000",
+    "baseline": "n: 1000\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 65536",
+    "tail": "t: 3.0\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 4096",
+}
+CF_OVERFLOW = """experiment: cf-V
+seed: 3
+kernel: {kind: kac}
+initial: {kind: symmetric-pareto, alpha: 1.0}
+t: 1.0
+xs: [1.0e+308, 0.5]
+N: 2000
+pool_size: 1000
+iterations: 3
+"""
 WARNED = """experiment: tail
 seed: 5
 kernel: {kind: deterministic, l: 0.3968502629920499, r: 0.3968502629920499}
@@ -84,9 +108,15 @@ def matrix():
         text = (f"experiment: {exp}\nseed: {seed}\nkernel: {kernel}\ninitial: {law}\n"
                 f"{SIZES[exp]}\nworkers: {workers}\n")
         runs.append((f"{exp}/{kn}/{ln}/seed{seed}/w{workers}", text, None, []))
+    for (exp, size), (ln, law), seed, workers in itertools.product(
+            BLOCKED_SIZES.items(), LAWS.items(), (1, 2), (1, 2)):
+        text = (f"experiment: {exp}\nseed: {seed}\nkernel: {KERNELS['kac']}\n"
+                f"initial: {law}\n{size}\nworkers: {workers}\n")
+        runs.append((f"blocked/{exp}/kac/{ln}/seed{seed}/w{workers}", text, None, []))
     for demo in ("tail_demo", "martingale_demo"):
         runs.append((f"configs/{demo}", None, f"configs/{demo}.yaml", []))
     runs.append(("warned-exit-3", WARNED, None, []))
+    runs.append(("cf-V-alpha1-overflow", CF_OVERFLOW, None, []))
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
                   "--override", "N=40000", "--workers", "2"]))
