@@ -53,6 +53,8 @@ class ZPool:
         samples = np.asarray(samples, dtype=float)
         if samples.size == 0:
             raise ValueError("pool must be non-empty")
+        if not np.isfinite(samples).all():
+            raise ValueError("pool entries must be finite")
         if np.any(samples < 0):
             raise ValueError("pool entries must be non-negative")
         return cls(samples, float(alpha), float(S_alpha))
@@ -110,6 +112,14 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     result under the default mode="raise"; mode="clip" writes straight
     into `out`, and changes nothing here since `rng.integers(0, n)` only
     gives indices in range.
+
+    A constant positive pool under a DeterministicKernel at Q(a) = 0 is
+    iterated as one number and consumes nothing from the stream: every
+    resampled Z1, Z2 equals that constant c, so each entry of the array
+    path computes c * l^a + c * r^a.  The same ufuncs in the same order
+    on a one-element array give the same bits, also when l^a + r^a is not
+    exactly 1 and c drifts.  (Positive, because 0.0 == -0.0 while their
+    products differ in sign.)
     """
     z = pool.samples
     n = z.size
@@ -122,6 +132,12 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     fixed = isinstance(kernel, DeterministicKernel)
     if fixed:
         la, ra = np.array([kernel.l, kernel.r]) ** a
+        first = z.flat[0]
+        if s == 0.0 and int(iterations) >= 1 and first > 0.0 and (z == first).all():
+            c = np.array([first], dtype=float)
+            for _ in range(int(iterations)):
+                c = c * la + c * ra
+            return ZPool(np.full(n, c[0]), a, s)
     pools = (np.empty(n), np.empty(n))
     z2 = np.empty(n)
     for i in range(int(iterations)):

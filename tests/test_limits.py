@@ -68,6 +68,9 @@ def test_zpool_validation():
     pool = kt.ZPool.ones(10, 1.0, -1.5)
     with pytest.raises(ValueError):
         kt.zpool_iterate(pool, kt.KacKernel(), rng(0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            kt.ZPool.from_samples([bad, 1.0], 1.5, 0.0)
 
 
 def _replay_zpool_iterate(pool, kernel, g, iterations):
@@ -283,3 +286,55 @@ def test_cdf_H_infinity_monotone_grid():
     # right-continuous at 0 when the pool carries no mass at zero
     assert kt.cdf_H_infinity(0.0, pool, 1.0, 1.0) == 0.0
     assert kt.cdf_H_infinity(1e-9, pool, 1.0, 1.0) < 1e-12
+
+
+CONSTANT_POOLS = {
+    "ones": lambda a: kt.ZPool.ones(1001, a, 0.0),
+    "0.7": lambda a: kt.ZPool.from_samples(np.full(1001, 0.7), a, 0.0),
+    "size-1": lambda a: kt.ZPool.ones(1, a, 0.0),
+}
+
+
+@pytest.mark.parametrize("pool", sorted(CONSTANT_POOLS))
+@pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
+@pytest.mark.parametrize("name", sorted(k for k in ZPOOL_KERNELS if k.startswith("det-")))
+def test_constant_pool_under_deterministic_kernel_draws_nothing(name, alpha, pool):
+    kernel = ZPOOL_KERNELS[name](alpha)
+    start = CONSTANT_POOLS[pool](alpha)
+    before = start.samples.tobytes()
+    for iterations in range(4):
+        g1, g2 = rng(32), rng(32)
+        out = kt.zpool_iterate(start, kernel, g1, iterations=iterations)
+        ref = _replay_zpool_iterate(start, kernel, g2, iterations)
+        assert out.samples.tobytes() == ref.tobytes()
+        assert start.samples.tobytes() == before
+        assert g1.random() == rng(32).random()  # the generator was not advanced
+
+
+def _one_ulp_off(k):
+    z = np.full(1001, 0.7)
+    z[k] = np.nextafter(0.7, 1.0)
+    return z
+
+
+SAMPLED_POOLS = {
+    "one-ulp-off-first": (lambda: _one_ulp_off(0), 0.0),
+    "one-ulp-off-last": (lambda: _one_ulp_off(-1), 0.0),
+    "constant-s0.25": (lambda: np.full(1001, 0.7), 0.25),
+    # 0.0 == -0.0, but c * l^a keeps each entry's sign
+    "signed-zeros": (lambda: np.where(np.arange(1001) % 2, -0.0, 0.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
+@pytest.mark.parametrize("pool", sorted(SAMPLED_POOLS))
+def test_near_constant_pool_takes_the_sampling_path(pool, alpha):
+    make, s_alpha = SAMPLED_POOLS[pool]
+    kernel = ZPOOL_KERNELS["det-conservative-1.5"](alpha)
+    start = kt.ZPool.from_samples(make(), alpha, s_alpha)
+    for iterations in range(1, 4):
+        g1, g2 = rng(33), rng(33)
+        out = kt.zpool_iterate(start, kernel, g1, iterations=iterations)
+        ref = _replay_zpool_iterate(start, kernel, g2, iterations)
+        assert out.samples.tobytes() == ref.tobytes()
+        assert g1.random() == g2.random()  # the replay's stream was consumed

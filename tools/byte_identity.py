@@ -13,7 +13,8 @@ exit code, stderr, and stdout with the elapsed time masked.  The matrix:
 - the conservative kernel of `configs/tail_demo.yaml` (l = r = 2^(-2/3),
   so Q(1.5) = 0 and the pool iteration draws no Theta) x symmetric
   Pareto 1.5 through fixed-point, cdf-H and cf-V x seeds 1, 2 x workers
-  1, 2;
+  1, 2, and fixed-point once more from the all-ones pool (`pool_init:
+  ones`, the constant pool that is iterated as one number);
 - the law branches the matrix above misses, symmetric Pareto alpha 1
   (K1 from gamma0 and trunc_mean_dev) with an explicit xmin 2 and
   asymmetric Pareto alpha 0.8 (below 1, no shift), x Kac kernel through
@@ -69,6 +70,8 @@ SIZES = {
     "ode-residual": "t: 1.0\nx: 2.0\nN: 3000",
     "martingale": "n: [16, 256]\nN: 3000\nchunk_size: 512",
 }
+# the conservative kernel's fixed point Z = 1 as the starting pool
+ONES_POOL = "pool_size: 2000\niterations: 3\npool_init: ones"
 # sizes whose draws cross the sampler's transform blocks and row blocks
 BLOCKED_SIZES = {
     "bounds": "n: 1000\nxs: [5.0, 10.0]\nN: 10000",
@@ -113,6 +116,10 @@ def matrix():
         text = (f"experiment: {exp}\nseed: {seed}\nkernel: {KERNELS['kac']}\n"
                 f"initial: {law}\n{size}\nworkers: {workers}\n")
         runs.append((f"blocked/{exp}/kac/{ln}/seed{seed}/w{workers}", text, None, []))
+    for seed, workers in itertools.product((1, 2), (1, 2)):
+        text = (f"experiment: fixed-point\nseed: {seed}\nkernel: {CONSERVATIVE[1]}\n"
+                f"initial: {LAWS['sym1.5']}\n{ONES_POOL}\nworkers: {workers}\n")
+        runs.append((f"fixed-point-ones/cons/sym1.5/seed{seed}/w{workers}", text, None, []))
     for demo in ("tail_demo", "martingale_demo"):
         runs.append((f"configs/{demo}", None, f"configs/{demo}.yaml", []))
     runs.append(("warned-exit-3", WARNED, None, []))
