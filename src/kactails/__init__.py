@@ -49,14 +49,13 @@ from .limits import (
     zpool_iterate,
 )
 from .deviations import (
-    BaselineEstimate,
     BoundsReport,
-    TailEstimate,
     admissible_schedule,
-    estimate_tail,
-    iid_baseline,
+    iid_hit_counts,
     lemma_bounds,
     max_ode_residual,
+    tail_hit_counts,
+    tail_ratios,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -404,16 +404,17 @@ def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
 # ---- experiment runners: each returns its rows ----
 
 def _run_tail(cfg):
-    law = cfg.initial
-    c0 = law.c0_plus + law.c0_minus
+    ratio_cols = SCHEMAS["tail"][-6:]
     rows = []
     for it, t in enumerate(cfg.t):
         hits_v, hits_h = _summed_jobs(
             cfg, f"tail/{it}", deviations.tail_hit_counts,
-            [(cfg.kernel, law, t, cfg.regime.mu_alpha, cfg.xs, m)
+            [(cfg.kernel, cfg.initial, t, cfg.regime.mu_alpha, cfg.xs, m)
              for m in _chunks(cfg.N, cfg.chunk_size)])
-        rows += map(asdict, deviations.assemble_tail_estimates(
-            t, cfg.xs, cfg.N, hits_v, hits_h, law.alpha, c0))
+        ratios = deviations.tail_ratios(cfg.initial, cfg.xs, cfg.N, hits_v, hits_h)
+        rows += [{"t": t, "x": x, "N": cfg.N, "hits_V": hv, "hits_H": hh,
+                  **dict(zip(ratio_cols, r))}
+                 for x, hv, hh, r in zip(cfg.xs, hits_v, hits_h, ratios)]
     return rows
 
 
@@ -439,8 +440,9 @@ def _run_baseline(cfg):
     hits_sum, hits_max = _summed_jobs(
         cfg, "baseline", deviations.iid_hit_counts,
         [(law, n, thresholds, m) for m in _chunks(cfg.N, rows_per_chunk)])
-    return [asdict(est) for est in deviations.assemble_baseline_estimates(
-        n, cfg.xs, cfg.N, hits_sum, hits_max, law.alpha, law.c0_plus + law.c0_minus)]
+    ratios = deviations.tail_ratios(law, cfg.xs, cfg.N, hits_sum, hits_max)
+    return [{"n": n, "x": x, "N": cfg.N, **dict(zip(SCHEMAS["baseline"][-6:], r))}
+            for x, r in zip(cfg.xs, ratios)]
 
 
 def _run_bounds(cfg):
@@ -449,10 +451,7 @@ def _run_bounds(cfg):
         else np.full(n, n ** (-1.0 / law.alpha))
     reports = _run_jobs(cfg, "bounds", deviations.lemma_bounds,
                         [(b, law, x, cfg.epsilon, cfg.gamma, cfg.N) for x in cfg.xs])
-    return [{"n": r.n, "x": r.x, "epsilon": r.epsilon, "gamma": r.gamma,
-             "lower": r.lower, "upper": r.upper,
-             "max_lower": r.max_lower, "max_upper": r.max_upper,
-             "mc": r.mc_estimate, "mc_se": r.mc_se} for r in reports]
+    return [{c: getattr(r, c) for c in SCHEMAS["bounds"]} for r in reports]
 
 
 def _run_fixed_point(cfg):
@@ -497,7 +496,7 @@ def _run_cdf_h(cfg):
             p = c / cfg.N
             rows.append({"t": t, "x": x, "N": cfg.N, "pool_size": cfg.pool_size,
                          "cdf_empirical": p,
-                         "se": math.sqrt(max(p * (1 - p), 0) / cfg.N),
+                         "se": deviations.binom_se(p, cfg.N),
                          "cdf_limit": limits.cdf_H_infinity(x, pool, c0, law.alpha)})
     return rows
 
@@ -551,18 +550,21 @@ def run(cfg: ExperimentConfig):
     SCHEMAS columns to values, and the messages are the warnings and notes
     to print.  A tail run outside the unrestricted regime warns, which
     makes the exit status 3; a tail row with fewer than 20 expected hits
-    adds a note, which is informational only."""
+    N c0 / x^alpha adds a note, which is informational only."""
     regime, law = cfg.regime, cfg.initial
     rows = _RUNNERS[cfg.experiment](cfg)
-    warnings = []
-    if cfg.experiment == "tail" and regime.case_id != CASE_UNRESTRICTED:
-        warnings.append(
-            f"regime {regime.case_id!r} restricts admissible schedules; a single "
-            "(t, x) row cannot certify x_t -> infinity against h(t)")
-    c0 = law.c0_plus + law.c0_minus
-    notes = [f"low precision at t={r['t']:g}, x={r['x']:g}: expected hits "
-             f"{cfg.N * c0 / r['x'] ** law.alpha:.1f} < 20"
-             for r in rows if r.get("low_precision")]
+    warnings, notes = [], []
+    if cfg.experiment == "tail":
+        if regime.case_id != CASE_UNRESTRICTED:
+            warnings.append(
+                f"regime {regime.case_id!r} restricts admissible schedules; a single "
+                "(t, x) row cannot certify x_t -> infinity against h(t)")
+        c0 = law.c0_plus + law.c0_minus
+        for r in rows:
+            expected = cfg.N * c0 / r["x"] ** law.alpha
+            if expected < 20:
+                notes.append(f"low precision at t={r['t']:g}, x={r['x']:g}: "
+                             f"expected hits {expected:.1f} < 20")
     return rows, 3 if warnings else 0, (regime, warnings + notes)
 
 

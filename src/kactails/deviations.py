@@ -1,8 +1,11 @@
 """Tail-probability estimators, finite-n bounds and schedule checks.
 
-Everything here is plain Monte Carlo with binomial standard errors and a
-minimum-expected-hits guard (N * p >= 20) flagged on each estimate; rare
-tails get common random numbers rather than importance sampling.
+Everything here is plain Monte Carlo.  The chunk primitives
+`tail_hit_counts` and `iid_hit_counts` count exceedances over shared
+paths or rows (common random numbers, not importance sampling), and
+`tail_ratios` turns the merged counts into probabilities with binomial
+standard errors and the two large-deviation ratios.  The CLI notes each
+tail row whose expected hit count N c0 / x^a falls below 20.
 
 The finite-n sandwich for S_n = sum_j b_j X_j, valid for every x > 0,
 0 < eps < 1 and gamma > 0 under the tail hypotheses on F_0, reads
@@ -25,36 +28,15 @@ sample batch.  The max analogue is
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .initial_data import tail_profile
-from .kernels import CASE_UNRESTRICTED, classify_regime, log_h_of_t, spectral
+from .kernels import CASE_UNRESTRICTED, log_h_of_t
 from .processes import forest_statistics
 
 _ROW_BUDGET = 1 << 22  # elements per i.i.d. sampling block
-
-
-class AdmissibilityWarning(UserWarning):
-    """The regime restricts threshold schedules; a single t cannot certify one."""
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    t: float
-    x: float
-    N: int
-    hits_V: int
-    hits_H: int
-    p_V: float
-    p_H: float
-    se_V: float
-    se_H: float
-    ratio_paper: float
-    ratio_max: float
-    low_precision: bool
 
 
 @dataclass(frozen=True)
@@ -68,69 +50,43 @@ class BoundsReport:
     upper: float
     max_lower: float
     max_upper: float
-    mc_estimate: float
+    mc: float
     mc_se: float
     max_mc: float
     max_mc_se: float
     delta_hat: float
 
 
-@dataclass(frozen=True)
-class BaselineEstimate:
-    n: int
-    x: float
-    N: int
-    p_sum: float
-    se_sum: float
-    p_max: float
-    se_max: float
-    ratio_paper: float
-    ratio_max: float
-
-
-def _binom_se(p, n):
+def binom_se(p, n):
+    """Binomial standard error of a proportion p over n trials."""
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def estimate_tail(kernel, law, t, xs, N, rng) -> list[TailEstimate]:
-    """Single-pass tail estimates of rescaled |V_t| and H_t at each x.
+def tail_ratios(law, xs, n, hits, hits_max):
+    """(p, se, p_max, se_max, ratio_paper, ratio_max) at each x.
 
-    All x thresholds and the V/H pair share the same N paths (common
-    random numbers), so x -> hits is non-increasing by construction and
-    the ratio p_V/p_H has reduced variance.  Attaches a low-precision
-    flag when the expected hit count N c0 / x^a falls below 20.
+    hits[i] and hits_max[i] count {|S| > x_i} and {max > x_i} over the
+    same n paths or rows, as `tail_hit_counts` and `iid_hit_counts` give
+    them.  ratio_paper is x^a p / c0 and ratio_max is p / p_max (NaN
+    without a max hit); both tend to 1 in the large-deviation regime.
     """
-    xs = [float(x) for x in xs]
-    if any(x <= 0 for x in xs):
-        raise ValueError("thresholds must be positive")
-    N = int(N)
-    if N < 10_000:
-        raise ValueError("tail estimation needs N >= 1e4")
-    alpha = law.alpha
-    mu = spectral(kernel, alpha, rng=rng).mu_s
-    c0 = law.c0_plus + law.c0_minus
-    try:
-        regime = classify_regime(kernel, alpha, rng=rng)
-        if regime.case_id != CASE_UNRESTRICTED:
-            warnings.warn(
-                f"regime {regime.case_id!r} restricts admissible schedules; "
-                "verify x_t with admissible_schedule",
-                AdmissibilityWarning,
-                stacklevel=2,
-            )
-    except ValueError:
-        warnings.warn("regime classification unavailable for this kernel",
-                      AdmissibilityWarning, stacklevel=2)
-
-    hits_v, hits_h = tail_hit_counts(kernel, law, t, mu, xs, N, rng)
-    return assemble_tail_estimates(t, xs, N, hits_v, hits_h, alpha, c0)
+    alpha, c0 = law.alpha, law.c0_plus + law.c0_minus
+    out = []
+    for x, h, hm in zip(xs, hits, hits_max):
+        p = h / n
+        p_max = hm / n
+        out.append((p, binom_se(p, n), p_max, binom_se(p_max, n),
+                    x ** alpha * p / c0, p / p_max if hm > 0 else math.nan))
+    return out
 
 
 def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
     """Exceedance counts of (rescaled |V|, rescaled H) over shared paths.
 
-    This is the mergeable chunk primitive: counts from disjoint path
-    blocks add associatively.
+    All x thresholds and the V/H pair share the same paths (common random
+    numbers), so x -> hits is non-increasing by construction.  This is the
+    mergeable chunk primitive: counts from disjoint path blocks add
+    associatively.
     """
     stats = forest_statistics(kernel, t, n_paths, rng, law=law)
     f = math.exp(-mu_alpha * t)
@@ -139,24 +95,6 @@ def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
     hits_v = np.array([(av > x).sum() for x in xs], dtype=np.int64)
     hits_h = np.array([(ah > x).sum() for x in xs], dtype=np.int64)
     return hits_v, hits_h
-
-
-def assemble_tail_estimates(t, xs, N, hits_v, hits_h, alpha, c0):
-    out = []
-    for x, hv, hh in zip(xs, hits_v, hits_h):
-        p_v = hv / N
-        p_h = hh / N
-        se_v = _binom_se(p_v, N)
-        se_h = _binom_se(p_h, N)
-        ratio_paper = x ** alpha * p_v / c0
-        ratio_max = p_v / p_h if hh > 0 else math.nan
-        out.append(TailEstimate(
-            t=float(t), x=float(x), N=int(N), hits_V=int(hv), hits_H=int(hh),
-            p_V=p_v, p_H=p_h, se_V=se_v, se_H=se_h,
-            ratio_paper=ratio_paper, ratio_max=ratio_max,
-            low_precision=(N * c0 / x ** alpha < 20),
-        ))
-    return out
 
 
 def admissible_schedule(regime, epsilon, t, x_t, growth_factor=1.5):
@@ -207,36 +145,6 @@ def _row_blocks(law, n, n_rows, rng):
         m = min(block, n_rows - done)
         yield law.sample(rng, m * n, out=buf[:m * n]).reshape(m, n)
         done += m
-
-
-def iid_baseline(law, n, x, N, rng) -> BaselineEstimate:
-    """Tail ratios for the plain i.i.d. sum at the stable scaling n^(1/a).
-
-    Estimates P{|n^(-1/a) sum X_i| > x} and P{n^(-1/a) max |X_j| > x}
-    from the same draws and reports x^a p_sum / c0 and p_sum / p_max.
-    """
-    n = int(n)
-    N = int(N)
-    alpha = law.alpha
-    c0 = law.c0_plus + law.c0_minus
-    threshold = x * n ** (1.0 / alpha)
-    hits_sum, hits_max = iid_hit_counts(law, n, [threshold], N, rng)
-    return assemble_baseline_estimates(n, [x], N, hits_sum, hits_max, alpha, c0)[0]
-
-
-def assemble_baseline_estimates(n, xs, N, hits_sum, hits_max, alpha, c0):
-    out = []
-    for x, hs, hm in zip(xs, hits_sum, hits_max):
-        p_sum = hs / N
-        p_max = hm / N
-        out.append(BaselineEstimate(
-            n=int(n), x=float(x), N=int(N),
-            p_sum=p_sum, se_sum=_binom_se(p_sum, N),
-            p_max=p_max, se_max=_binom_se(p_max, N),
-            ratio_paper=x ** alpha * p_sum / c0,
-            ratio_max=p_sum / p_max if hm > 0 else math.nan,
-        ))
-    return out
 
 
 def iid_hit_counts(law, n, thresholds, n_rows, rng):
@@ -304,8 +212,8 @@ def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
     return BoundsReport(
         n=n, b=b, x=float(x), epsilon=float(epsilon), gamma=float(gamma),
         lower=lower, upper=upper, max_lower=max_lower, max_upper=max_upper,
-        mc_estimate=x ** a * p_sum, mc_se=x ** a * _binom_se(p_sum, N),
-        max_mc=x ** a * p_max, max_mc_se=x ** a * _binom_se(p_max, N),
+        mc=x ** a * p_sum, mc_se=x ** a * binom_se(p_sum, N),
+        max_mc=x ** a * p_max, max_mc_se=x ** a * binom_se(p_max, N),
         delta_hat=delta_hat,
     )
 
@@ -361,8 +269,8 @@ def max_ode_residual(kernel, law, t, x, delta, N, rng):
     gain = float(prod.mean())
     residual = (f_td - f_t) / delta + f_t - gain
     se = math.sqrt(
-        _binom_se(f_td, N) ** 2 / delta ** 2
-        + _binom_se(f_t, N) ** 2 * (1.0 - 1.0 / delta) ** 2
+        binom_se(f_td, N) ** 2 / delta ** 2
+        + binom_se(f_t, N) ** 2 * (1.0 - 1.0 / delta) ** 2
         + float(prod.var(ddof=1)) / N
     )
     return residual, se

@@ -88,14 +88,17 @@ def test_criterion_03_normalization_identity():
 
 def test_criterion_04_large_deviation_ratios():
     law = kt.SymmetricPareto(ALPHA)
-    ests = kt.estimate_tail(det_kernel(), law, 3.0, [10.0, 20.0], 2_000_000, rng(4))
+    kernel, xs, n_paths = det_kernel(), [10.0, 20.0], 2_000_000
+    mu = kt.classify_regime(kernel, ALPHA).mu_alpha
+    hits_v, hits_h = kt.tail_hit_counts(kernel, law, 3.0, mu, xs, n_paths, rng(4))
     ok = True
     details = []
-    for est in ests:
-        ok &= 0.85 <= est.ratio_paper <= 1.15
-        ok &= 0.85 <= est.ratio_max <= 1.15
-        details.append(f"x={est.x:g}: ratio_paper={est.ratio_paper:.4f} "
-                       f"ratio_max={est.ratio_max:.4f}")
+    for x, (*_, ratio_paper, ratio_max) in zip(
+            xs, kt.tail_ratios(law, xs, n_paths, hits_v, hits_h)):
+        ok &= 0.85 <= ratio_paper <= 1.15
+        ok &= 0.85 <= ratio_max <= 1.15
+        details.append(f"x={x:g}: ratio_paper={ratio_paper:.4f} "
+                       f"ratio_max={ratio_max:.4f}")
     assert report(4, "tail ratios in [0.85, 1.15] at t=3", ok, "; ".join(details))
 
 
@@ -169,7 +172,7 @@ def test_criterion_08_bound_sandwich():
         b = g.uniform(0.05, 1.0, size=n)
         x = float(g.uniform(10.0, 50.0))
         rep = kt.lemma_bounds(b, law, x, 0.5, 0.75, 1_000_000, g)
-        ok_sum = (rep.lower - 3 * rep.mc_se <= rep.mc_estimate
+        ok_sum = (rep.lower - 3 * rep.mc_se <= rep.mc
                   <= rep.upper + 3 * rep.mc_se)
         ok_max = (rep.max_lower - 3 * rep.max_mc_se <= rep.max_mc
                   <= rep.max_upper + 3 * rep.max_mc_se)
@@ -181,17 +184,19 @@ def test_criterion_08_bound_sandwich():
 
 def test_criterion_09_iid_baseline():
     law = kt.SymmetricPareto(ALPHA)
-    x = 30.0
-    est = kt.iid_baseline(law, 10_000, x, 1_000_000, rng(9))
+    n, x, n_rows = 10_000, 30.0, 1_000_000
+    hits_sum, hits_max = kt.iid_hit_counts(law, n, [x * n ** (1.0 / ALPHA)], n_rows, rng(9))
+    p_sum, _, _, _, ratio_paper, ratio_max = \
+        kt.tail_ratios(law, [x], n_rows, hits_sum, hits_max)[0]
     lam = kt.stable_params(law.c0_plus, law.c0_minus, ALPHA).lam
     ref = stable_abs_tail_ratio(x, lam, ALPHA) / (law.c0_plus + law.c0_minus)
-    se = est.ratio_paper * math.sqrt((1 - est.p_sum) / (est.N * est.p_sum))
-    dev = abs(est.ratio_paper - ref)
-    ok = (0.9 <= est.ratio_paper <= 1.1 and 0.9 <= est.ratio_max <= 1.1
+    se = ratio_paper * math.sqrt((1 - p_sum) / (n_rows * p_sum))
+    dev = abs(ratio_paper - ref)
+    ok = (0.9 <= ratio_paper <= 1.1 and 0.9 <= ratio_max <= 1.1
           and dev <= 4 * se)
     assert report(
         9, "i.i.d. baseline ratios in [0.9, 1.1] at x=30", ok,
-        f"ratio_paper={est.ratio_paper:.4f} ratio_max={est.ratio_max:.4f} "
+        f"ratio_paper={ratio_paper:.4f} ratio_max={ratio_max:.4f} "
         f"ref(30)={ref:.4f} |ratio_paper-ref|={dev:.4f} (4SE={4 * se:.4f}); "
         f"stable limit 1.139 at x=10 is why the check sits at x=30")
 

@@ -203,19 +203,23 @@ def test_io_error_exit_code(tmp_path):
     assert cli.main(["--config", str(path)]) == 4
 
 
-def test_low_precision_note_does_not_change_exit_code(tmp_path):
+def test_low_precision_note_does_not_change_exit_code(tmp_path, capsys):
+    # expected hits N c0 / x^a: 632 at x = 10, 0.02 at x = 1e4
     text = """
 experiment: tail
 seed: 13
 kernel: {kind: kac}
 initial: {kind: symmetric-pareto, alpha: 1.5}
 t: 1.0
-xs: [10000.0]
+xs: [10.0, 10000.0]
 N: 20000
 """
     code, data = _run_to_csv(tmp_path, text, "lowprec")
     assert code == 0  # informational note only; admissibility fine here
-    assert data is not None
+    assert data is not None and data.count(b"\n") == 3
+    err = capsys.readouterr().err
+    assert "warning: low precision at t=1, x=10000: expected hits 0.0 < 20" in err
+    assert "x=10:" not in err
 
 
 def test_admissibility_warning_exit_code(tmp_path):
@@ -412,6 +416,7 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     ("bounds", ["gamma=0"], 2, "gamma"),
     ("bounds", ["n=3", "b=[-1, 1, 1]"], 2, "b"),
     ("ode-residual", ["N=1"], 2, "N"),
+    ("tail", ["N=9999"], 2, "N"),
     ("cdf-H", ["iterations=-1"], 2, "iterations"),
     ("tail", ["kernel={kind: deterministic, l: .inf, r: 0.5}"], 2, "kernel.l"),
     ("tail", ["kernel={kind: deterministic, l: true, r: 0.5}"], 2, "kernel.l"),
@@ -502,6 +507,14 @@ def test_readme_config_reference_follows_the_field_declarations():
             cell = rows[f.name][needed]
             listed = set(cli.EXPERIMENTS) if cell == "all" else set(re.findall(r"`([^`]+)`", cell))
             assert listed == set(f.metadata["needs"]), f.name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == 2  # one line per x
 
 
 _OVERRIDE_KEYS = st.one_of(

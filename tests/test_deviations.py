@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import kactails as kt
-from kactails.deviations import AdmissibilityWarning
 from kactails.kernels import CASE_UP, Regime
 
 from stable_reference import stable_abs_tail_ratio
@@ -20,51 +19,49 @@ def det_kernel(a=1.5):
     return kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
 
 
+def tail_estimates(kernel, law, t, xs, n_paths, g):
+    """(hits_V, hits_H, tail_ratios rows) of rescaled |V_t| and H_t at each x."""
+    mu = kt.classify_regime(kernel, law.alpha).mu_alpha
+    hits_v, hits_h = kt.tail_hit_counts(kernel, law, t, mu, xs, n_paths, g)
+    return hits_v, hits_h, kt.tail_ratios(law, xs, n_paths, hits_v, hits_h)
+
+
+def baseline_estimate(law, n, x, n_rows, g):
+    """tail_ratios row of the i.i.d. sum and max at the stable scaling n^(1/a)."""
+    hits_sum, hits_max = kt.iid_hit_counts(law, n, [x * n ** (1.0 / law.alpha)], n_rows, g)
+    return kt.tail_ratios(law, [x], n_rows, hits_sum, hits_max)[0]
+
+
 def test_tail_estimate_at_time_zero():
     # V_0 = X_1, so the rescaled-sum tail is the exact Pareto tail and the
     # max hits coincide with the sum hits path by path
     law = kt.SymmetricPareto(1.5)
-    ests = kt.estimate_tail(det_kernel(), law, 0.0, [10.0], 100_000, rng(1))
-    est = ests[0]
+    hits_v, hits_h, ratios = tail_estimates(det_kernel(), law, 0.0, [10.0], 100_000, rng(1))
+    p_v, se_v, _, _, ratio_paper, ratio_max = ratios[0]
     target = 10.0 ** -1.5
-    assert est.hits_V == est.hits_H
-    assert abs(est.p_V - target) <= 4 * est.se_V
-    assert abs(est.ratio_paper - 1.0) <= 4 * est.se_V / target
-    assert est.ratio_max == 1.0
-    assert not est.low_precision
+    assert hits_v[0] == hits_h[0]
+    assert abs(p_v - target) <= 4 * se_v
+    assert abs(ratio_paper - 1.0) <= 4 * se_v / target
+    assert ratio_max == 1.0
 
 
 def test_tail_estimate_monotone_in_x():
     law = kt.SymmetricPareto(1.5)
-    ests = kt.estimate_tail(det_kernel(), law, 2.0, [5.0, 10.0, 20.0, 40.0],
-                            50_000, rng(2))
-    hits = [e.hits_V for e in ests]
-    assert hits == sorted(hits, reverse=True)
-    hits_h = [e.hits_H for e in ests]
-    assert hits_h == sorted(hits_h, reverse=True)
+    hits_v, hits_h, _ = tail_estimates(det_kernel(), law, 2.0, [5.0, 10.0, 20.0, 40.0],
+                                       50_000, rng(2))
+    assert list(hits_v) == sorted(hits_v, reverse=True)
+    assert list(hits_h) == sorted(hits_h, reverse=True)
 
 
-def test_tail_estimate_flags_low_precision():
-    law = kt.SymmetricPareto(1.5)
-    ests = kt.estimate_tail(det_kernel(), law, 1.0, [10.0, 1000.0], 10_000, rng(3))
-    assert not ests[0].low_precision
-    assert ests[1].low_precision
-
-
-def test_tail_estimate_validates_input():
-    law = kt.SymmetricPareto(1.5)
-    with pytest.raises(ValueError):
-        kt.estimate_tail(det_kernel(), law, 1.0, [10.0], 5000, rng(4))
-    with pytest.raises(ValueError):
-        kt.estimate_tail(det_kernel(), law, 1.0, [-1.0], 10_000, rng(4))
-
-
-def test_tail_estimate_warns_outside_unrestricted_regime():
-    a = 1.5
-    k = kt.DeterministicKernel(0.25 ** (1 / a), 0.25 ** (1 / a))  # mu-up case
-    law = kt.SymmetricPareto(a)
-    with pytest.warns(AdmissibilityWarning):
-        kt.estimate_tail(k, law, 1.0, [10.0], 10_000, rng(5))
+def test_tail_ratios_formula():
+    law = kt.AsymmetricPareto(1.2, 0.7, 0.3)
+    rows = kt.tail_ratios(law, [2.0, 5.0], 1000, np.array([40, 0]), np.array([50, 0]))
+    p, se, p_max, se_max, ratio_paper, ratio_max = rows[0]
+    assert (p, p_max) == (0.04, 0.05)
+    assert se == math.sqrt(0.04 * 0.96 / 1000) and se_max == math.sqrt(0.05 * 0.95 / 1000)
+    assert ratio_paper == 2.0 ** 1.2 * 0.04 / (law.c0_plus + law.c0_minus)
+    assert ratio_max == 0.04 / 0.05
+    assert rows[1][:5] == (0.0, 0.0, 0.0, 0.0, 0.0) and math.isnan(rows[1][5])
 
 
 def _regime_up():
@@ -109,21 +106,22 @@ def test_iid_baseline_exact_single_jump_identity():
 
 def test_iid_baseline_small_case():
     law = kt.SymmetricPareto(1.5)
-    est = kt.iid_baseline(law, 100, 8.0, 200_000, rng(6))
-    assert est.p_sum > 0 and est.p_max > 0
+    p_sum, se_sum, p_max, se_max, ratio_paper, ratio_max = \
+        baseline_estimate(law, 100, 8.0, 200_000, rng(6))
+    assert p_sum > 0 and p_max > 0
     # at x = 8 the limit ratio carries a ~+20% second-order term; just pin
     # finiteness and the CRN ordering here, precision tests live elsewhere
-    assert 0.7 <= est.ratio_paper <= 1.5
-    assert 0.9 <= est.ratio_max <= 1.6
-    assert est.se_sum > 0 and est.se_max > 0
+    assert 0.7 <= ratio_paper <= 1.5
+    assert 0.9 <= ratio_max <= 1.6
+    assert se_sum > 0 and se_max > 0
 
 
 def test_iid_baseline_diagnostic_small_x():
     # no asymptotic claim at fixed small x; estimator still returns numbers
     law = kt.SymmetricPareto(1.5)
-    est = kt.iid_baseline(law, 1000, 1.0, 20_000, rng(7))
-    assert math.isfinite(est.ratio_paper)
-    assert math.isfinite(est.ratio_max)
+    *_, ratio_paper, ratio_max = baseline_estimate(law, 1000, 1.0, 20_000, rng(7))
+    assert math.isfinite(ratio_paper)
+    assert math.isfinite(ratio_max)
 
 
 def test_lemma_bounds_single_weight_exact_case():
@@ -135,7 +133,7 @@ def test_lemma_bounds_single_weight_exact_case():
     assert abs(rep.max_lower - (1.0 - 4.0 / 10.0 ** 1.5)) < 1e-12
     assert abs(rep.max_lower - 0.8735088935932648) < 1e-12
     assert abs(rep.max_mc - 1.0) <= 4 * rep.max_mc_se
-    assert abs(rep.mc_estimate - 1.0) <= 4 * rep.mc_se
+    assert abs(rep.mc - 1.0) <= 4 * rep.mc_se
     assert rep.max_lower <= rep.max_mc <= rep.max_upper + 4 * rep.max_mc_se
 
 
@@ -144,7 +142,7 @@ def test_lemma_bounds_flat_weight_case():
     law = kt.SymmetricPareto(1.5)
     rep = kt.lemma_bounds(np.full(8, 8.0 ** (-1 / 1.5)), law, 20.0,
                           0.5, 0.75, 1_000_000, rng(14))
-    assert rep.lower - 3 * rep.mc_se <= rep.mc_estimate <= rep.upper + 3 * rep.mc_se
+    assert rep.lower - 3 * rep.mc_se <= rep.mc <= rep.upper + 3 * rep.mc_se
     assert rep.max_lower - 3 * rep.max_mc_se <= rep.max_mc \
         <= rep.max_upper + 3 * rep.max_mc_se
     assert 0 <= rep.delta_hat <= 1
@@ -159,8 +157,8 @@ def test_lemma_bounds_sandwich_randomized():
         b = g.uniform(0.05, 1.0, size=n)
         x = float(g.uniform(10.0, 50.0))
         rep = kt.lemma_bounds(b, law, x, 0.5, 0.75, 100_000, g)
-        assert rep.lower - 3 * rep.mc_se <= rep.mc_estimate, (trial, alpha)
-        assert rep.mc_estimate <= rep.upper + 3 * rep.mc_se, (trial, alpha)
+        assert rep.lower - 3 * rep.mc_se <= rep.mc, (trial, alpha)
+        assert rep.mc <= rep.upper + 3 * rep.mc_se, (trial, alpha)
         assert rep.max_lower - 3 * rep.max_mc_se <= rep.max_mc, (trial, alpha)
         assert rep.max_mc <= rep.max_upper + 3 * rep.max_mc_se, (trial, alpha)
 
@@ -189,14 +187,14 @@ def test_weighted_sum_tail_corollary():
     rep = kt.lemma_bounds(np.full(n, n ** (-2.0 / 3.0)), law, n ** 0.1,
                           0.5, 0.75, 100_000, g)
     ref = stable_abs_tail_ratio(n ** 0.1, lam, 1.5)
-    assert abs(rep.mc_estimate - ref) <= 5 * rep.mc_se + 0.05
-    assert rep.lower - 3 * rep.mc_se <= rep.mc_estimate <= rep.upper + 3 * rep.mc_se
+    assert abs(rep.mc - ref) <= 5 * rep.mc_se + 0.05
+    assert rep.lower - 3 * rep.mc_se <= rep.mc <= rep.upper + 3 * rep.mc_se
 
     devs = []
     for n, n_rows in ((1000, 100_000), (10_000, 50_000)):
         rep = kt.lemma_bounds(np.full(n, n ** (-2.0 / 3.0)), law, n ** 0.3,
                               0.5, 0.75, n_rows, g)
-        devs.append(abs(rep.mc_estimate - 1.0))
+        devs.append(abs(rep.mc - 1.0))
     assert devs[1] < devs[0]
     assert devs[1] <= 0.15
 

@@ -27,7 +27,8 @@ exit code, stderr, and stdout with the elapsed time masked.  The matrix:
   block, x Kac kernel x both laws of the first matrix x seeds 1, 2 x
   workers 1, 2;
 - both `configs/` demos, each read from its own tree;
-- a tail run that warns (exit 3), a run with `--override` flags, and a
+- a tail run that warns (exit 3), a tail run whose x = 1e4 row prints a
+  low-precision note on stderr, a run with `--override` flags, and a
   cf-V run at alpha 1 whose xi = 1e308 overflows its phases.
 
 Prints each mismatch and a summary line; exits 1 on any mismatch.
@@ -96,6 +97,15 @@ t: 1.0
 xs: [10.0]
 N: 20000
 """
+# expected hits N c0 / x^a: 632 at x = 10, 0.02 at x = 1e4 (a note)
+LOW_PRECISION = """experiment: tail
+seed: 13
+kernel: {kind: kac}
+initial: {kind: symmetric-pareto, alpha: 1.5}
+t: 1.0
+xs: [10.0, 1.0e+4]
+N: 20000
+"""
 _ELAPSED = re.compile(r"\(\d+\.\d+s\)")
 
 
@@ -123,6 +133,7 @@ def matrix():
     for demo in ("tail_demo", "martingale_demo"):
         runs.append((f"configs/{demo}", None, f"configs/{demo}.yaml", []))
     runs.append(("warned-exit-3", WARNED, None, []))
+    runs.append(("low-precision-note", LOW_PRECISION, None, []))
     runs.append(("cf-V-alpha1-overflow", CF_OVERFLOW, None, []))
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
