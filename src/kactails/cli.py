@@ -12,11 +12,11 @@ merged in chunk-index order and all merges are associative.
 
 Each chunk is one job `(fn, args, seed, tag, k)`, which returns
 `fn(*args, rng)` on that stream.  By experiment, fn is
-`deviations.tail_hit_counts` (tail), `deviations.iid_hit_counts`
-(baseline), `_paths_task` (cdf-H, cf-V) or `_martingale_sum_task`
-(martingale), with chunk results summed componentwise, and
-`deviations.lemma_bounds` (bounds, one job per x).  fixed-point and
-ode-residual draw from the single stream 0 of their tag.
+`deviations.tail_hit_counts` (tail, and cdf-H from its H counts),
+`_cf_sums` (cf-V), `deviations.iid_hit_counts` (baseline) or
+`_martingale_sum_task` (martingale), with chunk results summed
+componentwise, and `deviations.lemma_bounds` (bounds, one job per x).
+fixed-point and ode-residual draw from the single stream 0 of their tag.
 
 Exit codes: 0 success, 2 config error, 3 an admissibility warning was
 raised (results still written), 4 I/O failure.
@@ -128,7 +128,6 @@ class ExperimentConfig:
     workers: int = _field(int, _CHUNKED + ("bounds",), 1, **_POSITIVE)
     chunk_size: int = _field(int, _CHUNKED, 16384, **_POSITIVE)
     output: str = _field(str, EXPERIMENTS, "results.csv")
-    format: str = _field(str, EXPERIMENTS, "csv", ok=lambda v: v == "csv", rule="'csv'")
 
     @cached_property
     def regime(self):
@@ -380,19 +379,16 @@ def _summed_jobs(cfg, tag, fn, chunk_args):
     return [np.sum(part, axis=0) for part in zip(*_run_jobs(cfg, tag, fn, chunk_args))]
 
 
-def _paths_task(kernel, law, t, mu, xs, xis, size, rng):
-    """Per-chunk path statistics for cdf-H / cf-V: counts and CF sums."""
-    stats = forest_statistics(kernel, t, size, rng, law=law)
-    f = math.exp(-mu * t)
-    h = stats.H * f
-    v = stats.V * f
-    counts = np.array([(h <= x).sum() for x in xs], dtype=np.int64)
+def _cf_sums(kernel, law, t, mu, xis, size, rng):
+    """Per-chunk sums of exp(i xi V) over the paths' rescaled V, for cf-V,
+    as the one component of the chunk's result."""
+    v = forest_statistics(kernel, t, size, rng, law=law).V * math.exp(-mu * t)
     # a path whose phase xi v overflows adds 0: its phase carries no
     # information, and the characteristic function tends to 0 there
     with np.errstate(over="ignore"):
         phases = [xi * v for xi in xis]
-    cf_sums = np.array([np.exp(1j * p[np.isfinite(p)]).sum() for p in phases], dtype=complex)
-    return counts, cf_sums
+    sums = np.array([np.exp(1j * p[np.isfinite(p)]).sum() for p in phases], dtype=complex)
+    return (sums,)
 
 
 def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
@@ -403,14 +399,21 @@ def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
 
 # ---- experiment runners: each returns its rows ----
 
+def _path_sums(cfg, fn):
+    """(t, sums) per t: `fn(kernel, law, t, mu(alpha), xs, m, rng)` on each
+    chunk of m of the N paths, on the streams of "{experiment}/{index of
+    t}", summed componentwise in chunk order."""
+    for it, t in enumerate(cfg.t):
+        yield t, _summed_jobs(
+            cfg, f"{cfg.experiment}/{it}", fn,
+            [(cfg.kernel, cfg.initial, t, cfg.regime.mu_alpha, cfg.xs, m)
+             for m in _chunks(cfg.N, cfg.chunk_size)])
+
+
 def _run_tail(cfg):
     ratio_cols = SCHEMAS["tail"][-6:]
     rows = []
-    for it, t in enumerate(cfg.t):
-        hits_v, hits_h = _summed_jobs(
-            cfg, f"tail/{it}", deviations.tail_hit_counts,
-            [(cfg.kernel, cfg.initial, t, cfg.regime.mu_alpha, cfg.xs, m)
-             for m in _chunks(cfg.N, cfg.chunk_size)])
+    for t, (hits_v, hits_h) in _path_sums(cfg, deviations.tail_hit_counts):
         ratios = deviations.tail_ratios(cfg.initial, cfg.xs, cfg.N, hits_v, hits_h)
         rows += [{"t": t, "x": x, "N": cfg.N, "hits_V": hv, "hits_H": hh,
                   **dict(zip(ratio_cols, r))}
@@ -487,13 +490,11 @@ def _run_cdf_h(cfg):
     pool = _zpool_for_limit(cfg)
     c0 = law.c0_plus + law.c0_minus
     rows = []
-    for it, t in enumerate(cfg.t):
-        counts, _ = _summed_jobs(
-            cfg, f"cdf-H/{it}", _paths_task,
-            [(cfg.kernel, law, t, cfg.regime.mu_alpha, cfg.xs, (), m)
-             for m in _chunks(cfg.N, cfg.chunk_size)])
-        for x, c in zip(cfg.xs, counts):
-            p = c / cfg.N
+    # N - #{H > x} is #{H <= x} unless an H is NaN, which takes an
+    # infinite law draw times a zero weight
+    for t, (_, hits_h) in _path_sums(cfg, deviations.tail_hit_counts):
+        for x, hh in zip(cfg.xs, hits_h):
+            p = (cfg.N - hh) / cfg.N
             rows.append({"t": t, "x": x, "N": cfg.N, "pool_size": cfg.pool_size,
                          "cdf_empirical": p,
                          "se": deviations.binom_se(p, cfg.N),
@@ -507,11 +508,7 @@ def _run_cf_v(cfg):
     params = limits.stable_params(law.c0_plus, law.c0_minus, law.alpha,
                                   gamma0=law.gamma0 or 0.0)
     rows = []
-    for it, t in enumerate(cfg.t):
-        _, cf_sums = _summed_jobs(
-            cfg, f"cf-V/{it}", _paths_task,
-            [(cfg.kernel, law, t, cfg.regime.mu_alpha, (), cfg.xs, m)
-             for m in _chunks(cfg.N, cfg.chunk_size)])
+    for t, (cf_sums,) in _path_sums(cfg, _cf_sums):
         for xi, s in zip(cfg.xs, cf_sums):
             emp = s / cfg.N
             lim = limits.cf_V_infinity(xi, pool, params)
@@ -569,13 +566,8 @@ def run(cfg: ExperimentConfig):
 
 
 def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+    """An integer as itself, a float as its shortest round-trip decimal."""
+    return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
 
 
 def write_csv(rows, experiment, stream):

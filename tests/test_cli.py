@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import math
 import pathlib
 import re
 import string
@@ -15,6 +16,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import kactails.cli as cli
+from kactails.processes import forest_statistics
 
 MINIMAL = """
 experiment: tail
@@ -413,6 +415,7 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     ("bounds", ["n=0"], 2, "n"),
     ("martingale", ["n=0"], 2, "n"),
     ("tail", ["eta=-1"], 2, "eta"),
+    ("tail", ["format=csv"], 2, "format"),
     ("bounds", ["gamma=0"], 2, "gamma"),
     ("bounds", ["n=3", "b=[-1, 1, 1]"], 2, "b"),
     ("ode-residual", ["N=1"], 2, "N"),
@@ -492,6 +495,31 @@ def test_cf_v_alpha_one_overflowing_phase_adds_zero(tmp_path):
     assert [float(v) for v in big.split(",")[6:8]] == [0.0, 0.0]
     code, alone = _run_to_csv(tmp_path, text + "xs: [0.5]", "alone")
     assert code == 0 and alone.decode().splitlines() == [header, half]
+
+
+def test_cdf_h_equals_direct_counts_of_h_at_most_x():
+    # cdf-H writes (N - #{H > x}) / N from tail_hit_counts; recount {H <= x}
+    # on each chunk's stream, x <= 0 and t = 0 included, over paths some
+    # of whose weights are 0
+    cfg = cli.parse_config(
+        "experiment: cdf-H\nseed: 9\n"
+        "kernel: {kind: discrete-mixture, atoms: [[0.9, 0.0], [0.5, 0.8]], probs: [0.4, 0.6]}\n"
+        "initial: {kind: asymmetric-pareto, alpha: 1.2, c_plus: 0.7, c_minus: 0.3}\n"
+        "t: [0.0, 1.5]\nxs: [-1.0, 0.0, 0.5, 2.0]\nN: 5000\nchunk_size: 2048\n"
+        "pool_size: 500\niterations: 2\n")
+    expected = []
+    for it, t in enumerate(cfg.t):
+        counts = np.zeros(len(cfg.xs), dtype=np.int64)
+        for k, start in enumerate(range(0, cfg.N, cfg.chunk_size)):
+            rng = cli.derive_stream(cfg.seed, f"cdf-H/{it}", k)
+            stats = forest_statistics(cfg.kernel, t, min(cfg.chunk_size, cfg.N - start), rng,
+                                      law=cfg.initial)
+            h = stats.H * math.exp(-cfg.regime.mu_alpha * t)
+            counts += [(h <= x).sum() for x in cfg.xs]
+        expected += [(c / cfg.N).hex() for c in counts]
+    rows, _, _ = cli.run(cfg)
+    assert [float(r["cdf_empirical"]).hex() for r in rows] == expected
+    assert expected[:2] == [0.0.hex()] * 2 and len(set(expected)) > 3
 
 
 def test_readme_config_reference_follows_the_field_declarations():

@@ -29,7 +29,10 @@ exit code, stderr, and stdout with the elapsed time masked.  The matrix:
 - both `configs/` demos, each read from its own tree;
 - a tail run that warns (exit 3), a tail run whose x = 1e4 row prints a
   low-precision note on stderr, a run with `--override` flags, and a
-  cf-V run at alpha 1 whose xi = 1e308 overflows its phases.
+  cf-V run at alpha 1 whose xi = 1e308 overflows its phases;
+- a cdf-H run at x < 0, x = 0 and t = 0 on a discrete-mixture kernel
+  with an R = 0 atom and asymmetric Pareto 1.2, x workers 1, 2, where
+  P{H <= x} is N less the count of {H > x}, over N.
 
 Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
@@ -89,6 +92,18 @@ N: 2000
 pool_size: 1000
 iterations: 3
 """
+# P{H <= x} at x <= 0 and t = 0, over paths some of whose weights are 0
+CDF_EDGE = """experiment: cdf-H
+seed: 11
+kernel: {kind: discrete-mixture, atoms: [[0.9, 0.0], [0.5, 0.8]], probs: [0.4, 0.6]}
+initial: {kind: asymmetric-pareto, alpha: 1.2, c_plus: 0.7, c_minus: 0.3}
+t: [0.0, 1.0, 2.5]
+xs: [-1.0, 0.0, 0.5, 2.0]
+N: 6000
+chunk_size: 2048
+pool_size: 2000
+iterations: 3
+"""
 WARNED = """experiment: tail
 seed: 5
 kernel: {kind: deterministic, l: 0.3968502629920499, r: 0.3968502629920499}
@@ -135,6 +150,8 @@ def matrix():
     runs.append(("warned-exit-3", WARNED, None, []))
     runs.append(("low-precision-note", LOW_PRECISION, None, []))
     runs.append(("cf-V-alpha1-overflow", CF_OVERFLOW, None, []))
+    for workers in (1, 2):
+        runs.append((f"cdf-H-edge/w{workers}", f"{CDF_EDGE}workers: {workers}\n", None, []))
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
                   "--override", "N=40000", "--workers", "2"]))
