@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from . import deviations, limits
-from .initial_data import AsymmetricPareto, SymmetricPareto
+from .initial_data import AsymmetricPareto, SymmetricPareto, power_or_inf
 from .kernels import (
     CASE_UNRESTRICTED,
     CollisionKernel,
@@ -263,10 +263,7 @@ def _threshold_power_errors(experiment, xs, a, gamma):
     for x in xs:
         base = abs(x) if cf else x
         for name, e in powers[experiment].items():
-            try:
-                value = base ** e if base > 0 else 1.0
-            except OverflowError:
-                value = math.inf
+            value = power_or_inf(base, e) if base > 0 else 1.0
             if value == math.inf or value == 0.0 and not cf:
                 errors.append(f"xs: x = {x!r} gives {'|x|' if cf else 'x'}^({name}) = {value!r} "
                               f"at {given}; experiment {experiment!r} needs it finite"
@@ -345,6 +342,11 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append("bounds weight list b must have length n")
     if law is not None and experiment in ("tail", "baseline", "bounds", "cdf-H", "cf-V"):
         errors += _threshold_power_errors(experiment, cfg.xs or (), law.alpha, cfg.gamma)
+    if experiment == "bounds" and law is not None:
+        try:  # the default flat weights n^(-1/alpha) give B = 1 up to rounding
+            deviations.bounds_constants(np.asarray(cfg.b or [1.0], dtype=float), law)
+        except ValueError as exc:
+            errors.append(str(exc))
 
     if errors:
         raise ConfigError(errors)

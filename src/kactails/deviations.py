@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_data import tail_profile
+from .initial_data import power_or_inf, tail_profile
 from .kernels import CASE_UNRESTRICTED, log_h_of_t
 from .processes import forest_statistics
 
@@ -165,6 +165,23 @@ def iid_hit_counts(law, n, thresholds, n_rows, rng):
     return hits_sum, hits_max
 
 
+def bounds_constants(b, law):
+    """B = sum_j b_j^a and the law's tail profile, the constants of the
+    finite-n bounds.  A ValueError, naming the config field at fault,
+    unless B, B^2, K0^2 and K1 are finite floats."""
+    prof = tail_profile(law)
+    with np.errstate(over="ignore"):
+        b_sum = float((b ** law.alpha).sum())
+    checks = (("b", f"B^2 (B = sum_j b_j^alpha = {b_sum!r})", power_or_inf(b_sum, 2)),
+              ("initial", "K0^2", power_or_inf(prof.K0, 2)),
+              ("initial", "K1", prof.K1))
+    errors = [f"{field}: {name} = {value!r} at alpha = {law.alpha:g}; the bounds need it finite"
+              for field, name, value in checks if not math.isfinite(value)]
+    if errors:
+        raise ValueError("; ".join(errors))
+    return b_sum, prof
+
+
 def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
     """Evaluate the finite-n sandwich and an independent MC estimate.
 
@@ -184,10 +201,9 @@ def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
         raise ValueError("x must be positive")
     n = b.size
     N = int(N)
-    prof = tail_profile(law)
+    b_sum, prof = bounds_constants(b, law)
     a = law.alpha
     c0, k0, k1, rbar = prof.c0, prof.K0, prof.K1, prof.rbar
-    b_sum = float((b ** a).sum())
     b_max = float(b.max())
 
     # independent batch for Delta(eps x) = P{|S_n| + b(n)|X_1| <= eps x}

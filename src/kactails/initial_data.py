@@ -48,26 +48,30 @@ class TailProfile:
     rbar: Callable[[float], float]
 
 
+def power_or_inf(base, e):
+    """base ** e for floats, or inf where it leaves the float range
+    (Python's ** raises OverflowError there)."""
+    try:
+        return base ** e
+    except OverflowError:
+        return math.inf
+
+
 def _check_tail_constant(xmin, alpha):
     """A ValueError unless xmin and c0 = xmin^alpha, the tail constant of a
     Pareto magnitude on [xmin, inf), are finite and positive floats."""
-    try:
-        c0 = xmin ** alpha
-    except OverflowError:
-        c0 = math.inf
+    c0 = power_or_inf(xmin, alpha)
     if not (0 < xmin < math.inf and 0 < c0 < math.inf):
         raise ValueError(f"xmin = {xmin!r} gives tail constant c0 = xmin^alpha = {c0!r}; "
                          "both must be finite and positive")
 
 
 def _draw_buffer(size, out):
-    """The array a draw of `size` values fills: `out`, which must have shape
-    (size,), or a new one (one element for a scalar draw)."""
-    n = 1 if size is None else size
+    """The array a draw of `size` values fills: `out` of shape (size,), or new."""
     if out is None:
-        return np.empty(n)
-    if out.shape != (n,):
-        raise ValueError(f"out has shape {out.shape}; a draw of {n} values needs ({n},)")
+        return np.empty(size)
+    if out.shape != (size,):
+        raise ValueError(f"out has shape {out.shape}; a draw of {size} values needs ({size},)")
     return out
 
 
@@ -110,10 +114,7 @@ class AsymmetricPareto:
             raise ValueError("alpha = 1 requires c_plus = c_minus")
         xmin = self.xmin
         if xmin is None:
-            try:
-                xmin = (self.c_plus + self.c_minus) ** (1.0 / self.alpha)
-            except OverflowError:
-                xmin = math.inf
+            xmin = power_or_inf(self.c_plus + self.c_minus, 1.0 / self.alpha)
         elif xmin <= 0:
             raise ValueError("xmin must be positive")
         _check_tail_constant(xmin, self.alpha)
@@ -137,10 +138,9 @@ class AsymmetricPareto:
     def gamma0(self):
         return 0.0 if self.alpha == 1.0 else None
 
-    def sample(self, rng, size=None, out=None):
-        """A float for size None, else `size` draws: written into `out` (a
-        float64 array of shape (size,)) and returned when it is given, in
-        a new array otherwise."""
+    def sample(self, rng, size, out=None):
+        """`size` draws: written into `out` (a float64 array of shape
+        (size,)) and returned when it is given, in a new array otherwise."""
         x = _draw_buffer(size, out)
         # all n sign uniforms come first in the stream, then all n
         # magnitudes; sign = +0.5 where u < p and -0.5 elsewhere, applied by
@@ -155,7 +155,7 @@ class AsymmetricPareto:
             m *= self.xmin
             np.copysign(m, sign, out=sign)
             sign -= self._shift
-        return float(x[0]) if size is None else x
+        return x
 
     def _signed_tails(self, y):
         # (P{X > y}, P{X < -y}) elementwise, with X = S M - shift, S = +1 with
@@ -181,7 +181,7 @@ class AsymmetricPareto:
         x = np.asarray(x, dtype=float)
         if self._shift == 0.0:
             # exact power tail: R(x) = 0 beyond xmin, (x/xmin)^alpha - 1 below
-            out = np.where(x >= self.xmin, 0.0, (x / self.xmin) ** self.alpha - 1.0)
+            out = (np.minimum(x, self.xmin) / self.xmin) ** self.alpha - 1.0
         else:
             c0 = self.c0_plus + self.c0_minus
             out = x ** self.alpha * self.abs_tail(x) / c0 - 1.0
@@ -193,7 +193,7 @@ class AsymmetricPareto:
         xmin = self.xmin
         x = np.asarray(x, dtype=float)
         if m == 0.0:
-            out = np.where(x >= xmin, 0.0, 1.0 - (x / xmin) ** a)
+            out = 1.0 - (np.minimum(x, xmin) / xmin) ** a
             return float(out) if out.ndim == 0 else out
         # beyond x_far both shifted tails are pure powers and
         # |R(y)| <= (1 - m/y)^-alpha - 1, which is decreasing in y; below it
@@ -217,7 +217,7 @@ class SymmetricPareto(AsymmetricPareto):
     def __init__(self, alpha, xmin=1.0):
         super().__init__(alpha, 0.5, 0.5, xmin)
 
-    def sample(self, rng, size=None, out=None):
+    def sample(self, rng, size, out=None):
         """As AsymmetricPareto.sample, from one uniform per draw."""
         x = _draw_buffer(size, out)
         # v = 2u - 1 carries the sign (v < 0 exactly when u < 0.5; u = 0.5
@@ -234,7 +234,7 @@ class SymmetricPareto(AsymmetricPareto):
             m **= -1.0 / self.alpha
             m *= self.xmin
             np.copysign(m, v, out=v)
-        return float(x[0]) if size is None else x
+        return x
 
 
 class UserLaw:
@@ -269,17 +269,12 @@ class UserLaw:
         self._abs_tail = abs_tail
         self.trunc_mean_dev = trunc_mean_dev
 
-    def sample(self, rng, size=None, out=None):
-        """A float for size None, else `size` draws of the sampler, copied
-        into `out` and returned when it is given."""
-        scalar = size is None
-        x = np.array(self._sampler(rng, 1 if scalar else size), dtype=float)
-        if scalar:
-            return float(x.ravel()[0])
-        if out is None:
-            return x
-        _draw_buffer(size, out)[...] = x
-        return out
+    def sample(self, rng, size, out=None):
+        """`size` draws of the sampler, copied into `out` (returned) or into
+        a new array."""
+        x = _draw_buffer(size, out)
+        x[...] = self._sampler(rng, size)
+        return x
 
     def abs_tail(self, x):
         if self._abs_tail is None:
@@ -301,7 +296,7 @@ def tail_profile(law) -> TailProfile:
 
     K1 follows the alpha split: K0^2/(1-alpha)^2 below 1,
     K0^2 alpha^2/(alpha-1)^2 above 1, and
-    (gamma0 + sup_R |truncated mean - gamma0|)^2 at alpha = 1.
+    (gamma0 + sup_R |truncated mean - gamma0|)^2 at alpha = 1; inf past the float range.
     """
     c0 = law.c0_plus + law.c0_minus
     try:
@@ -311,14 +306,14 @@ def tail_profile(law) -> TailProfile:
     k0 = c0 * (r_sup + 1.0)
     a = law.alpha
     if a < 1.0:
-        k1 = k0 ** 2 / (1.0 - a) ** 2
+        k1 = power_or_inf(k0, 2) / (1.0 - a) ** 2
     elif a > 1.0:
-        k1 = k0 ** 2 * a ** 2 / (a - 1.0) ** 2
+        k1 = power_or_inf(k0, 2) * a ** 2 / (a - 1.0) ** 2
     else:
         dev = getattr(law, "trunc_mean_dev", None)
         if dev is None:
             raise UnsupportedLawError("alpha = 1 bounds need trunc_mean_dev")
-        k1 = (law.gamma0 + dev) ** 2
+        k1 = power_or_inf(law.gamma0 + dev, 2)
     return TailProfile(c0=c0, K0=k0, K1=k1, rbar=law.envelope)
 
 

@@ -11,7 +11,7 @@ the sign of 2*Q(alpha) + 1, selects the growth function h(t) that an
 admissible threshold schedule x_t must outpace.
 
 Kernels are immutable after construction and safe to share across workers;
-sampling always goes through a caller-provided numpy Generator.
+`sample(rng, size)` draws arrays from a caller-provided numpy Generator.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ class CollisionKernel:
 
     kind = "abstract"
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw (L, R).  Scalars when size is None, otherwise new float
-        arrays that the caller may overwrite."""
+    def sample(self, rng: np.random.Generator, size: int):
+        """Draw `size` pairs (L, R) as two new float arrays that the caller
+        may overwrite; a single draw is size 1."""
         raise NotImplementedError
 
     def pair_moment(self, s: float) -> float | None:
@@ -73,9 +73,7 @@ class DeterministicKernel(CollisionKernel):
             # standing assumption P{L>0} + P{R>0} > 1
             raise ValueError("deterministic kernel needs l > 0 and r > 0")
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.l, self.r
+    def sample(self, rng, size):
         return np.full(size, self.l), np.full(size, self.r)
 
     def pair_moment(self, s):
@@ -86,8 +84,8 @@ class DeterministicKernel(CollisionKernel):
 class KacKernel(CollisionKernel):
     """(L, R) = (|sin(theta)|, |cos(theta)|) with theta uniform on [0, 2*pi).
 
-    Sampled as L = sin(phi), R = sqrt(1 - L^2) with phi = (pi/2) u and u
-    uniform on [0, 1).  Folding theta into the first quadrant by the
+    Sampled as arrays L = sin(phi), R = sqrt(1 - L^2) with phi = (pi/2) u
+    and u uniform on [0, 1).  Folding theta into the first quadrant by the
     symmetries of |sin| and |cos| maps the uniform law on [0, 2*pi) onto
     the uniform law on [0, pi/2), where cos = sqrt(1 - sin^2), so the pair
     has the same law at one transcendental call per draw.  Each draw
@@ -99,11 +97,8 @@ class KacKernel(CollisionKernel):
 
     kind = "kac"
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = rng.random(size)
-        if size is None:
-            l = math.sin(_HALF_PI * u)
-            return l, math.sqrt(1.0 - l * l)
         u *= _HALF_PI
         l = np.sin(u, out=u)
         r = np.multiply(l, l)
@@ -149,11 +144,8 @@ class DiscreteKernel(CollisionKernel):
         object.__setattr__(self, "_ls", ls)
         object.__setattr__(self, "_rs", rs)
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
-        idx = np.searchsorted(self._cum, u, side="right")
-        if size is None:
-            return float(self._ls[idx]), float(self._rs[idx])
+    def sample(self, rng, size):
+        idx = np.searchsorted(self._cum, rng.random(size), side="right")
         return self._ls[idx], self._rs[idx]
 
     def pair_moment(self, s):
@@ -175,10 +167,7 @@ class UserKernel(CollisionKernel):
         self._sampler = sampler
         self._moment = moment
 
-    def sample(self, rng, size=None):
-        if size is None:
-            l, r = self._sampler(rng, 1)
-            return float(np.asarray(l).ravel()[0]), float(np.asarray(r).ravel()[0])
+    def sample(self, rng, size):
         l, r = self._sampler(rng, size)
         return np.array(l, dtype=float), np.array(r, dtype=float)
 

@@ -20,7 +20,7 @@ characteristic exponent
 and the rescaled max converges to a scale mixture of Frechet laws,
 P{H_inf <= x} = E[exp(-c0 x^-a Z)] for x > 0.  For alpha = 1 the stable
 factor degenerates to V_inf = Z (gamma0 + Cauchy(c0+ pi)), obtained by
-factorizing the alpha = 1 characteristic function.
+factorizing the alpha = 1 characteristic function; c0+ pi = lambda there.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class StableParams:
     eta_skew: float
     alpha: float
     gamma0: float | None = None
-    cauchy_scale: float | None = None
 
 
 def stable_params(c0_plus, c0_minus, alpha, gamma0=0.0) -> StableParams:
@@ -83,8 +82,7 @@ def stable_params(c0_plus, c0_minus, alpha, gamma0=0.0) -> StableParams:
     if alpha == 1.0:
         if c0_plus != c0_minus:
             raise ValueError("alpha = 1 requires c0_plus = c0_minus")
-        return StableParams(lam=lam, eta_skew=0.0, alpha=1.0,
-                            gamma0=float(gamma0), cauchy_scale=c0_plus * math.pi)
+        return StableParams(lam=lam, eta_skew=0.0, alpha=1.0, gamma0=float(gamma0))
     return StableParams(lam=lam, eta_skew=eta, alpha=float(alpha))
 
 
@@ -207,26 +205,21 @@ def _stable_standard(alpha, beta_skew, rng, size):
     return x
 
 
-def sample_V_infinity(pool: ZPool, params: StableParams, rng, size=None):
-    """Draw from the limit law: Z^(1/a) S_a, or Z (gamma0 + Cauchy) at a = 1."""
-    scalar = size is None
-    m = 1 if scalar else int(size)
-    z = pool.samples[rng.integers(0, pool.samples.size, size=m)]
+def sample_V_infinity(pool: ZPool, params: StableParams, rng, size):
+    """`size` draws of the limit law: Z^(1/a) S_a, or Z (gamma0 + lambda Cauchy) at a = 1."""
+    z = pool.samples[rng.integers(0, pool.samples.size, size=size)]
     a = params.alpha
     if a == 1.0:
-        c = params.gamma0 + params.cauchy_scale * np.tan(math.pi * (rng.random(m) - 0.5))
-        out = z * c
-    else:
-        s = params.lam ** (1.0 / a) * _stable_standard(a, params.eta_skew, rng, m)
-        out = z ** (1.0 / a) * s
-    return float(out[0]) if scalar else out
+        return z * (params.gamma0 + params.lam * np.tan(math.pi * (rng.random(size) - 0.5)))
+    s = params.lam ** (1.0 / a) * _stable_standard(a, params.eta_skew, rng, size)
+    return z ** (1.0 / a) * s
 
 
 def cf_V_infinity(xi, pool: ZPool, params: StableParams):
     """Characteristic function of the limit law, averaged over the pool.
 
     alpha != 1: E exp(-|xi|^a lambda Z (1 - i eta tan(pi a/2) sign xi));
-    alpha == 1: E exp(Z (i gamma0 xi - c0+ pi |xi|)).
+    alpha == 1: E exp(Z (i gamma0 xi - lambda |xi|)), lambda = c0+ pi.
     """
     xi_arr = np.asarray(xi, dtype=float)
     z = pool.samples
@@ -238,7 +231,7 @@ def cf_V_infinity(xi, pool: ZPool, params: StableParams):
             # the real part of each exponent is -c0+ pi |xi| Z; where it
             # overflows the term is 0 to rounding, whatever its phase
             with np.errstate(over="ignore"):
-                e = z * (1j * params.gamma0 * x - params.cauchy_scale * abs(x))
+                e = z * (1j * params.gamma0 * x - params.lam * abs(x))
             inf = np.isinf(e.real)
             e[inf] = 0.0
             term = np.exp(e)

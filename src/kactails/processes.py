@@ -48,8 +48,8 @@ class ForestSample:
     H: np.ndarray | None = None
 
 
-def sample_yule(t, rng, size=None):
-    """Leaf count at time t: geometric on {1, 2, ...} with p = e^-t.
+def sample_yule(t, rng, size):
+    """`size` leaf counts at time t: geometric on {1, 2, ...} with p = e^-t.
 
     Inverse transform: n = ceil(log(1-u) / log(1-p)).  Raises ValueError
     unless 0 <= t <= YULE_T_MAX: beyond it the cast to int64 overflows,
@@ -62,15 +62,11 @@ def sample_yule(t, rng, size=None):
                          f"int64 beyond t = {YULE_T_MAX:g}, and e^-t underflows to 0 "
                          "beyond t ~ 745")
     p = math.exp(-t)
-    scalar = size is None
-    m = 1 if scalar else int(size)
     if p >= 1.0:
-        n = np.ones(m, dtype=np.int64)
-    else:
-        u = rng.random(m)
-        n = np.ceil(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
-        np.maximum(n, 1, out=n)
-    return int(n[0]) if scalar else n
+        return np.ones(int(size), dtype=np.int64)
+    n = np.ceil(np.log1p(-rng.random(int(size))) / math.log1p(-p)).astype(np.int64)
+    np.maximum(n, 1, out=n)
+    return n
 
 
 def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSample:

@@ -16,7 +16,7 @@ def grow_tree(kernel, n, rng):
     betas[0] = 1.0
     for k in range(1, n):
         i = int(rng.integers(0, k))
-        L, R = kernel.sample(rng)
+        (L,), (R,) = kernel.sample(rng, 1)
         betas[i], betas[k] = betas[i] * L, betas[i] * R
     return betas
 

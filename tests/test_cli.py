@@ -448,6 +448,10 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     ("bounds", ["initial.xmin=1.0e-300"], 2, "xmin"),
     ("tail", ["initial={kind: asymmetric-pareto, alpha: 0.1, c_plus: 1.0e+300, "
               "c_minus: 1.0e+300}"], 2, "xmin"),
+    # bounds constants out of the float range: NaN bounds or an OverflowError
+    ("bounds", ["n=2", "b=[1.0e+300, 1.0]"], 2, "b"),
+    ("bounds", ["n=1", "b=[1.0e+103]"], 2, "b"),
+    ("bounds", ["initial.xmin=1.0e+103", "xs=[1.0e+110]"], 2, "initial"),
     # misspelt top-level keys used to be ignored, running with the defaults
     ("cdf-H", ["pool_sise=1000000"], 2, "pool_sise"),
     ("cdf-H", ["iteration=200"], 2, "iteration"),

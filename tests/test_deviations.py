@@ -173,6 +173,18 @@ def test_lemma_bounds_validation():
         kt.lemma_bounds(np.ones(3), law, -1.0, 0.5, 0.75, 1000, rng(0))
 
 
+@pytest.mark.parametrize("b, xmin, field", [
+    ([1.0e+300, 1.0], 1.0, "b"),            # B = inf: NaN lower bound
+    ([1.0e+103], 1.0, "b"),                 # B^2 overflows
+    ([0.5] * 4, 1.0e+103, "initial"),       # K0^2 overflows
+])
+def test_lemma_bounds_needs_finite_constants(b, xmin, field):
+    # these used to write NaN and inf bounds or raise OverflowError
+    law = kt.SymmetricPareto(1.5, xmin)
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        kt.lemma_bounds(np.array(b), law, 1.0e+110, 0.5, 0.75, 1000, rng(0))
+
+
 def test_weighted_sum_tail_corollary():
     # flat weights b_j = n^{-1/a}: sum b_j^a = 1 and b(n) -> 0, so the tail
     # ratio x^a P{|S_n| > x} follows the stable-limit curve and settles at

@@ -209,8 +209,6 @@ def test_symmetric_pareto_matches_oracle_bytes(alpha, xmin):
     x = law.sample(rng(21), 100_000)
     u = rng(21).random(100_000)
     assert x.tobytes() == _symmetric_oracle(law, u).tobytes()
-    scalar = law.sample(rng(22))
-    assert scalar == float(_symmetric_oracle(law, rng(22).random(1))[0])
 
 
 @pytest.mark.parametrize("xmin", [1.0, 2.0])
@@ -231,9 +229,6 @@ def test_asymmetric_pareto_matches_oracle_bytes(law):
     u_sign = g.random(100_000)
     u_mag = g.random(100_000)
     assert x.tobytes() == _asymmetric_oracle(law, u_sign, u_mag).tobytes()
-    scalar = law.sample(rng(24))
-    g = rng(24)
-    assert scalar == float(_asymmetric_oracle(law, g.random(1), g.random(1))[0])
 
 
 @pytest.mark.parametrize("law", _ASYMMETRIC_LAWS, ids=lambda l: f"a{l.alpha}")
@@ -273,7 +268,6 @@ def test_user_law_sample_into_out_copies_the_sampler(n):
     assert law.sample(g, n, out=buf) is buf
     assert buf.tobytes() == law.sample(twin, n).tobytes()
     assert g.bit_generator.state == twin.bit_generator.state
-    assert law.sample(rng(33)) == float(rng(33).standard_cauchy(1)[0])
 
 
 @pytest.mark.parametrize("law", [
@@ -333,3 +327,10 @@ def test_abs_tail_at_zero_is_one_without_a_warning(law):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert law.abs_tail(0.0) == 1.0
+
+
+def test_exact_power_envelope_and_remainder_stay_quiet_far_beyond_xmin():
+    # (x/xmin)^alpha overflowed in a branch that np.where then discarded
+    law = kt.SymmetricPareto(1.5)
+    assert law.envelope(1e300) == 0.0
+    assert law.remainder(1e300) == 0.0

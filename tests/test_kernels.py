@@ -23,28 +23,39 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+_SAMPLERS = {
+    "deterministic": lambda g: kt.DeterministicKernel(0.5, 0.5).sample(g),
+    "kac": lambda g: kt.KacKernel().sample(g),
+    "discrete": lambda g: kt.DiscreteKernel(((1.0, 0.5), (0.5, 1.0)), (0.5, 0.5)).sample(g),
+    "user-kernel": lambda g: kt.UserKernel(lambda r, n: (r.random(n), r.random(n))).sample(g),
+    "symmetric": lambda g: kt.SymmetricPareto(1.5).sample(g),
+    "asymmetric": lambda g: kt.AsymmetricPareto(1.5, 0.7, 0.3).sample(g),
+    "user-law": lambda g: kt.UserLaw(lambda r, n: r.standard_normal(n), 1.5, 0.5, 0.5).sample(g),
+    "yule": lambda g: kt.sample_yule(1.0, g),
+    "V-infinity": lambda g: kt.sample_V_infinity(kt.ZPool.ones(10, 1.5, 0.0),
+                                                 kt.stable_params(0.5, 0.5, 1.5), g),
+}
+
+
+@pytest.mark.parametrize("draw", _SAMPLERS.values(), ids=_SAMPLERS.keys())
+def test_samplers_need_a_size(draw):
+    # every sampler draws arrays; a single draw is size 1
+    with pytest.raises(TypeError):
+        draw(rng(0))
+
+
 def test_deterministic_sample_is_degenerate():
     k = kt.DeterministicKernel(0.5, 0.5)
-    g = rng(1)
-    for _ in range(50):
-        assert k.sample(g) == (0.5, 0.5)
-    L, R = k.sample(g, 1000)
+    L, R = k.sample(rng(1), 1000)
     assert np.all(L == 0.5) and np.all(R == 0.5)
 
 
 def test_kac_pair_lies_on_unit_circle():
-    # batch and scalar draws lie on the quarter circle
     k = kt.KacKernel()
     L, R = k.sample(rng(2), 10_000)
     assert np.all(L >= 0) and np.all(R >= 0)
     assert np.all(L <= 1) and np.all(R <= 1)
     np.testing.assert_allclose(L**2 + R**2, 1.0, atol=1e-12)
-    g = rng(3)
-    for _ in range(200):
-        l, r = k.sample(g)
-        assert isinstance(l, float) and isinstance(r, float)
-        assert 0 <= l <= 1 and 0 <= r <= 1
-        assert abs(l * l + r * r - 1.0) <= 1e-12
 
 
 def test_discrete_mixture_mean_matches_expectation():
@@ -262,16 +273,6 @@ def test_h_of_t_remaining_rows():
     assert abs(log_h_of_t(reg, 2.0) - 1.2) < 1e-15
     reg = _regime(CASE_FLAT_STEEP, S_a=-0.8)
     assert abs(log_h_of_t(reg, 2.0) - (math.log(2.0) + 1.2)) < 1e-15
-
-
-def test_kac_scalar_and_batch_draws_agree():
-    # one double per draw in both paths: scalar draws replay the batch
-    k = kt.KacKernel()
-    L, R = k.sample(rng(33), 50)
-    g = rng(33)
-    pairs = [k.sample(g) for _ in range(50)]
-    np.testing.assert_allclose([p[0] for p in pairs], L, rtol=0, atol=1e-15)
-    np.testing.assert_allclose([p[1] for p in pairs], R, rtol=0, atol=1e-15)
 
 
 def test_kac_coordinate_means():

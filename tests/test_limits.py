@@ -159,7 +159,7 @@ def test_stable_params_values():
     assert p.eta_skew == 0.0
     assert kt.stable_params(0.7, 0.0, 1.5).eta_skew == 1.0
     c = kt.stable_params(0.5, 0.5, 1.0, gamma0=0.0)
-    assert abs(c.cauchy_scale - math.pi / 2.0) < 1e-12
+    assert abs(c.lam - math.pi / 2.0) < 1e-12
     assert c.gamma0 == 0.0
     with pytest.raises(ValueError):
         kt.stable_params(0.6, 0.4, 1.0)
@@ -260,7 +260,7 @@ def test_cf_alpha_one_overflowing_exponent_is_zero_and_finite_ones_keep_their_bi
     z = rng(16).standard_exponential(2000)
     pool = kt.ZPool.from_samples(z, 1.0, S1_KAC)
     grid = np.array([-3.0, -0.4, 0.0, 0.7, 2.5, 1.0e200])
-    direct = [np.exp(z * (1j * gamma0 * x - params.cauchy_scale * abs(x))).mean()
+    direct = [np.exp(z * (1j * gamma0 * x - params.lam * abs(x))).mean()
               for x in grid]
     assert kt.cf_V_infinity(grid, pool, params).tobytes() == np.array(direct).tobytes()
 

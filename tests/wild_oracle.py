@@ -11,17 +11,15 @@ and the law's `sample`.
 import numpy as np
 
 
-def wild_oracle_max(kernel, law, n, rng, size=None):
-    """Independent sampler of the max process conditioned on n leaves.
+def wild_oracle_max(kernel, law, n, rng, size):
+    """`size` independent draws of the max process conditioned on n leaves.
 
     Recursion: level 1 is |X|; level n picks i uniform on {1..n-1} and
     returns max(L * draw(i), R * draw(n-i)).
     """
     if not 1 <= n <= 12:
         raise ValueError("wild oracle supports 1 <= n <= 12 (exponential cost)")
-    scalar = size is None
-    out = _wild_batch(kernel, law, int(n), rng, 1 if scalar else int(size))
-    return float(out[0]) if scalar else out
+    return _wild_batch(kernel, law, int(n), rng, int(size))
 
 
 def _wild_batch(kernel, law, n, rng, m):

@@ -5,7 +5,11 @@
 Each run is `python -m kactails.cli --config cfg.yaml` with
 `PYTHONPATH=<tree>/src`, in a fresh directory per tree, writing
 `out.csv` there.  A run matches when both trees give the same CSV sha256,
-exit code, stderr, and stdout with the elapsed time masked.  The matrix:
+exit code, stderr, and stdout with the elapsed time masked, and the
+change tree's stderr holds no Python warning line (`<file>:<line>:
+<Name>Warning: ...`), so a new overflow or NaN warning fails the run even
+where the parent printed it too.  The CLI's own lowercase `warning:` lines
+do not count.  The matrix:
 
 - the 8 experiments x Kac, deterministic (0.6, 0.7) and discrete-mixture
   kernels x symmetric Pareto 1.5 and asymmetric Pareto 1.2 x seeds 1, 2
@@ -122,6 +126,7 @@ xs: [10.0, 1.0e+4]
 N: 20000
 """
 _ELAPSED = re.compile(r"\(\d+\.\d+s\)")
+_PY_WARNING = re.compile(r"^.*:\d+: \w*Warning: ", re.M)
 
 
 def matrix():
@@ -178,7 +183,11 @@ def compare(parent, change, run):
     a = run_one(parent, text, config, args)
     b = run_one(change, text, config, args)
     labels = ("csv sha256", "exit code", "stdout", "stderr")
-    return name, [f"{label}: {x!r} != {y!r}" for label, x, y in zip(labels, a, b) if x != y]
+    diffs = [f"{label}: {x!r} != {y!r}" for label, x, y in zip(labels, a, b) if x != y]
+    warned = _PY_WARNING.search(b[3])
+    if warned:
+        diffs.append(f"change stderr has a Python warning: {warned.group(0)!r}")
+    return name, diffs
 
 
 def main(argv):
