@@ -14,8 +14,6 @@ from .kernels import (
     KacKernel,
     Regime,
     RegimeUnavailableError,
-    SpectralReport,
-    UserKernel,
     classify_regime,
     spectral,
 )
@@ -23,10 +21,7 @@ from .initial_data import (
     AsymmetricPareto,
     SymmetricPareto,
     TailProfile,
-    UnsupportedLawError,
-    UserLaw,
     tail_profile,
-    tail_remainder,
 )
 from .weights import (
     WeightNorm,

@@ -167,14 +167,19 @@ def iid_hit_counts(law, n, thresholds, n_rows, rng):
 
 def bounds_constants(b, law):
     """B = sum_j b_j^a and the law's tail profile, the constants of the
-    finite-n bounds.  A ValueError, naming the config field at fault,
-    unless B, B^2, K0^2 and K1 are finite floats."""
+    finite-n bounds.  A ValueError, naming the config fields at fault,
+    unless B, B^2, K0^2 and K1 are finite floats, and then their products
+    K0^2 B^2 and K1 B^2 in the bound terms."""
     prof = tail_profile(law)
     with np.errstate(over="ignore"):
         b_sum = float((b ** law.alpha).sum())
-    checks = (("b", f"B^2 (B = sum_j b_j^alpha = {b_sum!r})", power_or_inf(b_sum, 2)),
-              ("initial", "K0^2", power_or_inf(prof.K0, 2)),
-              ("initial", "K1", prof.K1))
+    b2, k0_2 = power_or_inf(b_sum, 2), power_or_inf(prof.K0, 2)
+    checks = [("b", f"B^2 (B = sum_j b_j^alpha = {b_sum!r})", b2),
+              ("initial", "K0^2", k0_2),
+              ("initial", "K1", prof.K1)]
+    if all(math.isfinite(value) for _, _, value in checks):
+        checks = [("b and initial", "K0^2 B^2", k0_2 * b2),
+                  ("b and initial", "K1 B^2", prof.K1 * b2)]
     errors = [f"{field}: {name} = {value!r} at alpha = {law.alpha:g}; the bounds need it finite"
               for field, name, value in checks if not math.isfinite(value)]
     if errors:

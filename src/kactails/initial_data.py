@@ -8,8 +8,8 @@ bounds additionally need the exact tail metadata
     Rbar(x) = sup_{y >= x} |R(y)|                  (non-increasing envelope)
     K0      = c0 (||R||_inf + 1)
 
-which the catalog laws provide in closed form.  User laws must declare
-their constants explicitly; tail metadata is never inferred from samples.
+which every law here provides in closed form; tail metadata is never
+inferred from samples.
 
 The default test law is the symmetric Pareto with xmin = 1: its tail is
 an exact power beyond xmin, so R(x) = 0 for x >= 1 and the deviation
@@ -32,10 +32,6 @@ _U_FLOOR = 2.0 ** -53
 # The uniforms are drawn block by block too, which leaves the stream as
 # one rng.random(n) call would: the same doubles and the same final state.
 _BLOCK = 1 << 14
-
-
-class UnsupportedLawError(ValueError):
-    """The law does not carry the tail metadata needed for this operation."""
 
 
 @dataclass(frozen=True)
@@ -177,16 +173,6 @@ class AsymmetricPareto:
         out = upper + lower
         return float(out) if np.ndim(out) == 0 else out
 
-    def remainder(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._shift == 0.0:
-            # exact power tail: R(x) = 0 beyond xmin, (x/xmin)^alpha - 1 below
-            out = (np.minimum(x, self.xmin) / self.xmin) ** self.alpha - 1.0
-        else:
-            c0 = self.c0_plus + self.c0_minus
-            out = x ** self.alpha * self.abs_tail(x) / c0 - 1.0
-        return float(out) if np.ndim(out) == 0 else out
-
     def envelope(self, x):
         m = abs(self._shift)
         a = self.alpha
@@ -237,60 +223,6 @@ class SymmetricPareto(AsymmetricPareto):
         return x
 
 
-class UserLaw:
-    """Caller-supplied initial law with declared tail metadata.
-
-    sampler(rng, size) -> array of draws.  Constants (alpha, c0+, c0-) are
-    mandatory; rbar (the non-increasing envelope, defined on [0, inf) with
-    rbar(0) = ||R||_inf) is required by the deviation bounds, abs_tail by
-    tail_remainder, gamma0 and trunc_mean_dev by the alpha = 1 bounds.
-    Like every law here, sample() returns an array the caller owns (a copy
-    of the sampler's, or the caller's own `out`), so callers may work in it
-    in place.
-    """
-
-    def __init__(self, sampler, alpha, c0_plus, c0_minus, gamma0=None,
-                 rbar=None, abs_tail=None, trunc_mean_dev=None):
-        if not 0.0 < alpha < 2.0:
-            raise ValueError("alpha must lie in (0, 2)")
-        if not (c0_plus >= 0 and c0_minus >= 0 and 0 < c0_plus + c0_minus < math.inf):
-            raise ValueError("need c0_plus, c0_minus >= 0 with c0_plus + c0_minus finite and > 0")
-        if alpha == 1.0:
-            if c0_plus != c0_minus:
-                raise ValueError("alpha = 1 requires c0_plus = c0_minus")
-            if gamma0 is None or not math.isfinite(gamma0):
-                raise ValueError("alpha = 1 requires a finite gamma0")
-        self._sampler = sampler
-        self.alpha = float(alpha)
-        self.c0_plus = float(c0_plus)
-        self.c0_minus = float(c0_minus)
-        self.gamma0 = None if gamma0 is None else float(gamma0)
-        self._rbar = rbar
-        self._abs_tail = abs_tail
-        self.trunc_mean_dev = trunc_mean_dev
-
-    def sample(self, rng, size, out=None):
-        """`size` draws of the sampler, copied into `out` (returned) or into
-        a new array."""
-        x = _draw_buffer(size, out)
-        x[...] = self._sampler(rng, size)
-        return x
-
-    def abs_tail(self, x):
-        if self._abs_tail is None:
-            raise UnsupportedLawError("user law declares no exact tail function")
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self._abs_tail(x), dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-    def envelope(self, x):
-        if self._rbar is None:
-            raise UnsupportedLawError("user law declares no remainder envelope")
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self._rbar(x), dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-
 def tail_profile(law) -> TailProfile:
     """Assemble (c0, K0, K1, Rbar) for the finite-n deviation bounds.
 
@@ -299,31 +231,12 @@ def tail_profile(law) -> TailProfile:
     (gamma0 + sup_R |truncated mean - gamma0|)^2 at alpha = 1; inf past the float range.
     """
     c0 = law.c0_plus + law.c0_minus
-    try:
-        r_sup = float(law.envelope(0.0))
-    except AttributeError:
-        raise UnsupportedLawError("law carries no remainder envelope") from None
-    k0 = c0 * (r_sup + 1.0)
+    k0 = c0 * (float(law.envelope(0.0)) + 1.0)
     a = law.alpha
     if a < 1.0:
         k1 = power_or_inf(k0, 2) / (1.0 - a) ** 2
     elif a > 1.0:
         k1 = power_or_inf(k0, 2) * a ** 2 / (a - 1.0) ** 2
     else:
-        dev = getattr(law, "trunc_mean_dev", None)
-        if dev is None:
-            raise UnsupportedLawError("alpha = 1 bounds need trunc_mean_dev")
-        k1 = power_or_inf(law.gamma0 + dev, 2)
+        k1 = power_or_inf(law.gamma0 + law.trunc_mean_dev, 2)
     return TailProfile(c0=c0, K0=k0, K1=k1, rbar=law.envelope)
-
-
-def tail_remainder(law, x) -> float:
-    """R(x) = x^alpha P{|X| > x} / c0 - 1 from the law's exact tail."""
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("x must be positive")
-    if hasattr(law, "remainder"):
-        return law.remainder(x)
-    c0 = law.c0_plus + law.c0_minus
-    t = law.abs_tail(x)
-    out = np.asarray(x, dtype=float) ** law.alpha * t / c0 - 1.0
-    return float(out) if np.ndim(out) == 0 else out

@@ -7,8 +7,8 @@ The spectral data of a kernel,
 
 drive everything downstream: mu(alpha) is the self-similar rescaling rate,
 and the relative position of mu(2*alpha) versus mu(alpha), together with
-the sign of 2*Q(alpha) + 1, selects the growth function h(t) that an
-admissible threshold schedule x_t must outpace.
+the sign of Q(alpha) where the two are equal, selects the growth function
+h(t) that an admissible threshold schedule x_t must outpace.
 
 Kernels are immutable after construction and safe to share across workers;
 `sample(rng, size)` draws arrays from a caller-provided numpy Generator.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,17 +25,18 @@ _SQRT_PI = math.sqrt(math.pi)
 _HALF_PI = 0.5 * math.pi
 
 # case-id values for Regime.  The slug encodes the position of mu(2a)
-# relative to mu(a) ("down" = strictly smaller, "up" = strictly larger,
-# "flat" = equal within tolerance) and the position of 2*Q(a) relative
-# to -1 where it matters.
-CASE_UNRESTRICTED = "unrestricted"
-CASE_DOWN_CRITICAL = "mu-down-critical"    # mu(2a) < mu(a), 2Q(a) = -1  -> h(t) = t
-CASE_DOWN_STEEP = "mu-down-steep"          # mu(2a) < mu(a), 2Q(a) < -1  -> exp(-(2Q(a)+1) t)
+# relative to mu(a) ("up" = strictly larger, "flat" = equal within TOL)
+# and, where they are equal, the sign of Q(a).  Under the standing
+# assumption P{L>0} + P{R>0} > 1, Jensen gives 1 + Q(2a) >= (1 + Q(a))^2 / 2
+# > 0, so Q(2a) > -1 and neither mu(2a) < mu(a) nor mu(2a) = mu(a) can
+# come with 2Q(a) <= -1: these four cases are all there is.
+CASE_UNRESTRICTED = "unrestricted"         # mu(2a) < mu(a)              -> 1
 CASE_UP = "mu-up"                          # mu(2a) > mu(a)              -> exp((Q(2a)-2Q(a)) t)
-CASE_FLAT_POSITIVE = "mu-flat-positive"    # mu(2a) = mu(a), Q(a) > 0    -> exp(eta t)
-CASE_FLAT_STEEP = "mu-flat-steep"          # mu(2a) = mu(a), 2Q(a) < -1  -> t exp(-(2Q(a)+1) t)
-CASE_FLAT_CRITICAL = "mu-flat-critical"    # mu(2a) = mu(a), 2Q(a) = -1  -> t^2
-CASE_FLAT_MODERATE = "mu-flat-moderate"    # mu(2a) = mu(a), -1 < 2Q(a) <= 0 -> t
+CASE_FLAT_POSITIVE = "mu-flat-positive"    # mu(2a) = mu(a), Q(a) > 0    -> exp(ETA t)
+CASE_FLAT_MODERATE = "mu-flat-moderate"    # mu(2a) = mu(a), Q(a) <= 0   -> t
+
+ETA = 0.1   # growth rate of h(t) = exp(ETA t) in the mu-flat-positive case
+TOL = 1e-9  # relative tolerance of the tests mu(2a) = mu(a) and Q(a) = 0
 
 
 class RegimeUnavailableError(ValueError):
@@ -53,9 +53,9 @@ class CollisionKernel:
         may overwrite; a single draw is size 1."""
         raise NotImplementedError
 
-    def pair_moment(self, s: float) -> float | None:
-        """E[L^s + R^s] in closed form, or None when unavailable."""
-        return None
+    def pair_moment(self, s: float) -> float:
+        """E[L^s + R^s] in closed form."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -153,67 +153,12 @@ class DiscreteKernel(CollisionKernel):
         return float(sum(p * (l ** s + r ** s) for (l, r), p in zip(self.atoms, self.probs)))
 
 
-class UserKernel(CollisionKernel):
-    """Caller-supplied sampler, with an optional closed-form pair moment.
-
-    The sampler must accept (rng, size) and return a pair of non-negative
-    arrays; the standing assumption P{L>0} + P{R>0} > 1 is the caller's
-    responsibility.
-    """
-
-    kind = "user"
-
-    def __init__(self, sampler: Callable, moment: Callable[[float], float] | None = None):
-        self._sampler = sampler
-        self._moment = moment
-
-    def sample(self, rng, size):
-        l, r = self._sampler(rng, size)
-        return np.array(l, dtype=float), np.array(r, dtype=float)
-
-    def pair_moment(self, s):
-        return None if self._moment is None else float(self._moment(s))
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    s: float
-    Q_s: float
-    mu_s: float
-    method: str          # "closed-form" | "monte-carlo"
-    std_error: float
-
-
-def spectral(kernel, s, budget=None, rng=None) -> SpectralReport:
-    """Estimate Q(s) = E[L^s + R^s] - 1 and mu(s) = Q(s)/s.
-
-    Uses the kernel's closed form when it has one, and Monte Carlo
-    otherwise.  Monte Carlo requires an rng and a budget of at least 1000
-    draws and flags a diverging moment (heavy single-draw dominance) as
-    Q_s = +inf.
-    """
+def spectral(kernel, s) -> float:
+    """Q(s) = E[L^s + R^s] - 1 from the kernel's closed-form pair moment;
+    mu(s) is Q(s)/s."""
     if s <= 0:
         raise ValueError("spectral data defined for s > 0 only")
-    m = kernel.pair_moment(s)
-    if m is not None:
-        q = m - 1.0
-        return SpectralReport(s, q, q / s, "closed-form", 0.0)
-
-    if rng is None:
-        raise ValueError("monte-carlo spectral estimation needs an rng")
-    n = int(budget) if budget else 100_000
-    if n < 1000:
-        raise ValueError("monte-carlo spectral budget must be >= 1000")
-    L, R = kernel.sample(rng, n)
-    vals = L ** s + R ** s
-    total = float(vals.sum())
-    if not np.isfinite(total) or (total > 0 and float(vals.max()) > 0.5 * total):
-        # a single draw carrying most of the mass is the signature of an
-        # infinite moment at this sample size
-        return SpectralReport(s, math.inf, math.inf, "monte-carlo", math.inf)
-    q = total / n - 1.0
-    se = float(vals.std(ddof=1)) / math.sqrt(n)
-    return SpectralReport(s, q, q / s, "monte-carlo", se)
+    return kernel.pair_moment(s) - 1.0
 
 
 @dataclass(frozen=True)
@@ -226,27 +171,21 @@ class Regime:
     mu_alpha: float
     mu_2alpha: float
     case_id: str
-    eta: float = 0.1
-    tol: float = 1e-9
 
 
-def classify_regime(kernel, alpha, eta=0.1, tol=1e-9, rng=None, budget=200_000) -> Regime:
+def classify_regime(kernel, alpha) -> Regime:
     """Compute Q(alpha), Q(2*alpha) and pick the matching case-id.
 
-    Equality comparisons (mu(2a) = mu(a), 2Q(a) in {-1, 0}) are resolved
-    within the relative tolerance `tol`.  Raises RegimeUnavailableError
+    Equality comparisons (mu(2a) = mu(a), Q(a) = 0) are resolved within
+    the relative tolerance TOL.  Raises RegimeUnavailableError
     when Q(alpha) or Q(2*alpha) is infinite or overflows a float, or when
     Q(alpha) underflows to -1.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
-        s_a = spectral(kernel, alpha, budget=budget, rng=rng).Q_s
-        s_2a = spectral(kernel, 2.0 * alpha, budget=budget, rng=rng).Q_s
+        s_a = spectral(kernel, alpha)
+        s_2a = spectral(kernel, 2.0 * alpha)
     except OverflowError:  # a closed-form moment past the float range
         s_a = s_2a = math.inf
     if not math.isfinite(s_2a) or not math.isfinite(s_a):
@@ -261,27 +200,16 @@ def classify_regime(kernel, alpha, eta=0.1, tol=1e-9, rng=None, budget=200_000) 
     mu_2a = s_2a / (2.0 * alpha)
 
     def close(x, y):
-        return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+        return abs(x - y) <= TOL * max(1.0, abs(x), abs(y))
 
-    two_s = 2.0 * s_a
     if close(mu_2a, mu_a):
-        if s_a > 0 and not close(s_a, 0.0):
-            case = CASE_FLAT_POSITIVE
-        elif close(two_s, -1.0):
-            case = CASE_FLAT_CRITICAL
-        elif two_s < -1.0:
-            case = CASE_FLAT_STEEP
-        else:
-            case = CASE_FLAT_MODERATE
+        # Q(a) > 0 by more than TOL
+        case = CASE_FLAT_POSITIVE if s_a > TOL else CASE_FLAT_MODERATE
     elif mu_2a > mu_a:
         case = CASE_UP
-    elif close(two_s, -1.0):
-        case = CASE_DOWN_CRITICAL
-    elif two_s < -1.0:
-        case = CASE_DOWN_STEEP
     else:
         case = CASE_UNRESTRICTED
-    return Regime(alpha, s_a, s_2a, mu_a, mu_2a, case, eta, tol)
+    return Regime(alpha, s_a, s_2a, mu_a, mu_2a, case)
 
 
 def log_h_of_t(regime: Regime, t: float) -> float:
@@ -292,18 +220,11 @@ def log_h_of_t(regime: Regime, t: float) -> float:
     c = regime.case_id
     if c == CASE_UNRESTRICTED:
         return 0.0
-    if c in (CASE_DOWN_CRITICAL, CASE_FLAT_MODERATE):
+    if c == CASE_FLAT_MODERATE:
         return math.log(t) if t > 0 else -math.inf
-    if c == CASE_DOWN_STEEP:
-        return -(2.0 * regime.S_alpha + 1.0) * t
     if c == CASE_UP:
         # 2*alpha*(mu(2a) - mu(a)) = Q(2a) - 2 Q(a)
         return (regime.S_2alpha - 2.0 * regime.S_alpha) * t
     if c == CASE_FLAT_POSITIVE:
-        return regime.eta * t
-    if c == CASE_FLAT_STEEP:
-        lt = math.log(t) if t > 0 else -math.inf
-        return lt - (2.0 * regime.S_alpha + 1.0) * t
-    if c == CASE_FLAT_CRITICAL:
-        return 2.0 * math.log(t) if t > 0 else -math.inf
+        return ETA * t
     raise ValueError(f"unknown case id {c!r}")

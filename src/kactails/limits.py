@@ -167,7 +167,7 @@ def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
     Warns when the rescaled maximal weight is not yet small at this t
     (the tree functional is then still far from its limit).
     """
-    s_alpha = spectral(kernel, alpha, rng=rng).Q_s
+    s_alpha = spectral(kernel, alpha)
     stats = forest_statistics(kernel, t, size, rng, alpha=alpha)
     z = math.exp(-s_alpha * t) * stats.M
     mu = s_alpha / alpha

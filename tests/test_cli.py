@@ -466,6 +466,9 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     ("cf-V", ["xs=[0.0, 1.0e-300, -1.0e+200]"], 0, None),
     # |xi|^alpha lambda Z overflowed in cf_V_infinity: RuntimeWarnings
     ("cf-V", ["xs=[2.0e+205]"], 0, None),
+    # bounds constants each finite but K0^2 B^2 and K1 B^2 not: -inf and inf bounds
+    ("bounds", ["n=1", "b=[1.0e+100]", "initial.xmin=1.0e+50", "xs=[1.0e+110]"], 2,
+     "b and initial"),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kactails as kt
-from kactails.initial_data import _BLOCK, UnsupportedLawError
+from kactails.initial_data import _BLOCK
 from pareto_tail_reference import abs_tail_reference
 
 
@@ -55,16 +55,6 @@ def test_k1_alpha_split(alpha, expected):
     assert abs(prof.K1 - expected) < 1e-12
 
 
-def test_tail_remainder_values():
-    law = kt.SymmetricPareto(1.5)
-    assert kt.tail_remainder(law, 2.0) == 0.0
-    assert abs(kt.tail_remainder(law, 0.5) - (0.5 ** 1.5 - 1.0)) < 1e-15
-    # remainder vanishes at infinity
-    assert abs(kt.tail_remainder(law, 1e9)) < 1e-12
-    with pytest.raises(ValueError):
-        kt.tail_remainder(law, 0.0)
-
-
 def test_tail_normalization_converges_to_c0():
     # x^alpha * empirical tail -> c0 within the Monte Carlo CI
     law = kt.SymmetricPareto(1.5)
@@ -86,7 +76,8 @@ def test_envelope_dominates_remainder_and_is_monotone(law):
     prof = kt.tail_profile(law)
     grid = np.geomspace(1e-3, 1e4, 600)
     rb = np.array([prof.rbar(v) for v in grid])
-    rr = np.array([abs(kt.tail_remainder(law, v)) for v in grid])
+    # R(x) = x^alpha P{|X| > x} / c0 - 1
+    rr = np.abs(grid ** law.alpha * law.abs_tail(grid) / prof.c0 - 1.0)
     assert np.all(rr <= rb + 1e-12)
     assert np.all(np.diff(rb) <= 1e-12)
     assert rb[-1] < 1e-3  # envelope decays at infinity
@@ -122,35 +113,6 @@ def test_asymmetric_sign_split():
 def test_alpha_one_requires_symmetry():
     with pytest.raises(ValueError):
         kt.AsymmetricPareto(1.0, 0.6, 0.4)
-    with pytest.raises(ValueError):
-        kt.UserLaw(lambda g, n: g.random(n), 1.0, 0.6, 0.4, gamma0=0.0)
-    with pytest.raises(ValueError):
-        kt.UserLaw(lambda g, n: g.random(n), 1.0, 0.5, 0.5, gamma0=None)
-
-
-def test_alpha_one_truncated_mean_converges_to_gamma0():
-    # shifted symmetric Pareto: truncated means converge to the shift
-    shift = 0.7
-
-    def sampler(g, size):
-        return kt.SymmetricPareto(1.0).sample(g, size) + shift
-
-    law = kt.UserLaw(sampler, 1.0, 0.5, 0.5, gamma0=shift,
-                     rbar=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                     trunc_mean_dev=shift)
-    x = law.sample(rng(6), 2_000_000)
-    for cut in (100.0, 1000.0):
-        inside = x[np.abs(x) < cut]
-        se = inside.std(ddof=1) / math.sqrt(inside.size)
-        assert abs(inside.mean() - shift) <= 4 * se + shift * 2.0 / cut
-
-
-def test_user_law_without_envelope_is_unsupported():
-    law = kt.UserLaw(lambda g, n: g.standard_normal(n), 1.5, 0.5, 0.5)
-    with pytest.raises(UnsupportedLawError):
-        kt.tail_profile(law)
-    with pytest.raises(UnsupportedLawError):
-        kt.tail_remainder(law, 1.0)
 
 
 def test_invalid_constructions():
@@ -259,21 +221,9 @@ def test_pareto_sample_into_out_keeps_bytes_and_stream(law, n):
     assert g.bit_generator.state == twin.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("n", _BLOCK_SIZES)
-def test_user_law_sample_into_out_copies_the_sampler(n):
-    law = kt.UserLaw(lambda g, size: g.standard_cauchy(size), 1.0, 1 / math.pi,
-                     1 / math.pi, gamma0=0.0)
-    g, twin = rng(32), rng(32)
-    buf = np.full(n, np.nan)
-    assert law.sample(g, n, out=buf) is buf
-    assert buf.tobytes() == law.sample(twin, n).tobytes()
-    assert g.bit_generator.state == twin.bit_generator.state
-
-
 @pytest.mark.parametrize("law", [
     kt.SymmetricPareto(1.5), _ASYMMETRIC_LAWS[0],
-    kt.UserLaw(lambda g, size: g.standard_normal(size), 1.5, 0.5, 0.5),
-], ids=["sym", "asym", "user"])
+], ids=["sym", "asym"])
 def test_sample_rejects_an_out_of_the_wrong_shape(law):
     for bad in (np.empty(4), np.empty((5, 1))):
         with pytest.raises(ValueError):
@@ -285,8 +235,7 @@ def test_sample_rejects_an_out_of_the_wrong_shape(law):
     lambda: kt.SymmetricPareto(1.5, 1.0e+300),                # c0 overflows
     lambda: kt.AsymmetricPareto(0.1, 1.0e+300, 1.0e+300),     # the default xmin overflows
     lambda: kt.AsymmetricPareto(1.5, 0.5, 0.5, xmin=1.0e-300),
-    lambda: kt.UserLaw(None, 1.5, 1.0e+308, 1.0e+308),        # c0+ + c0- overflows
-], ids=["sym-underflow", "sym-overflow", "asym-default-xmin", "asym-xmin", "user-sum"])
+], ids=["sym-underflow", "sym-overflow", "asym-default-xmin", "asym-xmin"])
 def test_laws_reject_tail_constants_outside_the_float_range(make):
     # c0 = 0 gave NaN tail ratios; an overflowing xmin raised OverflowError
     with pytest.raises(ValueError):
@@ -329,8 +278,7 @@ def test_abs_tail_at_zero_is_one_without_a_warning(law):
         assert law.abs_tail(0.0) == 1.0
 
 
-def test_exact_power_envelope_and_remainder_stay_quiet_far_beyond_xmin():
+def test_exact_power_envelope_stays_quiet_far_beyond_xmin():
     # (x/xmin)^alpha overflowed in a branch that np.where then discarded
     law = kt.SymmetricPareto(1.5)
     assert law.envelope(1e300) == 0.0
-    assert law.remainder(1e300) == 0.0

@@ -104,9 +104,6 @@ ZPOOL_KERNELS = {
     "det-pow-disagreement": lambda a: kt.DeterministicKernel(_pow_disagreement(a), 0.75),
     "kac": lambda a: kt.KacKernel(),
     "mixture": lambda a: kt.DiscreteKernel(((0.9, 0.3), (0.5, 0.8)), (0.4, 0.6)),
-    # a sampler that hands out one array as both L and R
-    "user-aliased": lambda a: kt.UserKernel(
-        lambda g, n: (lambda u: (u, u))(0.3 + 0.4 * g.random(n))),
 }
 
 

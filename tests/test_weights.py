@@ -56,7 +56,7 @@ def test_martingale_mean_small_grid():
     configs = [(kt.KacKernel(), 1.0, S1_KAC), (kt.KacKernel(), 0.7, None),
                (kt.DiscreteKernel(((0.9, 0.4), (0.3, 0.8)), (0.5, 0.5)), 1.2, None)]
     for kernel, a, s in configs:
-        s_a = kt.spectral(kernel, a).Q_s if s is None else s
+        s_a = kt.spectral(kernel, a) if s is None else s
         for n in (4, 64):
             flat, starts, _ = grow_weights_batch(kernel, np.full(4000, n), g)
             tm = np.add.reduceat(flat ** a, starts) / kt.mean_weight_norm(s_a, n).m

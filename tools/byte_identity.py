@@ -31,14 +31,19 @@ do not count.  The matrix:
   block, x Kac kernel x both laws of the first matrix x seeds 1, 2 x
   workers 1, 2;
 - both `configs/` demos, each read from its own tree;
-- a tail run that warns (exit 3), a tail run whose x = 1e4 row prints a
-  low-precision note on stderr, a run with `--override` flags, and a
-  cf-V run at alpha 1 whose xi = 1e308 overflows its phases;
+- a tail run that warns (exit 3) in the `mu-up` case, a tail run whose
+  x = 1e4 row prints a low-precision note on stderr, a run with
+  `--override` flags, and a cf-V run at alpha 1 whose xi = 1e308
+  overflows its phases;
+- a tail run in each of the two flat regime cases, which warn (exit 3)
+  too: a deterministic kernel with l = r = u^(2/3) at alpha 1.5, where
+  u = 1 - sqrt(2)/2 gives `mu-flat-moderate` and u = 1 + sqrt(2)/2
+  gives `mu-flat-positive`;
 - a cdf-H run at x < 0, x = 0 and t = 0 on a discrete-mixture kernel
   with an R = 0 atom and asymmetric Pareto 1.2, x workers 1, 2, where
   P{H <= x} is N less the count of {H > x}, over N.
 
-Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 266 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -108,14 +113,28 @@ chunk_size: 2048
 pool_size: 2000
 iterations: 3
 """
-WARNED = """experiment: tail
+
+
+def warned_tail(l):
+    """A tail run on the deterministic kernel l = r, outside the
+    unrestricted case for the l given here, so it warns (exit 3)."""
+    return f"""experiment: tail
 seed: 5
-kernel: {kind: deterministic, l: 0.3968502629920499, r: 0.3968502629920499}
-initial: {kind: symmetric-pareto, alpha: 1.5}
+kernel: {{kind: deterministic, l: {l!r}, r: {l!r}}}
+initial: {{kind: symmetric-pareto, alpha: 1.5}}
 t: 1.0
 xs: [10.0]
 N: 20000
 """
+
+
+# l^1.5 = 1/4: mu(3) > mu(1.5)
+WARNED = warned_tail(0.3968502629920499)
+# l = r = u^(2/3) with u = 1 -/+ sqrt(2)/2 gives mu(3) = mu(1.5) exactly
+FLAT_KERNELS = {
+    "mu-flat-moderate": 0.4410348192075107,
+    "mu-flat-positive": 1.4283691389251392,
+}
 # expected hits N c0 / x^a: 632 at x = 10, 0.02 at x = 1e4 (a note)
 LOW_PRECISION = """experiment: tail
 seed: 13
@@ -153,6 +172,8 @@ def matrix():
     for demo in ("tail_demo", "martingale_demo"):
         runs.append((f"configs/{demo}", None, f"configs/{demo}.yaml", []))
     runs.append(("warned-exit-3", WARNED, None, []))
+    for case, l in FLAT_KERNELS.items():
+        runs.append((f"warned-exit-3/{case}", warned_tail(l), None, []))
     runs.append(("low-precision-note", LOW_PRECISION, None, []))
     runs.append(("cf-V-alpha1-overflow", CF_OVERFLOW, None, []))
     for workers in (1, 2):
