@@ -104,8 +104,9 @@ class AsymmetricPareto:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
-        if self.c_plus < 0 or self.c_minus < 0 or self.c_plus + self.c_minus <= 0:
-            raise ValueError("need c_plus, c_minus >= 0 with c_plus + c_minus > 0")
+        if not (self.c_plus >= 0 and self.c_minus >= 0
+                and 0 < self.c_plus + self.c_minus < math.inf):
+            raise ValueError("need c_plus, c_minus >= 0 with 0 < c_plus + c_minus < inf")
         if self.alpha == 1.0 and self.c_plus != self.c_minus:
             raise ValueError("alpha = 1 requires c_plus = c_minus")
         xmin = self.xmin

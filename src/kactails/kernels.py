@@ -67,8 +67,8 @@ class DeterministicKernel(CollisionKernel):
     kind = "deterministic"
 
     def __post_init__(self):
-        if self.l < 0 or self.r < 0:
-            raise ValueError("collision coefficients must be non-negative")
+        if not (0 <= self.l < math.inf and 0 <= self.r < math.inf):
+            raise ValueError("collision coefficients must be finite and non-negative")
         if not (self.l > 0 and self.r > 0):
             # standing assumption P{L>0} + P{R>0} > 1
             raise ValueError("deterministic kernel needs l > 0 and r > 0")
@@ -128,10 +128,10 @@ class DiscreteKernel(CollisionKernel):
         object.__setattr__(self, "probs", probs)
         if len(atoms) != len(probs) or not atoms:
             raise ValueError("atoms and probs must be non-empty and of equal length")
-        if any(p <= 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        if not (all(p > 0 for p in probs) and abs(sum(probs) - 1.0) <= 1e-12):
             raise ValueError("probabilities must be positive and sum to 1")
-        if any(l < 0 or r < 0 for l, r in atoms):
-            raise ValueError("collision coefficients must be non-negative")
+        if not all(0 <= l < math.inf and 0 <= r < math.inf for l, r in atoms):
+            raise ValueError("collision coefficients must be finite and non-negative")
         p_l = sum(p for (l, _), p in zip(atoms, probs) if l > 0)
         p_r = sum(p for (_, r), p in zip(atoms, probs) if r > 0)
         if not p_l + p_r > 1.0:
@@ -156,7 +156,7 @@ class DiscreteKernel(CollisionKernel):
 def spectral(kernel, s) -> float:
     """Q(s) = E[L^s + R^s] - 1 from the kernel's closed-form pair moment;
     mu(s) is Q(s)/s."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("spectral data defined for s > 0 only")
     return kernel.pair_moment(s) - 1.0
 
@@ -215,7 +215,7 @@ def classify_regime(kernel, alpha) -> Regime:
 def log_h_of_t(regime: Regime, t: float) -> float:
     """log h(t) for the regime's schedule growth function h = exp(log h),
     which is 1 when unrestricted and can overflow a float otherwise."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be non-negative")
     c = regime.case_id
     if c == CASE_UNRESTRICTED:

@@ -235,7 +235,8 @@ def test_sample_rejects_an_out_of_the_wrong_shape(law):
     lambda: kt.SymmetricPareto(1.5, 1.0e+300),                # c0 overflows
     lambda: kt.AsymmetricPareto(0.1, 1.0e+300, 1.0e+300),     # the default xmin overflows
     lambda: kt.AsymmetricPareto(1.5, 0.5, 0.5, xmin=1.0e-300),
-], ids=["sym-underflow", "sym-overflow", "asym-default-xmin", "asym-xmin"])
+    lambda: kt.AsymmetricPareto(1.5, 1.0e+308, 1.0e+308, xmin=1.0),  # c+ + c- overflows
+], ids=["sym-underflow", "sym-overflow", "asym-default-xmin", "asym-xmin", "asym-sum"])
 def test_laws_reject_tail_constants_outside_the_float_range(make):
     # c0 = 0 gave NaN tail ratios; an overflowing xmin raised OverflowError
     with pytest.raises(ValueError):
@@ -276,6 +277,16 @@ def test_abs_tail_at_zero_is_one_without_a_warning(law):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert law.abs_tail(0.0) == 1.0
+
+
+@pytest.mark.parametrize("c_plus,c_minus", [
+    (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, math.inf),
+], ids=["c-plus-nan", "c-minus-nan", "c-plus-inf", "c-minus-inf"])
+def test_asymmetric_law_with_xmin_rejects_non_finite_constants(c_plus, c_minus):
+    # with xmin given, a NaN or infinite constant left the sign
+    # probability c+/(c+ + c-) NaN and the law sampled every sign negative
+    with pytest.raises(ValueError, match="c_plus"):
+        kt.AsymmetricPareto(1.5, c_plus, c_minus, xmin=1.0)
 
 
 def test_exact_power_envelope_stays_quiet_far_beyond_xmin():

@@ -47,7 +47,8 @@ def test_samplers_need_a_size(draw):
     kt.DeterministicKernel(0.6, 0.7),
     kt.KacKernel(),
     kt.DiscreteKernel(((0.9, 0.3), (0.5, 0.8)), (0.4, 0.6)),
-], ids=["deterministic", "kac", "discrete"])
+    kt.DiscreteKernel(((0.7, 0.7),), (1.0,)),
+], ids=["deterministic", "kac", "discrete", "discrete-one-atom"])
 def test_kernel_sample_returns_new_unshared_arrays(kernel):
     # zpool_iterate raises L and R to a power in place, so the two arrays of
     # a draw may share no memory with each other or with an earlier draw's
@@ -102,6 +103,21 @@ def test_discrete_probabilities_validated():
         kt.DiscreteKernel(((0.5, 0.5), (1.0, 1.0)), (0.5, -0.5))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: kt.DeterministicKernel(math.inf, 0.5),
+    lambda: kt.DeterministicKernel(0.5, math.inf),
+    lambda: kt.DiscreteKernel(((math.nan, 1.0), (1.0, 1.0)), (0.5, 0.5)),
+    lambda: kt.DiscreteKernel(((1.0, math.inf), (1.0, 1.0)), (0.5, 0.5)),
+    lambda: kt.DiscreteKernel(((1.0, 1.0), (0.5, 0.5)), (math.nan, 0.5)),
+], ids=["det-l-inf", "det-r-inf", "discrete-nan-atom", "discrete-inf-atom",
+        "discrete-nan-prob"])
+def test_kernels_reject_non_finite_parameters(make):
+    # a NaN atom passed the sign checks and an infinite coefficient made
+    # 0 * inf = NaN in the pool; a NaN probability failed only the support test
+    with pytest.raises(ValueError, match="finite and non-negative|positive and sum to 1"):
+        make()
+
+
 def test_spectral_conservative_deterministic_kernel():
     a = 1.5
     k = kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
@@ -122,9 +138,11 @@ def test_spectral_quadrature_agrees_with_closed_form():
         assert abs(quad - closed) <= max(1e-9, 5 * err)
 
 
-def test_spectral_requires_positive_s():
+@pytest.mark.parametrize("s", [0.0, -0.5, -math.inf, math.nan])
+def test_spectral_requires_positive_s(s):
+    # s = NaN returned a NaN Q(s) instead of an error
     with pytest.raises(ValueError):
-        kt.spectral(kt.KacKernel(), 0.0)
+        kt.spectral(kt.KacKernel(), s)
 
 
 def test_convexity_of_spectral_function_closed_form():
@@ -218,14 +236,13 @@ def test_jensen_bound_leaves_four_regime_cases(kernel, alpha):
         CASE_UNRESTRICTED, CASE_UP, CASE_FLAT_POSITIVE, CASE_FLAT_MODERATE)
 
 
-def test_classify_regime_of_three_kernels():
-    cases = [
-        (kt.KacKernel(), 1.0, CASE_UNRESTRICTED),
-        (kt.DeterministicKernel(0.25 ** (2 / 3), 0.25 ** (2 / 3)), 1.5, CASE_UP),
-        (kt.DeterministicKernel(1.0, 1.0), 1.5, CASE_UNRESTRICTED),
-    ]
-    for k, a, case in cases:
-        assert kt.classify_regime(k, a).case_id == case
+@pytest.mark.parametrize("kernel,alpha,case", [
+    (kt.KacKernel(), 1.0, CASE_UNRESTRICTED),
+    (kt.DeterministicKernel(0.25 ** (2 / 3), 0.25 ** (2 / 3)), 1.5, CASE_UP),
+    (kt.DeterministicKernel(1.0, 1.0), 1.5, CASE_UNRESTRICTED),
+], ids=["kac", "det-quarter", "det-one"])
+def test_classify_regime_of_three_kernels(kernel, alpha, case):
+    assert kt.classify_regime(kernel, alpha).case_id == case
 
 
 @pytest.mark.parametrize("kernel", [
@@ -266,6 +283,13 @@ def test_h_of_t_table_rows():
 def test_h_of_t_remaining_rows():
     # h = e^0.2
     assert log_h_of_t(_regime(CASE_FLAT_POSITIVE, S_a=0.3), 2.0) == 0.2
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_h_of_t_rejects_negative_and_nan_t(t):
+    # t = NaN gave log h = 0 in the unrestricted case instead of an error
+    with pytest.raises(ValueError):
+        log_h_of_t(_regime(CASE_UNRESTRICTED), t)
 
 
 def test_kac_coordinate_means():

@@ -104,6 +104,9 @@ ZPOOL_KERNELS = {
     "det-pow-disagreement": lambda a: kt.DeterministicKernel(_pow_disagreement(a), 0.75),
     "kac": lambda a: kt.KacKernel(),
     "mixture": lambda a: kt.DiscreteKernel(((0.9, 0.3), (0.5, 0.8)), (0.4, 0.6)),
+    # atoms with L = 0 or R = 0: the in-place power meets 0^a
+    "mixture-with-zeros": lambda a: kt.DiscreteKernel(
+        ((1.0, 0.0), (0.0, 0.8), (0.6, 0.7)), (0.3, 0.3, 0.4)),
 }
 
 
