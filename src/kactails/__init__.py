@@ -17,12 +17,7 @@ from .kernels import (
     classify_regime,
     spectral,
 )
-from .initial_data import (
-    AsymmetricPareto,
-    SymmetricPareto,
-    TailProfile,
-    tail_profile,
-)
+from .initial_data import AsymmetricPareto, SymmetricPareto
 from .weights import (
     WeightNorm,
     grow_weights_batch,

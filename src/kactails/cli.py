@@ -247,28 +247,21 @@ def _load_yaml(text, what):
         raise ConfigError([f"{what} is not valid YAML: {exc}"]) from exc
 
 
-def _threshold_power_errors(experiment, xs, a, gamma):
+def _threshold_power_errors(experiment, xs, a):
     """The powers x^e of each threshold x > 0 that the experiment takes
     must be finite and nonzero floats; one error per x where one is not.
     cf-V takes |xi|^alpha of every xi, which need only be finite: where it
     underflows to 0 the limit's characteristic function is 1 to rounding."""
-    powers = {"tail": {"alpha": a}, "baseline": {"alpha": a}, "cdf-H": {"-alpha": -a},
-              "cf-V": {"alpha": a},
-              "bounds": {"alpha": a, "(2 - alpha)(1 - gamma)": (2 - a) * (1 - gamma),
-                         "alpha (2 gamma - 1)": a * (2 * gamma - 1),
-                         "2 - alpha + 2 (alpha - 1) gamma": 2 - a + 2 * (a - 1) * gamma}}
-    given = f"alpha = {a:g}" + (f", gamma = {gamma:g}" if experiment == "bounds" else "")
+    name, e = ("-alpha", -a) if experiment == "cdf-H" else ("alpha", a)
     cf = experiment == "cf-V"
     errors = []
     for x in xs:
         base = abs(x) if cf else x
-        for name, e in powers[experiment].items():
-            value = power_or_inf(base, e) if base > 0 else 1.0
-            if value == math.inf or value == 0.0 and not cf:
-                errors.append(f"xs: x = {x!r} gives {'|x|' if cf else 'x'}^({name}) = {value!r} "
-                              f"at {given}; experiment {experiment!r} needs it finite"
-                              + ("" if cf else " and nonzero"))
-                break
+        value = power_or_inf(base, e) if base > 0 else 1.0
+        if value == math.inf or value == 0.0 and not cf:
+            errors.append(f"xs: x = {x!r} gives {'|x|' if cf else 'x'}^({name}) = {value!r} "
+                          f"at alpha = {a:g}; experiment {experiment!r} needs it finite"
+                          + ("" if cf else " and nonzero"))
     return errors
 
 
@@ -340,13 +333,16 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"experiment {experiment!r} takes a single n")
     if experiment == "bounds" and cfg.b is not None and cfg.n and len(cfg.b) != cfg.n[0]:
         errors.append("bounds weight list b must have length n")
-    if law is not None and experiment in ("tail", "baseline", "bounds", "cdf-H", "cf-V"):
-        errors += _threshold_power_errors(experiment, cfg.xs or (), law.alpha, cfg.gamma)
+    if law is not None and experiment in ("tail", "baseline", "cdf-H", "cf-V"):
+        errors += _threshold_power_errors(experiment, cfg.xs or (), law.alpha)
     if experiment == "bounds" and law is not None:
-        try:  # the default flat weights n^(-1/alpha) give B = 1 up to rounding
-            deviations.bounds_constants(np.asarray(cfg.b or [1.0], dtype=float), law)
-        except ValueError as exc:
-            errors.append(str(exc))
+        # the default flat weights n^(-1/alpha) give B = 1 up to rounding
+        b = np.asarray(cfg.b or [1.0], dtype=float)
+        for x in [x for x in cfg.xs or () if x > 0]:
+            try:
+                deviations.sandwich(b, law, x, cfg.epsilon, cfg.gamma, 1.0)
+            except ValueError as exc:
+                errors += [e for e in str(exc).splitlines() if e not in errors]
 
     if errors:
         raise ConfigError(errors)
@@ -490,7 +486,6 @@ def _zpool_for_limit(cfg):
 def _run_cdf_h(cfg):
     law = cfg.initial
     pool = _zpool_for_limit(cfg)
-    c0 = law.c0_plus + law.c0_minus
     rows = []
     # N - #{H > x} is #{H <= x} unless an H is NaN, which takes an
     # infinite law draw times a zero weight
@@ -500,15 +495,14 @@ def _run_cdf_h(cfg):
             rows.append({"t": t, "x": x, "N": cfg.N, "pool_size": cfg.pool_size,
                          "cdf_empirical": p,
                          "se": deviations.binom_se(p, cfg.N),
-                         "cdf_limit": limits.cdf_H_infinity(x, pool, c0, law.alpha)})
+                         "cdf_limit": limits.cdf_H_infinity(x, pool, law.c0, law.alpha)})
     return rows
 
 
 def _run_cf_v(cfg):
     law = cfg.initial
     pool = _zpool_for_limit(cfg)
-    params = limits.stable_params(law.c0_plus, law.c0_minus, law.alpha,
-                                  gamma0=law.gamma0 or 0.0)
+    params = limits.stable_params(law.c0_plus, law.c0_minus, law.alpha)
     rows = []
     for t, (cf_sums,) in _path_sums(cfg, _cf_sums):
         for xi, s in zip(cfg.xs, cf_sums):
@@ -558,9 +552,8 @@ def run(cfg: ExperimentConfig):
             warnings.append(
                 f"regime {regime.case_id!r} restricts admissible schedules; a single "
                 "(t, x) row cannot certify x_t -> infinity against h(t)")
-        c0 = law.c0_plus + law.c0_minus
         for r in rows:
-            expected = cfg.N * c0 / r["x"] ** law.alpha
+            expected = cfg.N * law.c0 / r["x"] ** law.alpha
             if expected < 20:
                 notes.append(f"low precision at t={r['t']:g}, x={r['x']:g}: "
                              f"expected hits {expected:.1f} < 20")

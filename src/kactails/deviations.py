@@ -23,6 +23,10 @@ sample batch.  The max analogue is
 
   c0 B (1 - Rbar(x/b(n))) - K0^2 B^2 / x^a
       <= x^a P{max_j |b_j X_j| > x} <= c0 B (1 + Rbar(x/b(n))).
+
+`sandwich` evaluates the four bounds from the law's c0, K0, K1 and
+envelope Rbar and refuses any that is not finite; `lemma_bounds` pairs
+them with Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .initial_data import power_or_inf, tail_profile
+from .initial_data import power_or_inf
 from .kernels import CASE_UNRESTRICTED, log_h_of_t
 from .processes import forest_statistics
 
@@ -70,7 +74,7 @@ def tail_ratios(law, xs, n, hits, hits_max):
     them.  ratio_paper is x^a p / c0 and ratio_max is p / p_max (NaN
     without a max hit); both tend to 1 in the large-deviation regime.
     """
-    alpha, c0 = law.alpha, law.c0_plus + law.c0_minus
+    alpha, c0 = law.alpha, law.c0
     out = []
     for x, h, hm in zip(xs, hits, hits_max):
         p = h / n
@@ -100,25 +104,25 @@ def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
 def admissible_schedule(regime, epsilon, t, x_t, growth_factor=1.5):
     """Check the growth condition x_t^(alpha-eps) / h(t) -> infinity.
 
-    `t` is a grid of times (at least two points, increasing, positive) and
-    `x_t` either a callable evaluated on it or an aligned array.  In the
-    unrestricted regime any schedule passes.  Otherwise the witness
+    `t` is a grid of times (at least four points, increasing, positive)
+    and `x_t` either a callable evaluated on it or an aligned array, whose
+    values must be finite.  In the unrestricted regime any schedule passes.  Otherwise the witness
     w(t) = (alpha-eps) log x_t - log h(t) must be strictly increasing over
     the second half of the grid and gain at least log(growth_factor)
     there; a heuristic, but one that separates exponent races from
     polynomial losers on the default grids.
     """
-    if epsilon <= 0 or epsilon >= regime.alpha:
+    if not 0 < epsilon < regime.alpha:
         raise ValueError("epsilon must lie in (0, alpha)")
-    if regime.case_id == CASE_UNRESTRICTED:
-        return "unrestricted"
     t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size < 4 or np.any(np.diff(t) <= 0) or t[0] <= 0:
+    if t.ndim != 1 or t.size < 4 or not (np.all(np.diff(t) > 0) and t[0] > 0):
         raise ValueError("t must be an increasing positive grid with >= 4 points")
     xs = np.asarray([x_t(v) for v in t], dtype=float) if callable(x_t) \
         else np.asarray(x_t, dtype=float)
-    if xs.shape != t.shape:
-        raise ValueError("x_t values must align with the t grid")
+    if xs.shape != t.shape or not np.isfinite(xs).all():
+        raise ValueError("x_t values must be finite and align with the t grid")
+    if regime.case_id == CASE_UNRESTRICTED:
+        return "unrestricted"
     if np.any(xs <= 0):
         return "inadmissible"
     logw = (regime.alpha - epsilon) * np.log(xs) \
@@ -165,26 +169,65 @@ def iid_hit_counts(law, n, thresholds, n_rows, rng):
     return hits_sum, hits_max
 
 
-def bounds_constants(b, law):
-    """B = sum_j b_j^a and the law's tail profile, the constants of the
-    finite-n bounds.  A ValueError, naming the config fields at fault,
-    unless B, B^2, K0^2 and K1 are finite floats, and then their products
-    K0^2 B^2 and K1 B^2 in the bound terms."""
-    prof = tail_profile(law)
+def sandwich(b, law, x, epsilon, gamma, delta):
+    """(lower, upper, max_lower, max_upper) of the finite-n bounds at
+    x > 0, 0 < epsilon < 1 and gamma > 0, with delta the estimate of
+    Delta(eps x).
+
+    One ValueError lists every problem and names the config field at
+    fault: B^2 (`b`), K0^2 or K1 (`initial`) not finite, or a power x^e
+    of the bound terms not finite and nonzero (`xs`); when those are all
+    fine, K0^2 B^2 or K1 B^2 (`b and initial`) or a bound (`xs`) not
+    finite.  The lower bound is delta A - C with C >= 0: when it is finite
+    at delta = 1, so are A and C, and so it is at every delta in [0, 1].
+    """
+    a, c0, k0, k1, rbar = law.alpha, law.c0, law.K0, law.K1, law.envelope
     with np.errstate(over="ignore"):
-        b_sum = float((b ** law.alpha).sum())
-    b2, k0_2 = power_or_inf(b_sum, 2), power_or_inf(prof.K0, 2)
-    checks = [("b", f"B^2 (B = sum_j b_j^alpha = {b_sum!r})", b2),
-              ("initial", "K0^2", k0_2),
-              ("initial", "K1", prof.K1)]
-    if all(math.isfinite(value) for _, _, value in checks):
-        checks = [("b and initial", "K0^2 B^2", k0_2 * b2),
-                  ("b and initial", "K1 B^2", prof.K1 * b2)]
-    errors = [f"{field}: {name} = {value!r} at alpha = {law.alpha:g}; the bounds need it finite"
-              for field, name, value in checks if not math.isfinite(value)]
+        b_sum = float((b ** a).sum())
+    b_max = float(b.max())
+    b2, k0_2 = power_or_inf(b_sum, 2), power_or_inf(k0, 2)
+    at = f"at alpha = {a:g}"
+    errors = [f"{field}: {name} = {value!r} {at}; the bounds need it finite"
+              for field, name, value in (
+                  ("b", f"B^2 (B = sum_j b_j^alpha = {b_sum!r})", b2),
+                  ("initial", "K0^2", k0_2), ("initial", "K1", k1))
+              if not math.isfinite(value)]
+    at += f", gamma = {gamma:g}"
+    powers = {name: power_or_inf(x, e) for name, e in (
+        ("alpha", a), ("(2 - alpha)(1 - gamma)", (2 - a) * (1 - gamma)),
+        ("alpha (2 gamma - 1)", a * (2 * gamma - 1)),
+        ("2 - alpha + 2 (alpha - 1) gamma", 2 - a + 2 * (a - 1) * gamma))}
+    errors += [f"xs: x = {x!r} gives x^({name}) = {value!r} {at}; "
+               "the bounds need it finite and nonzero"
+               for name, value in powers.items() if not 0 < value < math.inf]
+    if not errors:
+        errors = [f"b and initial: {name} = {value!r} {at}; the bounds need it finite"
+                  for name, value in (("K0^2 B^2", k0_2 * b2), ("K1 B^2", k1 * b2))
+                  if not math.isfinite(value)]
     if errors:
-        raise ValueError("; ".join(errors))
-    return b_sum, prof
+        raise ValueError("\n".join(errors))
+    xa, x1, x2, x3 = powers.values()
+    # a NumPy scalar, so that a denominator that underflows to 0 gives an
+    # infinite bound rather than a ZeroDivisionError
+    eps2 = np.float64(epsilon ** 2)
+    with np.errstate(all="ignore"):
+        bounds = {
+            "lower": (delta * c0 * (1.0 - float(rbar(x * (1.0 + epsilon) / b_max)))
+                      * b_sum / (1.0 + epsilon) ** a
+                      - k0_2 * b2 / (xa * (1.0 + epsilon) ** (2 * a))),
+            "upper": ((c0 * (1.0 + float(rbar(x * (1.0 - epsilon) / b_max)))
+                       / (1.0 - epsilon) ** a
+                       + 2.0 * k0 / (eps2 * (2.0 - a) * x1)) * b_sum
+                      + (k0_2 / x2 + k1 / (eps2 * x3)) * b2),
+            "max_lower": c0 * b_sum * (1.0 - float(rbar(x / b_max))) - k0_2 * b2 / xa,
+            "max_upper": c0 * b_sum * (1.0 + float(rbar(x / b_max))),
+        }
+    bad = [f"{name} = {float(value)!r}" for name, value in bounds.items()
+           if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"xs: x = {x!r} gives {', '.join(bad)} {at}; "
+                         "the bounds need them finite")
+    return tuple(float(value) for value in bounds.values())
 
 
 def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
@@ -200,38 +243,23 @@ def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
         raise ValueError("b must be a non-negative weight vector with some mass")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be positive")
-    n = b.size
+    sandwich(b, law, x, epsilon, gamma, 1.0)  # raises before any draw
     N = int(N)
-    b_sum, prof = bounds_constants(b, law)
-    a = law.alpha
-    c0, k0, k1, rbar = prof.c0, prof.K0, prof.K1, prof.rbar
-    b_max = float(b.max())
 
     # independent batch for Delta(eps x) = P{|S_n| + b(n)|X_1| <= eps x}
-    delta_hat = _delta_factor(law, b, b_max, epsilon * x, N, rng)
-
-    lower = (delta_hat * c0 * (1.0 - float(rbar(x * (1.0 + epsilon) / b_max)))
-             * b_sum / (1.0 + epsilon) ** a
-             - k0 ** 2 * b_sum ** 2 / (x ** a * (1.0 + epsilon) ** (2 * a)))
-    upper = ((c0 * (1.0 + float(rbar(x * (1.0 - epsilon) / b_max)))
-              / (1.0 - epsilon) ** a
-              + 2.0 * k0 / (epsilon ** 2 * (2.0 - a) * x ** ((2.0 - a) * (1.0 - gamma))))
-             * b_sum
-             + (k0 ** 2 / x ** (a * (2.0 * gamma - 1.0))
-                + k1 / (epsilon ** 2 * x ** (2.0 - a + 2.0 * (a - 1.0) * gamma)))
-             * b_sum ** 2)
-    max_lower = c0 * b_sum * (1.0 - float(rbar(x / b_max))) - k0 ** 2 * b_sum ** 2 / x ** a
-    max_upper = c0 * b_sum * (1.0 + float(rbar(x / b_max)))
+    delta_hat = _delta_factor(law, b, float(b.max()), epsilon * x, N, rng)
+    lower, upper, max_lower, max_upper = sandwich(b, law, x, epsilon, gamma, delta_hat)
 
     hits_sum, hits_max = _weighted_hit_counts(law, b, x, N, rng)
     p_sum = hits_sum / N
     p_max = hits_max / N
+    a = law.alpha
     return BoundsReport(
-        n=n, b=b, x=float(x), epsilon=float(epsilon), gamma=float(gamma),
+        n=b.size, b=b, x=float(x), epsilon=float(epsilon), gamma=float(gamma),
         lower=lower, upper=upper, max_lower=max_lower, max_upper=max_upper,
         mc=x ** a * p_sum, mc_se=x ** a * binom_se(p_sum, N),
         max_mc=x ** a * p_max, max_mc_se=x ** a * binom_se(p_max, N),
@@ -272,8 +300,8 @@ def max_ode_residual(kernel, law, t, x, delta, N, rng):
     """
     if not 0.0 < delta <= 0.1:
         raise ValueError("delta must lie in (0, 0.1]")
-    if x == 0:
-        raise ValueError("x must be nonzero")
+    if not (math.isfinite(x) and x != 0):
+        raise ValueError("x must be finite and nonzero")
     N = int(N)
     h_t = np.sort(forest_statistics(kernel, t, N, rng, law=law).H)
     h_td = forest_statistics(kernel, t + delta, N, rng, law=law).H

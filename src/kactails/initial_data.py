@@ -7,9 +7,11 @@ bounds additionally need the exact tail metadata
     R(x)    = x^alpha P{|X| > x} / c0 - 1          (c0 = c0+ + c0-)
     Rbar(x) = sup_{y >= x} |R(y)|                  (non-increasing envelope)
     K0      = c0 (||R||_inf + 1)
+    K1      = K0^2 / (1 - alpha)^2 (alpha < 1), K0^2 alpha^2 / (alpha - 1)^2
+              (alpha > 1), 0 (alpha = 1)
 
-which every law here provides in closed form; tail metadata is never
-inferred from samples.
+which every law here provides in closed form, as `c0`, `K0`, `K1` and
+`envelope`; tail metadata is never inferred from samples.
 
 The default test law is the symmetric Pareto with xmin = 1: its tail is
 an exact power beyond xmin, so R(x) = 0 for x >= 1 and the deviation
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,16 +33,6 @@ _U_FLOOR = 2.0 ** -53
 # The uniforms are drawn block by block too, which leaves the stream as
 # one rng.random(n) call would: the same doubles and the same final state.
 _BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class TailProfile:
-    """Exact deviation-bound constants of an initial law."""
-
-    c0: float
-    K0: float
-    K1: float
-    rbar: Callable[[float], float]
 
 
 def power_or_inf(base, e):
@@ -132,8 +123,22 @@ class AsymmetricPareto:
         return (1.0 - self._p) * self.xmin ** self.alpha
 
     @property
-    def gamma0(self):
-        return 0.0 if self.alpha == 1.0 else None
+    def c0(self):
+        return self.c0_plus + self.c0_minus
+
+    @property
+    def K0(self):
+        return self.c0 * (float(self.envelope(0.0)) + 1.0)
+
+    @property
+    def K1(self):
+        """inf past the float range; 0 at alpha = 1, where the law is
+        symmetric and unshifted, so its truncated means are all 0."""
+        a = self.alpha
+        if a == 1.0:
+            return 0.0
+        k0_2 = power_or_inf(self.K0, 2)
+        return k0_2 / (1.0 - a) ** 2 if a < 1.0 else k0_2 * a ** 2 / (a - 1.0) ** 2
 
     def sample(self, rng, size, out=None):
         """`size` draws: written into `out` (a float64 array of shape
@@ -191,10 +196,6 @@ class AsymmetricPareto:
         out = np.where(x >= x_far, np.minimum(far, cap), cap)
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def trunc_mean_dev(self):
-        return 0.0 if self.alpha == 1.0 else None
-
 
 class SymmetricPareto(AsymmetricPareto):
     """The Pareto law at c+ = c-: |X| Pareto(alpha) on [xmin, inf), a fair
@@ -223,21 +224,3 @@ class SymmetricPareto(AsymmetricPareto):
             np.copysign(m, v, out=v)
         return x
 
-
-def tail_profile(law) -> TailProfile:
-    """Assemble (c0, K0, K1, Rbar) for the finite-n deviation bounds.
-
-    K1 follows the alpha split: K0^2/(1-alpha)^2 below 1,
-    K0^2 alpha^2/(alpha-1)^2 above 1, and
-    (gamma0 + sup_R |truncated mean - gamma0|)^2 at alpha = 1; inf past the float range.
-    """
-    c0 = law.c0_plus + law.c0_minus
-    k0 = c0 * (float(law.envelope(0.0)) + 1.0)
-    a = law.alpha
-    if a < 1.0:
-        k1 = power_or_inf(k0, 2) / (1.0 - a) ** 2
-    elif a > 1.0:
-        k1 = power_or_inf(k0, 2) * a ** 2 / (a - 1.0) ** 2
-    else:
-        k1 = power_or_inf(law.gamma0 + law.trunc_mean_dev, 2)
-    return TailProfile(c0=c0, K0=k0, K1=k1, rbar=law.envelope)

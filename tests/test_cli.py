@@ -469,6 +469,8 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     # bounds constants each finite but K0^2 B^2 and K1 B^2 not: -inf and inf bounds
     ("bounds", ["n=1", "b=[1.0e+100]", "initial.xmin=1.0e+50", "xs=[1.0e+110]"], 2,
      "b and initial"),
+    # constants and products finite but K0^2 B^2 / x^a not: -inf and inf bounds
+    ("bounds", ["n=1", "b=[1.0e+100]", "xs=[1.0e-100]"], 2, "xs"),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):
@@ -487,6 +489,35 @@ def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
     else:
         assert err.startswith("config error: ")
         assert re.search(rf"(?<![\w.]){re.escape(named)}(?![\w])", err), err
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+# the Monte Carlo columns of an accepted config can still overflow (draws
+# of inf at small alpha, sums past the float range); only the bounds are
+# checked here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+       xmin=_log_uniform(-300, 300),
+       b=st.lists(_log_uniform(-300, 300), min_size=1, max_size=3),
+       xs=st.lists(_log_uniform(-300, 300), min_size=1, max_size=2),
+       epsilon=_log_uniform(-300, 0).filter(lambda e: e < 1),
+       gamma=_log_uniform(-300, 300))
+def test_every_accepted_bounds_config_gives_finite_bounds(alpha, xmin, b, xs, epsilon, gamma):
+    doc = dict(experiment="bounds", seed=3, kernel={"kind": "kac"},
+               initial={"kind": "symmetric-pareto", "alpha": alpha, "xmin": xmin},
+               n=len(b), b=b, xs=xs, epsilon=epsilon, gamma=gamma, N=20)
+    try:
+        cfg = cli.parse_config(yaml.safe_dump(doc))
+    except cli.ConfigError:
+        return
+    rows, _, _ = cli.run(cfg)
+    for row in rows:
+        assert all(math.isfinite(row[c])
+                   for c in ("lower", "upper", "max_lower", "max_upper")), (doc, row)
 
 
 def test_cf_v_alpha_one_overflowing_phase_adds_zero(tmp_path):

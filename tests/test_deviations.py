@@ -93,6 +93,12 @@ def test_admissible_schedule_borderline_and_errors():
         kt.admissible_schedule(reg, 1.5, t, lambda v: v)
     with pytest.raises(ValueError):
         kt.admissible_schedule(reg, 0.25, [1.0, 2.0], lambda v: v)
+    # a NaN epsilon or x_t gave a verdict
+    free = kt.classify_regime(det_kernel(), 1.5)
+    for regime, epsilon, x_t in ((reg, math.nan, lambda v: v), (free, math.nan, lambda v: v),
+                                 (reg, 0.25, lambda v: math.nan if v > 100 else v)):
+        with pytest.raises(ValueError):
+            kt.admissible_schedule(regime, epsilon, t, x_t)
 
 
 def test_iid_baseline_exact_single_jump_identity():
@@ -185,6 +191,13 @@ def test_lemma_bounds_needs_finite_constants(b, xmin, field):
         kt.lemma_bounds(np.array(b), law, 1.0e+110, 0.5, 0.75, 1000, rng(0))
 
 
+@pytest.mark.parametrize("x, gamma", [(math.nan, 0.75), (math.inf, 0.75), (10.0, math.nan)])
+def test_lemma_bounds_needs_finite_x_and_gamma(x, gamma):
+    # these returned NaN bounds, or mc = nan at x = inf, without an error
+    with pytest.raises(ValueError):
+        kt.lemma_bounds(np.ones(2), kt.SymmetricPareto(1.5), x, 0.5, gamma, 1000, rng(0))
+
+
 def test_weighted_sum_tail_corollary():
     # flat weights b_j = n^{-1/a}: sum b_j^a = 1 and b(n) -> 0, so the tail
     # ratio x^a P{|S_n| > x} follows the stable-limit curve and settles at
@@ -234,6 +247,8 @@ def test_ode_residual_validation():
         kt.max_ode_residual(kt.KacKernel(), law, 1.0, 2.0, 0.5, 1000, rng(0))
     with pytest.raises(ValueError):
         kt.max_ode_residual(kt.KacKernel(), law, 1.0, 0.0, 0.01, 1000, rng(0))
+    with pytest.raises(ValueError):  # gave (-100.0, 0.0)
+        kt.max_ode_residual(kt.KacKernel(), law, 1.0, math.nan, 0.01, 1000, rng(0))
 
 
 def test_iid_hit_counts_match_abs_max_formula():

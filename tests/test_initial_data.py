@@ -31,28 +31,24 @@ def test_symmetric_pareto_mean_and_support():
 
 
 def test_symmetric_pareto_profile_constants():
-    prof = kt.tail_profile(kt.SymmetricPareto(1.5))
-    assert prof.c0 == 1.0
-    assert prof.K0 == 2.0
-    assert prof.rbar(2.0) == 0.0
-    assert prof.rbar(1.0) == 0.0
-    assert prof.rbar(0.5) == 1.0 - 0.5 ** 1.5
+    law = kt.SymmetricPareto(1.5)
+    assert law.c0 == 1.0
+    assert law.K0 == 2.0
+    assert law.envelope(2.0) == 0.0
+    assert law.envelope(1.0) == 0.0
+    assert law.envelope(0.5) == 1.0 - 0.5 ** 1.5
 
 
 def test_alpha_one_profile_constants():
-    law = kt.SymmetricPareto(1.0)
-    assert law.gamma0 == 0.0
-    prof = kt.tail_profile(law)
     # K1 = (gamma0 + sup_R |truncated mean - gamma0|)^2 = 0 by symmetry
-    assert prof.K1 == 0.0
+    assert kt.SymmetricPareto(1.0).K1 == 0.0
 
 
 @pytest.mark.parametrize("alpha,expected", [(0.5, 16.0), (1.5, 36.0)])
 def test_k1_alpha_split(alpha, expected):
     # K0 = 2 for the unit symmetric Pareto; K1 = K0^2/(1-a)^2 below 1 and
     # K0^2 a^2/(a-1)^2 above 1
-    prof = kt.tail_profile(kt.SymmetricPareto(alpha))
-    assert abs(prof.K1 - expected) < 1e-12
+    assert abs(kt.SymmetricPareto(alpha).K1 - expected) < 1e-12
 
 
 def test_tail_normalization_converges_to_c0():
@@ -73,11 +69,10 @@ def test_tail_normalization_converges_to_c0():
     kt.AsymmetricPareto(1.5, 1.2, 0.2, xmin=1.0),
 ])
 def test_envelope_dominates_remainder_and_is_monotone(law):
-    prof = kt.tail_profile(law)
     grid = np.geomspace(1e-3, 1e4, 600)
-    rb = np.array([prof.rbar(v) for v in grid])
+    rb = np.array([law.envelope(v) for v in grid])
     # R(x) = x^alpha P{|X| > x} / c0 - 1
-    rr = np.abs(grid ** law.alpha * law.abs_tail(grid) / prof.c0 - 1.0)
+    rr = np.abs(grid ** law.alpha * law.abs_tail(grid) / law.c0 - 1.0)
     assert np.all(rr <= rb + 1e-12)
     assert np.all(np.diff(rb) <= 1e-12)
     assert rb[-1] < 1e-3  # envelope decays at infinity

@@ -338,3 +338,21 @@ def test_near_constant_pool_takes_the_sampling_path(pool, alpha):
         ref = _replay_zpool_iterate(start, kernel, g2, iterations)
         assert out.samples.tobytes() == ref.tobytes()
         assert g1.random() == g2.random()  # the replay's stream was consumed
+
+
+@pytest.mark.parametrize("kernel, c, ratio", [
+    # E[(sin cos)^1.5] over the quarter circle: Gamma(5/4)^2 / (pi Gamma(5/2))
+    (kt.KacKernel(), math.gamma(1.25) ** 2 / (math.pi * math.gamma(2.5)), 1.044054),
+    (kt.DeterministicKernel(0.6, 0.7), (0.6 * 0.7) ** 1.5, 1.004692),
+])
+def test_iterated_pool_second_moment_matches_fixed_point(kernel, c, ratio):
+    # at the fixed point E[Z^2] (1 + 2Q(a)) = (1 + Q(2a)) E[Z^2] + 2c E[Z]^2
+    # with c = E[L^a R^a], so E[Z^2]/E[Z]^2 = 2c/(-Delta), Delta = Q(2a) - 2Q(a);
+    # the ratio does not depend on the scale, which the pool mean's random
+    # walk moves
+    a = 1.5
+    s_a = kt.spectral(kernel, a)
+    target = 2.0 * c / (2.0 * s_a - kt.spectral(kernel, 2.0 * a))
+    assert target == pytest.approx(ratio, abs=1e-6)
+    z = kt.zpool_iterate(kt.ZPool.ones(100_000, a, s_a), kernel, rng(0), iterations=60).samples
+    assert abs(np.mean(z ** 2) / np.mean(z) ** 2 - target) < 2e-3

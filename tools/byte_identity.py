@@ -20,7 +20,7 @@ do not count.  The matrix:
   1, 2, and fixed-point once more from the all-ones pool (`pool_init:
   ones`, the constant pool that is iterated as one number);
 - the law branches the matrix above misses, symmetric Pareto alpha 1
-  (K1 from gamma0 and trunc_mean_dev) with an explicit xmin 2 and
+  (K1 = 0) with an explicit xmin 2 and
   asymmetric Pareto alpha 0.8 (below 1, no shift), x Kac kernel through
   bounds, baseline and tail x seeds 1, 2 x workers 1, 2;
 - runs that cross the transform blocks of the Pareto samplers
@@ -41,9 +41,12 @@ do not count.  The matrix:
   gives `mu-flat-positive`;
 - a cdf-H run at x < 0, x = 0 and t = 0 on a discrete-mixture kernel
   with an R = 0 atom and asymmetric Pareto 1.2, x workers 1, 2, where
-  P{H <= x} is N less the count of {H > x}, over N.
+  P{H <= x} is N less the count of {H > x}, over N;
+- a bounds run near the float range of its bound terms (one weight
+  b = 1e50, x = 1e-3 and 1) on the Kac kernel x symmetric Pareto 1.5 and
+  asymmetric Pareto 0.8, where K0^2 B^2 / x^alpha is finite but large.
 
-That is 266 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 268 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ N: 2000
 pool_size: 1000
 iterations: 3
 """
+# symmetric Pareto 1.5: B = 1e75, K0^2 B^2 = 4e150 over x^a = 3.2e-5 at x = 1e-3
+BOUNDS_EDGE = "n: 1\nb: [1.0e+50]\nxs: [1.0e-3, 1.0]\nN: 5000"
 # P{H <= x} at x <= 0 and t = 0, over paths some of whose weights are 0
 CDF_EDGE = """experiment: cdf-H
 seed: 11
@@ -178,6 +183,10 @@ def matrix():
     runs.append(("cf-V-alpha1-overflow", CF_OVERFLOW, None, []))
     for workers in (1, 2):
         runs.append((f"cdf-H-edge/w{workers}", f"{CDF_EDGE}workers: {workers}\n", None, []))
+    for ln, law in (("sym1.5", LAWS["sym1.5"]), ("asym0.8", EDGE_LAWS["asym0.8"])):
+        text = (f"experiment: bounds\nseed: 3\nkernel: {KERNELS['kac']}\n"
+                f"initial: {law}\n{BOUNDS_EDGE}\n")
+        runs.append((f"bounds-edge/kac/{ln}", text, None, []))
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
                   "--override", "N=40000", "--workers", "2"]))
