@@ -92,6 +92,8 @@ class AsymmetricPareto:
     c_minus: float
     xmin: float | None = None
 
+    _U_MIN = _U_FLOOR  # the smallest uniform sample() raises to -1/alpha
+
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("alpha must lie in (0, 2)")
@@ -113,6 +115,14 @@ class AsymmetricPareto:
         if self.alpha > 1.0:
             shift = (2.0 * p - 1.0) * self.xmin * self.alpha / (self.alpha - 1.0)
         object.__setattr__(self, "_shift", shift)
+        # the largest |draw|: xmin u^(-1/alpha) at the smallest u the sampler
+        # raises to that power, plus the shift
+        top = power_or_inf(self._U_MIN, -1.0 / self.alpha) * self.xmin + abs(shift)
+        if not top < math.inf:
+            u_min = f"2^{math.log2(self._U_MIN):.0f}"
+            raise ValueError(f"alpha = {self.alpha!r} and xmin = {self.xmin!r} give draws up "
+                             f"to xmin * ({u_min})^(-1/alpha) + |shift| = inf; "
+                             "every draw must be finite")
 
     @property
     def c0_plus(self):
@@ -201,6 +211,8 @@ class SymmetricPareto(AsymmetricPareto):
     """The Pareto law at c+ = c-: |X| Pareto(alpha) on [xmin, inf), a fair
     sign and no shift, so c0+ = c0- = xmin^alpha / 2 and R(x) = 0 beyond
     xmin.  Only the sampler is its own: one uniform per draw."""
+
+    _U_MIN = 2.0 ** -52  # 1 - |v| >= 2^-52, see sample()
 
     def __init__(self, alpha, xmin=1.0):
         super().__init__(alpha, 0.5, 0.5, xmin)

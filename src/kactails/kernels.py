@@ -50,7 +50,12 @@ class CollisionKernel:
 
     def sample(self, rng: np.random.Generator, size: int):
         """Draw `size` pairs (L, R) as two new float arrays that the caller
-        may overwrite; a single draw is size 1."""
+        may overwrite; a single draw is size 1.
+
+        Draws concatenate: sample(rng, m) followed by sample(rng, n)
+        returns the same pairs as sample(rng, m + n) and leaves rng in the
+        same state.  grow_weights_batch draws its pairs step by step and
+        relies on this to consume the stream of one call."""
         raise NotImplementedError
 
     def pair_moment(self, s: float) -> float:

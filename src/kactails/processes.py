@@ -76,10 +76,13 @@ def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSa
     beta_j X_j; without one, M(alpha) and beta_max.  alpha is read only
     when no law is given.  Paths are drawn in sub-batches of at most
     2^16, sized so the expected leaf total per batch stays near
-    _LEAF_BUDGET.  Each sub-batch draws its Yule counts, kernel pairs and
+    _LEAF_BUDGET.  Each sub-batch draws its Yule counts, its index
+    uniforms, its kernel pairs step by step (grow_weights_batch) and its
     initial values in turn, so the batch size fixes the order in which
     the rng stream is consumed: changing _LEAF_BUDGET changes every
-    result for a given stream.
+    result for a given stream.  A sub-batch holds at most two leaf-length
+    arrays at a time: the weights with the index uniforms while it grows,
+    then the weights with the per-leaf products (or their powers).
     """
     n_paths = int(n_paths)
     nu_out = np.empty(n_paths, dtype=np.int64)

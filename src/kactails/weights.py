@@ -6,6 +6,12 @@ applies it to a whole forest at once, one step index at a time; callers
 take the sums M_n(alpha) = sum_j beta_{j,n}^alpha from the grown weights
 with a segmented reduction over its layout.
 
+Stream order: a batch draws every index uniform first, in one call, and
+then the kernel pairs step by step, only for the trees still growing at
+that step.  A kernel's draws concatenate (see CollisionKernel.sample), so
+this is the stream one call for all pairs would consume.  The batch holds
+two leaf-length arrays at its peak: the weights and the index uniforms.
+
 The mean normalization m_n(alpha) = Gamma(n+Q(a)) / (Gamma(n) Gamma(Q(a)+1))
 is evaluated through its multiplicative recurrence
 m_{n+1} = m_n (1 + Q(a)/n) in log space; Gamma ratios overflow for large n
@@ -37,6 +43,11 @@ def grow_weights_batch(kernel, sizes, rng):
     caller's index of that tree (trees are processed largest first so the
     active set at each step is a prefix).  Per-tree statistics computed on
     the sorted layout must be scattered back through `order`.
+
+    The rng gives the index uniforms of all steps, then step k's kernel
+    pairs for its `a` growing trees, in sorted-tree order, step after
+    step; beyond `flat` and the index uniforms, a step holds only arrays
+    of length a.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size == 0:
@@ -56,18 +67,15 @@ def grow_weights_batch(kernel, sizes, rng):
 
     counts = np.bincount(s_sorted, minlength=n_max + 2)
     ge = np.cumsum(counts[::-1])[::-1]  # ge[v] = number of trees with size >= v
-    n_draws = total - s_sorted.size
-    u_all = rng.random(n_draws)
-    l_all, r_all = kernel.sample(rng, n_draws)
+    u_all = rng.random(total - s_sorted.size)
     ptr = 0
     for k in range(1, n_max):
         a = int(ge[k + 1])
         if a == 0:
             break
         u = u_all[ptr:ptr + a]
-        lk = l_all[ptr:ptr + a]
-        rk = r_all[ptr:ptr + a]
         ptr += a
+        lk, rk = kernel.sample(rng, a)
         idx = np.minimum((u * k).astype(np.int64), k - 1)
         pos = starts[:a] + idx
         old = flat[pos]

@@ -25,9 +25,12 @@ def replay_batch(kernel, sizes, rng):
     """(flat, order) as grow_weights_batch(kernel, sizes, rng) returns them.
 
     The batch sorts the trees by size, largest first (stable), draws every
-    uniform and then every kernel pair, and gives step k the next draws in
+    uniform and then the kernel pairs, and gives step k the next draws in
     sorted-tree order for the trees that still grow.  So tree j of the
     sorted order takes, at step k, draw number (draws of steps < k) + j.
+    The batch draws its pairs step by step; this replay draws them in one
+    call, which gives the same pairs and the same final generator state
+    only because a kernel's draws concatenate.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     order = np.argsort(-sizes, kind="stable")

@@ -471,6 +471,9 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
      "b and initial"),
     # constants and products finite but K0^2 B^2 / x^a not: -inf and inf bounds
     ("bounds", ["n=1", "b=[1.0e+100]", "xs=[1.0e-100]"], 2, "xs"),
+    # u^(-1/alpha) overflowed for two thirds of the rows: NaN row sums, mc < max_mc
+    ("bounds", ["initial={kind: symmetric-pareto, alpha: 0.002}", "xs=[1.0, 10.0]",
+                "N=1000", "seed=7"], 2, "initial"),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):

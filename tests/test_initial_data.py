@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,6 +195,37 @@ def test_asymmetric_pareto_edge_uniforms(law):
     x = law.sample(_StubGenerator(u), u.size)
     assert x.tobytes() == _asymmetric_oracle(law, u, u).tobytes()
     assert np.all(np.isfinite(x))
+
+
+_SMALL_ALPHA_LAWS = {
+    "sym-xmin1": (lambda a: kt.SymmetricPareto(a), lambda a, u: _symmetric_oracle(
+        SimpleNamespace(alpha=a, xmin=1.0), u)),
+    "sym-xmin2": (lambda a: kt.SymmetricPareto(a, 2.0), lambda a, u: _symmetric_oracle(
+        SimpleNamespace(alpha=a, xmin=2.0), u)),
+    "asym": (lambda a: kt.AsymmetricPareto(a, 0.7, 0.3, xmin=1.0), lambda a, u: _asymmetric_oracle(
+        SimpleNamespace(alpha=a, xmin=1.0, _p=0.7, _shift=0.0), u, u)),
+}
+
+
+@pytest.mark.parametrize("make, oracle", _SMALL_ALPHA_LAWS.values(), ids=_SMALL_ALPHA_LAWS.keys())
+def test_laws_refuse_exactly_the_alphas_whose_draws_overflow(make, oracle):
+    # alpha 0.002 drew inf for two thirds of the rows, and inf - inf made NaN
+    # row sums that counted as no hit; bisect to the smallest accepted alpha
+    with pytest.raises(ValueError, match="inf"):
+        make(0.002)
+    lo, hi = 0.002, 0.5
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        try:
+            make(mid)
+            hi = mid
+        except ValueError:
+            lo = mid
+    u = np.array(_EDGE_UNIFORMS)
+    x = make(hi).sample(_StubGenerator(u), u.size)
+    assert np.all(np.isfinite(x))
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(oracle(lo, u)))
 
 
 # draw counts on both sides of each transform-block boundary

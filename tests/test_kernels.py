@@ -64,6 +64,23 @@ def test_kernel_sample_returns_new_unshared_arrays(kernel):
             assert not np.shares_memory(old, new)
 
 
+@pytest.mark.parametrize("kernel", [
+    kt.KacKernel(),
+    kt.DeterministicKernel(0.6, 0.7),
+    kt.DiscreteKernel(((0.9, 0.0), (0.5, 0.8)), (0.4, 0.6)),
+], ids=["kac", "deterministic", "discrete-zero-atom"])
+@pytest.mark.parametrize("m, n", [(0, 7), (1, 1), (3, 1000), (257, 31)])
+def test_kernel_draws_concatenate(kernel, m, n):
+    # grow_weights_batch draws its pairs step by step and must consume the
+    # stream of one call: the same pairs, and the generator left where it was
+    whole, split = rng(21), rng(21)
+    l, r = kernel.sample(whole, m + n)
+    parts = [kernel.sample(split, m), kernel.sample(split, n)]
+    assert np.concatenate([p[0] for p in parts]).tobytes() == l.tobytes()
+    assert np.concatenate([p[1] for p in parts]).tobytes() == r.tobytes()
+    assert split.random(4).tobytes() == whole.random(4).tobytes()
+
+
 def test_deterministic_sample_is_degenerate():
     k = kt.DeterministicKernel(0.5, 0.5)
     L, R = k.sample(rng(1), 1000)

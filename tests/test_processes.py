@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -204,6 +205,26 @@ def test_forest_matches_single_path_sampler():
     singles = np.array([single_path_V() for _ in range(3000)])
     d = stats.ks_2samp(fs.V, singles)
     assert d.statistic < 0.05
+
+
+@pytest.mark.parametrize("kernel", [kt.KacKernel(), kt.DeterministicKernel(0.6, 0.7)],
+                         ids=["kac", "deterministic"])
+@pytest.mark.parametrize("law", [kt.SymmetricPareto(1.5), kt.AsymmetricPareto(1.2, 0.7, 0.3),
+                                 None], ids=["symmetric", "asymmetric", "no-law"])
+def test_forest_statistics_peaks_at_two_leaf_arrays(kernel, law):
+    # one 16,384-path sub-batch at t = 4 holds ~0.9M leaves; growth holds the
+    # weights and the index uniforms, the law phase the weights and the
+    # products (or flat ** alpha), and nothing else of leaf length.  NumPy
+    # reports its buffers to tracemalloc.
+    g = rng(31)
+    tracemalloc.start()
+    try:
+        fs = forest_statistics(kernel, 4.0, 16_384, g, law=law, alpha=1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    leaf_array = 8 * int(fs.nu.sum())
+    assert peak <= 2.5 * leaf_array, peak / leaf_array
 
 
 def test_rescaled_quantiles_are_tight_in_t():

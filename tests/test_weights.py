@@ -24,14 +24,29 @@ KERNELS = {
 }
 
 
-@pytest.mark.parametrize("name", KERNELS)
-def test_batch_replays_growth_rule_exactly(name):
-    # the batch consumes its draws exactly as the tree-by-tree growth rule does
-    sizes = [5, 1, 3, 7, 1, 4, 7, 2]
-    flat, _, order = grow_weights_batch(KERNELS[name], sizes, rng(1))
-    ref_flat, ref_order = replay_batch(KERNELS[name], sizes, rng(1))
+def _assert_batch_replays(kernel, sizes):
+    # the batch consumes its draws exactly as the tree-by-tree growth rule
+    # does, and leaves the generator where the replay's single kernel call
+    # does: the law draws of forest_statistics come next
+    g, ref_g = rng(1), rng(1)
+    flat, _, order = grow_weights_batch(kernel, sizes, g)
+    ref_flat, ref_order = replay_batch(kernel, sizes, ref_g)
     assert flat.tobytes() == ref_flat.tobytes()
     np.testing.assert_array_equal(order, ref_order)
+    assert g.random(4).tobytes() == ref_g.random(4).tobytes()
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_batch_replays_growth_rule_exactly(name):
+    _assert_batch_replays(KERNELS[name], [5, 1, 3, 7, 1, 4, 7, 2])
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_deep_batch_replays_growth_rule_exactly(name):
+    # Yule sizes at t = 4: ~300 trees, the largest growing for hundreds of steps
+    sizes = kt.sample_yule(4.0, rng(40), 300)
+    assert sizes.max() > 200
+    _assert_batch_replays(KERNELS[name], sizes)
 
 
 def test_single_tree_invariants():

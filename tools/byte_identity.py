@@ -44,9 +44,13 @@ do not count.  The matrix:
   P{H <= x} is N less the count of {H > x}, over N;
 - a bounds run near the float range of its bound terms (one weight
   b = 1e50, x = 1e-3 and 1) on the Kac kernel x symmetric Pareto 1.5 and
-  asymmetric Pareto 0.8, where K0^2 B^2 / x^alpha is finite but large.
+  asymmetric Pareto 0.8, where K0^2 B^2 / x^alpha is finite but large;
+- deep growth: tail (N = 10000, the least it takes, in chunks of 4096)
+  and cdf-H (N = 4096) at t = 5 x the three kernels of the first matrix
+  x symmetric Pareto 1.5, so the largest tree of a chunk grows for about
+  1,000 steps, each drawing its own kernel pairs.
 
-That is 268 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 274 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -93,6 +97,11 @@ BLOCKED_SIZES = {
     "bounds": "n: 1000\nxs: [5.0, 10.0]\nN: 10000",
     "baseline": "n: 1000\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 65536",
     "tail": "t: 3.0\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 4096",
+}
+# t = 5: the largest of 4096 Yule trees has ~1,000 leaves
+DEEP_SIZES = {
+    "tail": "t: 5.0\nxs: [10.0, 50.0]\nN: 10000\nchunk_size: 4096",
+    "cdf-H": "t: 5.0\nxs: [0.5, 2.0]\nN: 4096\npool_size: 2000\niterations: 3",
 }
 CF_OVERFLOW = """experiment: cf-V
 seed: 3
@@ -174,6 +183,10 @@ def matrix():
         text = (f"experiment: fixed-point\nseed: {seed}\nkernel: {CONSERVATIVE[1]}\n"
                 f"initial: {LAWS['sym1.5']}\n{ONES_POOL}\nworkers: {workers}\n")
         runs.append((f"fixed-point-ones/cons/sym1.5/seed{seed}/w{workers}", text, None, []))
+    for (exp, size), (kn, kernel) in itertools.product(DEEP_SIZES.items(), KERNELS.items()):
+        text = (f"experiment: {exp}\nseed: 1\nkernel: {kernel}\n"
+                f"initial: {LAWS['sym1.5']}\n{size}\n")
+        runs.append((f"deep/{exp}/{kn}/sym1.5", text, None, []))
     for demo in ("tail_demo", "martingale_demo"):
         runs.append((f"configs/{demo}", None, f"configs/{demo}.yaml", []))
     runs.append(("warned-exit-3", WARNED, None, []))
