@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import grow_weights_batch
+from .weights import grow_weights_batch, leaf_array
 
 # Expected leaf total per forest_statistics sub-batch (it fixes the order
 # in which the rng stream is consumed; see forest_statistics).
@@ -80,9 +80,10 @@ def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSa
     uniforms, its kernel pairs step by step (grow_weights_batch) and its
     initial values in turn, so the batch size fixes the order in which
     the rng stream is consumed: changing _LEAF_BUDGET changes every
-    result for a given stream.  A sub-batch holds at most two leaf-length
-    arrays at a time: the weights with the index uniforms while it grows,
-    then the weights with the per-leaf products (or their powers).
+    result for a given stream.  A sub-batch allocates two leaf-length
+    arrays (weights.leaf_array) and no more: the weights, and one scratch
+    array that takes the index uniforms while the trees grow and then the
+    per-leaf products (or the weights' powers).
     """
     n_paths = int(n_paths)
     nu_out = np.empty(n_paths, dtype=np.int64)
@@ -101,14 +102,17 @@ def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSa
     while done < n_paths:
         m = min(batch, n_paths - done)
         nu = sample_yule(t, rng, m)
-        flat, starts, order = grow_weights_batch(kernel, nu, rng)
+        work = leaf_array(int(nu.sum()))
+        flat, starts, order = grow_weights_batch(kernel, nu, rng, scratch=work)
         sl = slice(done, done + m)
         nu_out[sl] = nu
         if law is None:
-            m_out[sl][order] = np.add.reduceat(flat ** alpha, starts)
+            np.copyto(work, flat)
+            work **= alpha
+            m_out[sl][order] = np.add.reduceat(work, starts)
             bmax_out[sl][order] = np.maximum.reduceat(flat, starts)
         else:
-            prod = law.sample(rng, flat.size)
+            prod = law.sample(rng, flat.size, out=work)
             prod *= flat
             v_out[sl][order] = np.add.reduceat(prod, starts)
             np.abs(prod, out=prod)

@@ -10,7 +10,8 @@ Stream order: a batch draws every index uniform first, in one call, and
 then the kernel pairs step by step, only for the trees still growing at
 that step.  A kernel's draws concatenate (see CollisionKernel.sample), so
 this is the stream one call for all pairs would consume.  The batch holds
-two leaf-length arrays at its peak: the weights and the index uniforms.
+two leaf-length arrays at its peak: the weights and the index uniforms,
+which a caller can have drawn into a scratch array of its own.
 
 The mean normalization m_n(alpha) = Gamma(n+Q(a)) / (Gamma(n) Gamma(Q(a)+1))
 is evaluated through its multiplicative recurrence
@@ -22,6 +23,7 @@ for every n.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +37,24 @@ class WeightNorm:
     log_m: float
 
 
-def grow_weights_batch(kernel, sizes, rng):
+def leaf_array(n):
+    """n >= 1 float64 zeros on private anonymous pages of their own.
+
+    Leaf-length arrays run to tens of MB.  Taken from the heap, how much
+    of a freed one stays resident depends on the allocator's thresholds
+    and on where small objects landed next to it, so peak memory would
+    differ between runs of the same work.  A mapping of its own is
+    returned to the OS when the array is released.  It asks for huge
+    pages, as NumPy does for its own large buffers; without them the
+    first touch of each page costs about twice as much.
+    """
+    pages = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, dtype=np.float64)
+
+
+def grow_weights_batch(kernel, sizes, rng, scratch=None):
     """Grow many independent weight arrays at once.
 
     Returns (flat, starts, order): the weights of sorted tree j live in
@@ -47,7 +66,10 @@ def grow_weights_batch(kernel, sizes, rng):
     The rng gives the index uniforms of all steps, then step k's kernel
     pairs for its `a` growing trees, in sorted-tree order, step after
     step; beyond `flat` and the index uniforms, a step holds only arrays
-    of length a.
+    of length a.  With `scratch` (a float64 array of at least
+    sum(sizes) - len(sizes) elements) the index uniforms are drawn into
+    its head, the same values as without it, and no leaf-length array
+    but `flat` is allocated.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size == 0:
@@ -59,7 +81,7 @@ def grow_weights_batch(kernel, sizes, rng):
     starts = np.zeros(s_sorted.size, dtype=np.int64)
     np.cumsum(s_sorted[:-1], out=starts[1:])
     total = int(s_sorted.sum())
-    flat = np.zeros(total)
+    flat = leaf_array(total)
     flat[starts] = 1.0
     n_max = int(s_sorted[0])
     if n_max == 1:
@@ -67,7 +89,10 @@ def grow_weights_batch(kernel, sizes, rng):
 
     counts = np.bincount(s_sorted, minlength=n_max + 2)
     ge = np.cumsum(counts[::-1])[::-1]  # ge[v] = number of trees with size >= v
-    u_all = rng.random(total - s_sorted.size)
+    n_draws = total - s_sorted.size
+    if scratch is None:
+        scratch = leaf_array(n_draws)
+    u_all = rng.random(out=scratch[:n_draws])
     ptr = 0
     for k in range(1, n_max):
         a = int(ge[k + 1])

@@ -1,4 +1,7 @@
 import math
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -8,6 +11,7 @@ import pytest
 from scipy import stats
 
 import kactails as kt
+from kactails import processes, weights
 from kactails.processes import forest_statistics
 
 from growth_reference import grow_tree
@@ -211,11 +215,14 @@ def test_forest_matches_single_path_sampler():
                          ids=["kac", "deterministic"])
 @pytest.mark.parametrize("law", [kt.SymmetricPareto(1.5), kt.AsymmetricPareto(1.2, 0.7, 0.3),
                                  None], ids=["symmetric", "asymmetric", "no-law"])
-def test_forest_statistics_peaks_at_two_leaf_arrays(kernel, law):
+def test_forest_statistics_peaks_at_two_leaf_arrays(kernel, law, monkeypatch):
     # one 16,384-path sub-batch at t = 4 holds ~0.9M leaves; growth holds the
     # weights and the index uniforms, the law phase the weights and the
     # products (or flat ** alpha), and nothing else of leaf length.  NumPy
-    # reports its buffers to tracemalloc.
+    # reports its buffers to tracemalloc, but not the mappings leaf_array
+    # returns, so the leaf arrays come from np.zeros here.
+    for module in (weights, processes):
+        monkeypatch.setattr(module, "leaf_array", np.zeros)
     g = rng(31)
     tracemalloc.start()
     try:
@@ -225,6 +232,36 @@ def test_forest_statistics_peaks_at_two_leaf_arrays(kernel, law):
         tracemalloc.stop()
     leaf_array = 8 * int(fs.nu.sum())
     assert peak <= 2.5 * leaf_array, peak / leaf_array
+
+
+_RESIDENT_PEAK = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import kactails as kt
+from kactails.processes import forest_statistics
+
+kernel, law, g = kt.KacKernel(), kt.SymmetricPareto(1.5), np.random.default_rng(32)
+forest_statistics(kernel, 1.0, 16_384, g, law=law)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+leaves = max(int(forest_statistics(kernel, t, 16_384, g, law=law).nu.sum())
+             for t in (3.0, 3.0, 4.0, 4.0))
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(1024 * grown / (8 * leaves))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_forest_statistics_resident_peak_is_two_leaf_arrays():
+    # what the process holds, not only what NumPy reports: sub-batches of
+    # ~0.3M and ~0.9M leaves one after another, in a fresh interpreter, raise
+    # its peak RSS by two leaf arrays, not by what freed heap blocks of
+    # earlier sub-batches leave resident (2.8-3.0 with the leaf arrays
+    # taken from the heap)
+    src = pathlib.Path(kt.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _RESIDENT_PEAK, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout) <= 2.5, proc.stdout
 
 
 def test_rescaled_quantiles_are_tight_in_t():

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 import kactails as kt
-from kactails.weights import grow_weights_batch
+from kactails.weights import grow_weights_batch, leaf_array
 
 from growth_reference import grow_tree, replay_batch
 from weight_norm_reference import mean_weight_norm_table
@@ -47,6 +47,34 @@ def test_deep_batch_replays_growth_rule_exactly(name):
     sizes = kt.sample_yule(4.0, rng(40), 300)
     assert sizes.max() > 200
     _assert_batch_replays(KERNELS[name], sizes)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_scratch_takes_the_same_uniforms(name):
+    # forest_statistics lends the grower a scratch array for the index
+    # uniforms; the weights, the uniforms and the stream after growth are
+    # those of a batch that allocates its own
+    sizes = kt.sample_yule(3.0, rng(41), 200)
+    n_draws = int(sizes.sum()) - sizes.size
+    scratch = np.full(int(sizes.sum()), np.nan)
+    g, ref_g = rng(1), rng(1)
+    flat, starts, order = grow_weights_batch(KERNELS[name], sizes, g, scratch=scratch)
+    ref_flat, ref_starts, ref_order = grow_weights_batch(KERNELS[name], sizes, ref_g)
+    assert flat.tobytes() == ref_flat.tobytes()
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(order, ref_order)
+    assert g.random(4).tobytes() == ref_g.random(4).tobytes()
+    assert scratch[:n_draws].tobytes() == rng(1).random(n_draws).tobytes()
+    assert np.isnan(scratch[n_draws:]).all()
+
+
+@pytest.mark.parametrize("n", [1, 513, 1 << 20])
+def test_leaf_array_is_a_zeroed_writable_float_array(n):
+    a = leaf_array(n)
+    assert a.shape == (n,) and a.dtype == np.float64 and a.flags.writeable
+    assert not a.any()
+    a[:] = 1.5
+    assert a.sum() == 1.5 * n
 
 
 def test_single_tree_invariants():
