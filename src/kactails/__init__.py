@@ -29,12 +29,10 @@ from .processes import (
     sample_yule,
 )
 from .limits import (
-    StableParams,
     ZPool,
     cdf_H_infinity,
     cf_V_infinity,
     sample_V_infinity,
-    stable_params,
     zpool_from_trees,
     zpool_iterate,
 )

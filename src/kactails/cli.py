@@ -484,7 +484,6 @@ def _zpool_for_limit(cfg):
 
 
 def _run_cdf_h(cfg):
-    law = cfg.initial
     pool = _zpool_for_limit(cfg)
     rows = []
     # N - #{H > x} is #{H <= x} unless an H is NaN, which takes an
@@ -495,19 +494,17 @@ def _run_cdf_h(cfg):
             rows.append({"t": t, "x": x, "N": cfg.N, "pool_size": cfg.pool_size,
                          "cdf_empirical": p,
                          "se": deviations.binom_se(p, cfg.N),
-                         "cdf_limit": limits.cdf_H_infinity(x, pool, law.c0, law.alpha)})
+                         "cdf_limit": limits.cdf_H_infinity(x, pool, cfg.initial)})
     return rows
 
 
 def _run_cf_v(cfg):
-    law = cfg.initial
     pool = _zpool_for_limit(cfg)
-    params = limits.stable_params(law.c0_plus, law.c0_minus, law.alpha)
     rows = []
     for t, (cf_sums,) in _path_sums(cfg, _cf_sums):
         for xi, s in zip(cfg.xs, cf_sums):
             emp = s / cfg.N
-            lim = limits.cf_V_infinity(xi, pool, params)
+            lim = limits.cf_V_infinity(xi, pool, cfg.initial)
             rows.append({"t": t, "xi": xi, "N": cfg.N, "pool_size": cfg.pool_size,
                          "re_empirical": emp.real, "im_empirical": emp.imag,
                          "re_limit": lim.real, "im_limit": lim.imag,

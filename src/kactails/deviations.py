@@ -46,7 +46,6 @@ _ROW_BUDGET = 1 << 22  # elements per i.i.d. sampling block
 @dataclass(frozen=True)
 class BoundsReport:
     n: int
-    b: np.ndarray
     x: float
     epsilon: float
     gamma: float
@@ -101,16 +100,16 @@ def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
     return hits_v, hits_h
 
 
-def admissible_schedule(regime, epsilon, t, x_t, growth_factor=1.5):
+def admissible_schedule(regime, epsilon, t, x_t):
     """Check the growth condition x_t^(alpha-eps) / h(t) -> infinity.
 
     `t` is a grid of times (at least four points, increasing, positive)
     and `x_t` either a callable evaluated on it or an aligned array, whose
     values must be finite.  In the unrestricted regime any schedule passes.  Otherwise the witness
     w(t) = (alpha-eps) log x_t - log h(t) must be strictly increasing over
-    the second half of the grid and gain at least log(growth_factor)
-    there; a heuristic, but one that separates exponent races from
-    polynomial losers on the default grids.
+    the second half of the grid and gain more than log 1.5 there; a
+    heuristic, but one that separates exponent races from polynomial
+    losers on the default grids.
     """
     if not 0 < epsilon < regime.alpha:
         raise ValueError("epsilon must lie in (0, alpha)")
@@ -129,7 +128,7 @@ def admissible_schedule(regime, epsilon, t, x_t, growth_factor=1.5):
         - np.array([log_h_of_t(regime, v) for v in t])
     half = t.size // 2
     tail = logw[half:]
-    if np.all(np.diff(tail) > 0) and tail[-1] - tail[0] > math.log(growth_factor):
+    if np.all(np.diff(tail) > 0) and tail[-1] - tail[0] > math.log(1.5):
         return "admissible"
     return "inadmissible"
 
@@ -175,16 +174,19 @@ def sandwich(b, law, x, epsilon, gamma, delta):
     Delta(eps x).
 
     One ValueError lists every problem and names the config field at
-    fault: B^2 (`b`), K0^2 or K1 (`initial`) not finite, or a power x^e
-    of the bound terms not finite and nonzero (`xs`); when those are all
+    fault: B^2, or the largest |draw| times sum_j b_j + b(n), which bounds
+    the Monte Carlo sums (`b`), K0^2 or K1 (`initial`) not finite, or a
+    power x^e of the bound terms not finite and nonzero (`xs`); when those are all
     fine, K0^2 B^2 or K1 B^2 (`b and initial`) or a bound (`xs`) not
     finite.  The lower bound is delta A - C with C >= 0: when it is finite
     at delta = 1, so are A and C, and so it is at every delta in [0, 1].
     """
     a, c0, k0, k1, rbar = law.alpha, law.c0, law.K0, law.K1, law.envelope
+    b_max = float(b.max())
     with np.errstate(over="ignore"):
         b_sum = float((b ** a).sum())
-    b_max = float(b.max())
+        # bounds |S_n| + b(n) |X_1| and every partial sum of the Monte Carlo rows
+        mc_top = law.max_abs_draw * (float(b.sum()) + b_max)
     b2, k0_2 = power_or_inf(b_sum, 2), power_or_inf(k0, 2)
     at = f"at alpha = {a:g}"
     errors = [f"{field}: {name} = {value!r} {at}; the bounds need it finite"
@@ -192,6 +194,9 @@ def sandwich(b, law, x, epsilon, gamma, delta):
                   ("b", f"B^2 (B = sum_j b_j^alpha = {b_sum!r})", b2),
                   ("initial", "K0^2", k0_2), ("initial", "K1", k1))
               if not math.isfinite(value)]
+    if not math.isfinite(mc_top):
+        errors.append(f"b: (largest |draw| = {law.max_abs_draw!r}) * (sum_j b_j + max_j b_j) "
+                      f"= {mc_top!r}; the Monte Carlo sums need it finite")
     at += f", gamma = {gamma:g}"
     powers = {name: power_or_inf(x, e) for name, e in (
         ("alpha", a), ("(2 - alpha)(1 - gamma)", (2 - a) * (1 - gamma)),
@@ -259,7 +264,7 @@ def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
     p_max = hits_max / N
     a = law.alpha
     return BoundsReport(
-        n=b.size, b=b, x=float(x), epsilon=float(epsilon), gamma=float(gamma),
+        n=b.size, x=float(x), epsilon=float(epsilon), gamma=float(gamma),
         lower=lower, upper=upper, max_lower=max_lower, max_upper=max_upper,
         mc=x ** a * p_sum, mc_se=x ** a * binom_se(p_sum, N),
         max_mc=x ** a * p_max, max_mc_se=x ** a * binom_se(p_max, N),

@@ -11,7 +11,14 @@ bounds additionally need the exact tail metadata
               (alpha > 1), 0 (alpha = 1)
 
 which every law here provides in closed form, as `c0`, `K0`, `K1` and
-`envelope`; tail metadata is never inferred from samples.
+`envelope`; tail metadata is never inferred from samples.  The same
+constants fix the stable factor S_a of the limit law V_inf = Z^(1/a) S_a:
+its scale `stable_scale` and skew `stable_skew`,
+
+    lambda = c0 pi / (2 Gamma(a) sin(pi a / 2)),
+    eta    = (c0+ - c0-) / c0,
+
+with eta = 0 at alpha = 1, where every law here is symmetric.
 
 The default test law is the symmetric Pareto with xmin = 1: its tail is
 an exact power beyond xmin, so R(x) = 0 for x >= 1 and the deviation
@@ -36,11 +43,11 @@ _BLOCK = 1 << 14
 
 
 def power_or_inf(base, e):
-    """base ** e for floats, or inf where it leaves the float range
-    (Python's ** raises OverflowError there)."""
+    """base ** e for floats, or inf where it leaves the float range or is
+    0 to a negative power (Python's ** raises there)."""
     try:
         return base ** e
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 
@@ -85,6 +92,9 @@ class AsymmetricPareto:
     E[X] = 0 exactly; the shift leaves the tail constants untouched but
     makes R(x) nonzero, so the envelope switches to an analytic
     over-estimate (valid, slightly loose).
+
+    `max_abs_draw` is the largest |draw| the sampler can return; a law
+    whose largest draw is not finite is refused.
     """
 
     alpha: float
@@ -118,6 +128,7 @@ class AsymmetricPareto:
         # the largest |draw|: xmin u^(-1/alpha) at the smallest u the sampler
         # raises to that power, plus the shift
         top = power_or_inf(self._U_MIN, -1.0 / self.alpha) * self.xmin + abs(shift)
+        object.__setattr__(self, "max_abs_draw", top)
         if not top < math.inf:
             u_min = f"2^{math.log2(self._U_MIN):.0f}"
             raise ValueError(f"alpha = {self.alpha!r} and xmin = {self.xmin!r} give draws up "
@@ -149,6 +160,15 @@ class AsymmetricPareto:
             return 0.0
         k0_2 = power_or_inf(self.K0, 2)
         return k0_2 / (1.0 - a) ** 2 if a < 1.0 else k0_2 * a ** 2 / (a - 1.0) ** 2
+
+    @property
+    def stable_scale(self):
+        a = self.alpha
+        return self.c0 * math.pi / (2.0 * math.gamma(a) * math.sin(math.pi * a / 2.0))
+
+    @property
+    def stable_skew(self):
+        return (self.c0_plus - self.c0_minus) / self.c0
 
     def sample(self, rng, size, out=None):
         """`size` draws: written into `out` (a float64 array of shape

@@ -1,4 +1,4 @@
-"""Limit objects: the mixing variable, stable parameters, and limit laws.
+"""Limit objects: the mixing variable and the limit laws.
 
 The mixing variable Z solves the distributional fixed point
 
@@ -14,13 +14,12 @@ converges to V_inf = Z^(1/a) S_a where S_a is alpha-stable with
 characteristic exponent
 
     lambda |xi|^a (1 - i eta tan(pi a / 2) sign xi),
-    lambda = (c0+ + c0-) pi / (2 Gamma(a) sin(pi a / 2)),
-    eta = (c0+ - c0-) / (c0+ + c0-),
 
-and the rescaled max converges to a scale mixture of Frechet laws,
-P{H_inf <= x} = E[exp(-c0 x^-a Z)] for x > 0.  For alpha = 1 the stable
-factor degenerates to V_inf = Z (gamma0 + Cauchy(c0+ pi)), obtained by
-factorizing the alpha = 1 characteristic function; c0+ pi = lambda there.
+whose scale lambda and skew eta the law gives as `stable_scale` and
+`stable_skew`; at alpha = 1 the law is symmetric, eta = 0 and S_1 is
+Cauchy with scale lambda = c0+ pi.  The rescaled max converges to a scale
+mixture of Frechet laws, P{H_inf <= x} = E[exp(-c0 x^-a Z)] for x > 0.
+Both limits are pool averages of exp(-s Z), which `_mean_exp` evaluates.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .initial_data import power_or_inf
 from .kernels import DeterministicKernel, spectral
 from .processes import forest_statistics
 
@@ -58,32 +58,6 @@ class ZPool:
         if np.any(samples < 0):
             raise ValueError("pool entries must be non-negative")
         return cls(samples, float(alpha), float(S_alpha))
-
-
-@dataclass(frozen=True)
-class StableParams:
-    """Scale/skew of the stable factor in the limit law."""
-
-    lam: float
-    eta_skew: float
-    alpha: float
-    gamma0: float | None = None
-
-
-def stable_params(c0_plus, c0_minus, alpha, gamma0=0.0) -> StableParams:
-    """Map tail constants to the stable scale lambda and skew eta."""
-    if c0_plus < 0 or c0_minus < 0 or c0_plus + c0_minus <= 0:
-        raise ValueError("need c0_plus, c0_minus >= 0 with c0_plus + c0_minus > 0")
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    c0 = c0_plus + c0_minus
-    eta = (c0_plus - c0_minus) / c0
-    lam = c0 * math.pi / (2.0 * math.gamma(alpha) * math.sin(math.pi * alpha / 2.0))
-    if alpha == 1.0:
-        if c0_plus != c0_minus:
-            raise ValueError("alpha = 1 requires c0_plus = c0_minus")
-        return StableParams(lam=lam, eta_skew=0.0, alpha=1.0, gamma0=float(gamma0))
-    return StableParams(lam=lam, eta_skew=eta, alpha=float(alpha))
 
 
 def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
@@ -205,61 +179,55 @@ def _stable_standard(alpha, beta_skew, rng, size):
     return x
 
 
-def sample_V_infinity(pool: ZPool, params: StableParams, rng, size):
-    """`size` draws of the limit law: Z^(1/a) S_a, or Z (gamma0 + lambda Cauchy) at a = 1."""
+def sample_V_infinity(pool: ZPool, law, rng, size):
+    """`size` draws of the limit law Z^(1/a) S_a, S_1 = lambda Cauchy at a = 1."""
     z = pool.samples[rng.integers(0, pool.samples.size, size=size)]
-    a = params.alpha
+    a, lam = law.alpha, law.stable_scale
     if a == 1.0:
-        return z * (params.gamma0 + params.lam * np.tan(math.pi * (rng.random(size) - 0.5)))
-    s = params.lam ** (1.0 / a) * _stable_standard(a, params.eta_skew, rng, size)
+        return z * (lam * np.tan(math.pi * (rng.random(size) - 0.5)))
+    s = lam ** (1.0 / a) * _stable_standard(a, law.stable_skew, rng, size)
     return z ** (1.0 / a) * s
 
 
-def cf_V_infinity(xi, pool: ZPool, params: StableParams):
-    """Characteristic function of the limit law, averaged over the pool.
+def _mean_exp(z, s, skew=None):
+    """Pool average of exp(-s Z), s >= 0, or of exp(-(s Z) skew) for a
+    complex `skew`.
 
-    alpha != 1: E exp(-|xi|^a lambda Z (1 - i eta tan(pi a/2) sign xi));
-    alpha == 1: E exp(Z (i gamma0 xi - lambda |xi|)), lambda = c0+ pi.
+    A term whose s Z overflows is 0, whatever its phase.  When s itself
+    overflows only the Z = 0 terms keep exponent 0, so the average is the
+    pool's mass at zero.
     """
+    if s == math.inf:
+        return float(np.mean(z == 0.0))
+    with np.errstate(over="ignore"):
+        e = np.multiply(-s, z)
+    if skew is None:
+        return float(np.exp(e, out=e).mean())
+    inf = np.isinf(e)
+    e[inf] = 0.0
+    term = np.exp(e * skew)
+    term[inf] = 0.0
+    return complex(term.mean())
+
+
+def cf_V_infinity(xi, pool: ZPool, law):
+    """Characteristic function of the limit law, averaged over the pool:
+    E exp(-|xi|^a lambda Z (1 - i eta tan(pi a/2) sign xi)) for every alpha."""
     xi_arr = np.asarray(xi, dtype=float)
-    z = pool.samples
     flat = np.atleast_1d(xi_arr)
-    a = params.alpha
+    a, lam, eta = law.alpha, law.stable_scale, law.stable_skew
     out = np.empty(flat.size, dtype=complex)
     for i, x in enumerate(flat):
-        if a == 1.0:
-            # the real part of each exponent is -c0+ pi |xi| Z; where it
-            # overflows the term is 0 to rounding, whatever its phase
-            with np.errstate(over="ignore"):
-                e = z * (1j * params.gamma0 * x - params.lam * abs(x))
-            inf = np.isinf(e.real)
-            e[inf] = 0.0
-            term = np.exp(e)
-            term[inf] = 0.0
-            out[i] = term.mean()
-            continue
-        skew = 1.0 - 1j * params.eta_skew * math.tan(math.pi * a / 2.0) * np.sign(x)
-        # each term is exp(-u) e^{icu} with u = |xi|^a lambda Z >= 0; where
-        # u overflows the term is 0 to rounding, whatever its phase
         with np.errstate(over="ignore"):
-            u = abs(x) ** a * params.lam * z
-        inf = np.isinf(u)
-        u[inf] = 0.0
-        term = np.exp(-u * skew)
-        term[inf] = 0.0
-        out[i] = term.mean()
+            s = abs(x) ** a * lam
+        skew = 1.0 - 1j * eta * math.tan(math.pi * a / 2.0) * np.sign(x)
+        out[i] = _mean_exp(pool.samples, s, skew)
     return complex(out[0]) if xi_arr.ndim == 0 else out
 
 
-def cdf_H_infinity(x, pool: ZPool, c0, alpha) -> float:
-    """Distribution function of the max-process limit.
-
-    E[exp(-c0 x^-a Z)] for x > 0, the pool's mass at zero for x = 0,
-    and 0 for x < 0.
-    """
+def cdf_H_infinity(x, pool: ZPool, law) -> float:
+    """Distribution function of the max-process limit: E[exp(-c0 x^-a Z)]
+    for x > 0, the pool's mass at zero for x = 0, and 0 for x < 0."""
     if x < 0:
         return 0.0
-    z = pool.samples
-    if x == 0:
-        return float(np.mean(z == 0.0))
-    return float(np.exp(-c0 * x ** (-alpha) * z).mean())
+    return _mean_exp(pool.samples, law.c0 * power_or_inf(float(x), -law.alpha))

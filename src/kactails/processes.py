@@ -40,7 +40,6 @@ class ForestSample:
     for its one alpha) and beta_max and leaves V and H None.
     """
 
-    t: float
     nu: np.ndarray
     M: np.ndarray | None = None
     beta_max: np.ndarray | None = None
@@ -119,5 +118,5 @@ def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSa
             h_out[sl][order] = np.maximum.reduceat(prod, starts)
         done += m
     if law is None:
-        return ForestSample(t=float(t), nu=nu_out, M=m_out, beta_max=bmax_out)
-    return ForestSample(t=float(t), nu=nu_out, V=v_out, H=h_out)
+        return ForestSample(nu=nu_out, M=m_out, beta_max=bmax_out)
+    return ForestSample(nu=nu_out, V=v_out, H=h_out)

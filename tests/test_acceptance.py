@@ -121,12 +121,11 @@ def test_criterion_06_characteristic_function():
     fs = forest_statistics(det_kernel(), 6.0, 100_000, g, law=law)
     pool = kt.zpool_iterate(kt.ZPool.ones(100_000, ALPHA, 0.0), det_kernel(),
                             g, iterations=60)
-    params = kt.stable_params(0.5, 0.5, ALPHA)
     ok = True
     worst = 0.0
     for xi in (0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0):
         emp = np.exp(1j * xi * fs.V).mean()
-        err = abs(emp - kt.cf_V_infinity(xi, pool, params))
+        err = abs(emp - kt.cf_V_infinity(xi, pool, law))
         worst = max(worst, err)
         ok &= err <= 0.05
     assert report(6, "empirical CF vs limit CF", ok,
@@ -188,8 +187,7 @@ def test_criterion_09_iid_baseline():
     hits_sum, hits_max = kt.iid_hit_counts(law, n, [x * n ** (1.0 / ALPHA)], n_rows, rng(9))
     p_sum, _, _, _, ratio_paper, ratio_max = \
         kt.tail_ratios(law, [x], n_rows, hits_sum, hits_max)[0]
-    lam = kt.stable_params(law.c0_plus, law.c0_minus, ALPHA).lam
-    ref = stable_abs_tail_ratio(x, lam, ALPHA) / (law.c0_plus + law.c0_minus)
+    ref = stable_abs_tail_ratio(x, law.stable_scale, ALPHA) / law.c0
     se = ratio_paper * math.sqrt((1 - p_sum) / (n_rows * p_sum))
     dev = abs(ratio_paper - ref)
     ok = (0.9 <= ratio_paper <= 1.1 and 0.9 <= ratio_max <= 1.1

@@ -474,6 +474,10 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     # u^(-1/alpha) overflowed for two thirds of the rows: NaN row sums, mc < max_mc
     ("bounds", ["initial={kind: symmetric-pareto, alpha: 0.002}", "xs=[1.0, 10.0]",
                 "N=1000", "seed=7"], 2, "initial"),
+    # the largest draw times sum_j b_j overflowed: inf row sums in the hit counts
+    ("bounds", ["initial={kind: symmetric-pareto, alpha: 0.1}", "n=2",
+                "b=[1.0e+300, 1.0e+300]", "xs=[1.0e+300, 1.0e+305]", "N=1000", "seed=7"],
+     2, "b"),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):
@@ -498,10 +502,6 @@ def _log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0 ** e)
 
 
-# the Monte Carlo columns of an accepted config can still overflow (draws
-# of inf at small alpha, sums past the float range); only the bounds are
-# checked here
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(alpha=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
        xmin=_log_uniform(-300, 300),
@@ -519,15 +519,16 @@ def test_every_accepted_bounds_config_gives_finite_bounds(alpha, xmin, b, xs, ep
         return
     rows, _, _ = cli.run(cfg)
     for row in rows:
-        assert all(math.isfinite(row[c])
-                   for c in ("lower", "upper", "max_lower", "max_upper")), (doc, row)
+        assert all(math.isfinite(row[c]) for c in cli.SCHEMAS["bounds"]), (doc, row)
 
 
-def test_cf_v_alpha_one_overflowing_phase_adds_zero(tmp_path):
+@pytest.mark.parametrize("xmin", [1.0, 2.0])
+def test_cf_v_alpha_one_overflowing_phase_adds_zero(tmp_path, xmin):
     # xi v and c0+ pi |xi| Z overflowed at xi = 1e308: RuntimeWarnings and
-    # NaN in the empirical columns; the 0.5 row is the same run without it
+    # NaN in the empirical columns; at xmin 2, c0+ pi |xi| itself overflows.
+    # The 0.5 row is the same run without the 1e308 one
     text = ("experiment: cf-V\nseed: 5\nkernel: {kind: kac}\n"
-            "initial: {kind: symmetric-pareto, alpha: 1.0}\n"
+            f"initial: {{kind: symmetric-pareto, alpha: 1.0, xmin: {xmin}}}\n"
             "t: 1.0\nN: 2000\npool_size: 1000\niterations: 3\n")
     code, both = _run_to_csv(tmp_path, text + "xs: [1.0e+308, 0.5]", "both")
     assert code == 0

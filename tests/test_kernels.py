@@ -32,7 +32,7 @@ _SAMPLERS = {
     "asymmetric": lambda g: kt.AsymmetricPareto(1.5, 0.7, 0.3).sample(g),
     "yule": lambda g: kt.sample_yule(1.0, g),
     "V-infinity": lambda g: kt.sample_V_infinity(kt.ZPool.ones(10, 1.5, 0.0),
-                                                 kt.stable_params(0.5, 0.5, 1.5), g),
+                                                 kt.SymmetricPareto(1.5), g),
 }
 
 

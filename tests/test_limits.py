@@ -152,30 +152,30 @@ def test_tree_and_fixed_point_pools_agree():
     assert d.statistic <= 0.03
 
 
-def test_stable_params_values():
-    p = kt.stable_params(0.5, 0.5, 1.5)
-    assert abs(p.lam - LAMBDA_15) < 1e-12
-    assert abs(p.lam - 2.5066282746310002) < 1e-12
-    assert p.eta_skew == 0.0
-    assert kt.stable_params(0.7, 0.0, 1.5).eta_skew == 1.0
-    c = kt.stable_params(0.5, 0.5, 1.0, gamma0=0.0)
-    assert abs(c.lam - math.pi / 2.0) < 1e-12
-    assert c.gamma0 == 0.0
+def test_stable_scale_and_skew_on_the_law():
+    law = kt.SymmetricPareto(1.5)
+    assert abs(law.stable_scale - LAMBDA_15) < 1e-12
+    assert abs(law.stable_scale - 2.5066282746310002) < 1e-12
+    assert law.stable_skew == 0.0
+    assert kt.AsymmetricPareto(1.5, 0.7, 0.0).stable_skew == 1.0
+    cauchy = kt.SymmetricPareto(1.0)
+    assert abs(cauchy.stable_scale - math.pi / 2.0) < 1e-12
+    assert cauchy.stable_skew == 0.0
     with pytest.raises(ValueError):
-        kt.stable_params(0.6, 0.4, 1.0)
+        kt.AsymmetricPareto(1.0, 0.6, 0.4)
     with pytest.raises(ValueError):
-        kt.stable_params(0.0, 0.0, 1.5)
+        kt.AsymmetricPareto(1.5, 0.0, 0.0)
 
 
 def test_stable_sampler_characteristic_function():
     # degenerate pool: pure stable draws; empirical CF vs exp(-lam |xi|^a)
     g = rng(9)
     pool = kt.ZPool.ones(100, 1.5, 0.0)
-    params = kt.stable_params(0.5, 0.5, 1.5)
-    v = kt.sample_V_infinity(pool, params, g, size=100_000)
+    law = kt.SymmetricPareto(1.5)
+    v = kt.sample_V_infinity(pool, law, g, size=100_000)
     for xi in (0.5, 1.0, 2.0):
         emp = np.exp(1j * xi * v).mean()
-        assert abs(emp - math.exp(-params.lam * xi ** 1.5)) <= 0.02, xi
+        assert abs(emp - math.exp(-law.stable_scale * xi ** 1.5)) <= 0.02, xi
     # symmetric case: median straddles zero
     frac = (v > 0).mean()
     assert abs(frac - 0.5) <= 4 * 0.5 / math.sqrt(v.size)
@@ -184,11 +184,11 @@ def test_stable_sampler_characteristic_function():
 def test_stable_sampler_skewed_characteristic_function():
     g = rng(10)
     pool = kt.ZPool.ones(100, 1.5, 0.0)
-    params = kt.stable_params(0.8, 0.2, 1.5)
-    v = kt.sample_V_infinity(pool, params, g, size=200_000)
+    law = kt.AsymmetricPareto(1.5, 0.8, 0.2)
+    v = kt.sample_V_infinity(pool, law, g, size=200_000)
     for xi in (0.5, 1.0, -1.0):
         emp = np.exp(1j * xi * v).mean()
-        target = kt.cf_V_infinity(xi, pool, params)
+        target = kt.cf_V_infinity(xi, pool, law)
         assert abs(emp - target) <= 0.02, xi
 
 
@@ -196,8 +196,7 @@ def test_limit_tail_recovers_c0():
     # x^a P{|V_inf| > x} -> c0; at x = 30 the second-order term is ~2.6%
     g = rng(11)
     pool = kt.ZPool.ones(100, 1.5, 0.0)
-    params = kt.stable_params(0.5, 0.5, 1.5)
-    v = kt.sample_V_infinity(pool, params, g, size=10_000_000)
+    v = kt.sample_V_infinity(pool, kt.SymmetricPareto(1.5), g, size=10_000_000)
     ratio = 30.0 ** 1.5 * (np.abs(v) > 30.0).mean()
     assert abs(ratio - 1.0) <= 0.15
 
@@ -206,86 +205,98 @@ def test_cauchy_composition_matches_characteristic_function():
     g = rng(12)
     pool = kt.zpool_iterate(kt.ZPool.ones(50_000, 1.0, S1_KAC),
                             kt.KacKernel(), g, iterations=40)
-    params = kt.stable_params(0.5, 0.5, 1.0, gamma0=0.3)
-    v = kt.sample_V_infinity(pool, params, g, size=200_000)
+    law = kt.SymmetricPareto(1.0)
+    v = kt.sample_V_infinity(pool, law, g, size=200_000)
     for xi in (0.5, 1.0, 2.0):
         emp = np.exp(1j * xi * v).mean()
-        target = kt.cf_V_infinity(xi, pool, params)
+        target = kt.cf_V_infinity(xi, pool, law)
         assert abs(emp - target) <= 0.02, xi
 
 
 def test_cf_properties():
     pool = kt.ZPool.from_samples(rng(13).standard_exponential(5000), 1.5, 0.0)
-    params = kt.stable_params(0.5, 0.5, 1.5)
-    assert kt.cf_V_infinity(0.0, pool, params) == 1.0 + 0.0j
+    law = kt.SymmetricPareto(1.5)
+    assert kt.cf_V_infinity(0.0, pool, law) == 1.0 + 0.0j
     grid = np.array([-2.0, -0.5, 0.3, 1.7])
-    vals = kt.cf_V_infinity(grid, pool, params)
+    vals = kt.cf_V_infinity(grid, pool, law)
     assert np.all(np.abs(vals) <= 1.0 + 1e-12)
     # Hermitian symmetry and zero imaginary part in the symmetric case
-    conj = kt.cf_V_infinity(-grid, pool, params)
+    conj = kt.cf_V_infinity(-grid, pool, law)
     np.testing.assert_allclose(vals, np.conj(conj), rtol=0, atol=1e-12)
     np.testing.assert_allclose(vals.imag, 0.0, atol=1e-12)
     # closed form at a degenerate pool
     ones = kt.ZPool.ones(10, 1.5, 0.0)
-    assert abs(kt.cf_V_infinity(1.0, ones, params)
-               - math.exp(-params.lam)) < 1e-12
+    assert abs(kt.cf_V_infinity(1.0, ones, law)
+               - math.exp(-law.stable_scale)) < 1e-12
 
 
-@pytest.mark.parametrize("c0_plus, c0_minus", [(0.5, 0.5), (0.7, 0.3)])
-def test_cf_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits(c0_plus, c0_minus):
+@pytest.mark.parametrize("c_plus, c_minus", [(0.5, 0.5), (0.7, 0.3)])
+def test_cf_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits(c_plus, c_minus):
     # |xi|^a lambda = 7.1e307 is finite, times Z > 2.5 it overflows: the
     # terms are 0, where an inf * 0 product used to give NaN phases
+    law = kt.AsymmetricPareto(1.5, c_plus, c_minus)
     pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.5, 0.0)
-    params = kt.stable_params(c0_plus, c0_minus, 1.5)
-    assert kt.cf_V_infinity(2.0e205, pool, params) == 0j
-    assert kt.cf_V_infinity(-2.0e205, pool, params) == 0j
+    assert kt.cf_V_infinity(2.0e205, pool, law) == 0j
+    assert kt.cf_V_infinity(-2.0e205, pool, law) == 0j
     # where every exponent is finite, the value is the direct average
     z = rng(15).standard_exponential(2000)
     pool = kt.ZPool.from_samples(z, 1.5, 0.0)
     grid = np.array([-3.0, -0.4, 0.0, 0.7, 2.5, 1.0e200])
     tan = math.tan(0.75 * math.pi)
-    direct = [np.exp(-abs(x) ** 1.5 * params.lam * z
-                     * (1.0 - 1j * params.eta_skew * tan * np.sign(x))).mean() for x in grid]
-    assert kt.cf_V_infinity(grid, pool, params).tobytes() == np.array(direct).tobytes()
+    direct = [np.exp(-abs(x) ** 1.5 * law.stable_scale * z
+                     * (1.0 - 1j * law.stable_skew * tan * np.sign(x))).mean() for x in grid]
+    assert kt.cf_V_infinity(grid, pool, law).tobytes() == np.array(direct).tobytes()
 
 
-@pytest.mark.parametrize("gamma0", [0.0, 0.3])
-def test_cf_alpha_one_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits(gamma0):
+def test_cf_alpha_one_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits():
     # c0+ pi |xi| = 1.6e308 is finite, times Z > 1.2 it overflows: the terms
     # are 0, where the product used to warn and could give NaN phases
-    params = kt.stable_params(0.5, 0.5, 1.0, gamma0=gamma0)
+    law = kt.SymmetricPareto(1.0)
     pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.0, S1_KAC)
-    assert kt.cf_V_infinity(1.0e308, pool, params) == 0j
-    assert kt.cf_V_infinity(-1.0e308, pool, params) == 0j
+    assert kt.cf_V_infinity(1.0e308, pool, law) == 0j
+    assert kt.cf_V_infinity(-1.0e308, pool, law) == 0j
+    # the general formula at eta = 0 gives the bits of the Cauchy one,
+    # E exp(-lambda |xi| Z)
     z = rng(16).standard_exponential(2000)
     pool = kt.ZPool.from_samples(z, 1.0, S1_KAC)
     grid = np.array([-3.0, -0.4, 0.0, 0.7, 2.5, 1.0e200])
-    direct = [np.exp(z * (1j * gamma0 * x - params.lam * abs(x))).mean()
+    direct = [np.exp(z * (1j * 0.0 * x - law.stable_scale * abs(x))).mean()
               for x in grid]
-    assert kt.cf_V_infinity(grid, pool, params).tobytes() == np.array(direct).tobytes()
+    assert kt.cf_V_infinity(grid, pool, law).tobytes() == np.array(direct).tobytes()
+
+
+def test_limits_are_the_mass_at_zero_where_the_exponent_scale_overflows():
+    # s = |xi|^a lambda overflows, and so does c0 x^-a Z at Z = 3: the
+    # Z = 0 terms are 1 and the others 0, where s Z gave NaN or a warning
+    pool = kt.ZPool.from_samples([0.0, 0.0, 1.0, 3.0], 1.5, 0.0)
+    assert kt.cf_V_infinity(3.0e205, pool, kt.SymmetricPareto(1.5)) == 0.5
+    assert kt.cf_V_infinity(1.0e308, pool, kt.SymmetricPareto(1.0, xmin=2.0)) == 0.5
+    assert kt.cdf_H_infinity(1.0e-205, pool, kt.SymmetricPareto(1.5, xmin=2.0)) == 0.5
 
 
 def test_cdf_H_infinity_branches():
     pool = kt.ZPool.ones(1000, 1.5, 0.0)
-    assert kt.cdf_H_infinity(-1.0, pool, 1.0, 1.5) == 0.0
-    assert kt.cdf_H_infinity(0.0, pool, 1.0, 1.5) == 0.0  # P{Z = 0} = 0
+    law = kt.SymmetricPareto(1.5)
+    assert kt.cdf_H_infinity(-1.0, pool, law) == 0.0
+    assert kt.cdf_H_infinity(0.0, pool, law) == 0.0  # P{Z = 0} = 0
     # degenerate mixing gives the bare Frechet law
     for x in (0.5, 1.0, 3.0):
-        assert abs(kt.cdf_H_infinity(x, pool, 1.0, 1.5)
+        assert abs(kt.cdf_H_infinity(x, pool, law)
                    - math.exp(-x ** -1.5)) < 1e-12
-    assert kt.cdf_H_infinity(1e9, pool, 1.0, 1.5) > 1.0 - 1e-9
+    assert kt.cdf_H_infinity(1e9, pool, law) > 1.0 - 1e-9
     withzeros = kt.ZPool.from_samples([0.0, 0.0, 1.0, 1.0], 1.5, 0.0)
-    assert kt.cdf_H_infinity(0.0, withzeros, 1.0, 1.5) == 0.5
+    assert kt.cdf_H_infinity(0.0, withzeros, law) == 0.5
 
 
 def test_cdf_H_infinity_monotone_grid():
     pool = kt.ZPool.from_samples(rng(14).standard_exponential(20_000), 1.0, S1_KAC)
+    law = kt.SymmetricPareto(1.0)
     xs = np.linspace(0.01, 20.0, 200)
-    vals = [kt.cdf_H_infinity(x, pool, 1.0, 1.0) for x in xs]
+    vals = [kt.cdf_H_infinity(x, pool, law) for x in xs]
     assert np.all(np.diff(vals) >= -1e-15)
     # right-continuous at 0 when the pool carries no mass at zero
-    assert kt.cdf_H_infinity(0.0, pool, 1.0, 1.0) == 0.0
-    assert kt.cdf_H_infinity(1e-9, pool, 1.0, 1.0) < 1e-12
+    assert kt.cdf_H_infinity(0.0, pool, law) == 0.0
+    assert kt.cdf_H_infinity(1e-9, pool, law) < 1e-12
 
 
 CONSTANT_POOLS = {

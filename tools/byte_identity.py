@@ -48,9 +48,15 @@ do not count.  The matrix:
 - deep growth: tail (N = 10000, the least it takes, in chunks of 4096)
   and cdf-H (N = 4096) at t = 5 x the three kernels of the first matrix
   x symmetric Pareto 1.5, so the largest tree of a chunk grows for about
-  1,000 steps, each drawing its own kernel pairs.
+  1,000 steps, each drawing its own kernel pairs;
+- limit values whose exponent scale or exponent leaves the float range:
+  cf-V at alpha 1 with xmin 2 and xi = +/-1e308, where c0+ pi |xi|
+  overflows; cf-V at alpha 1.5 and xi = 3e205, where |xi|^alpha lambda
+  overflows, on a kernel with an L = R = 0 atom, so the pool has mass at
+  zero; and cdf-H with xmin 2 at x = 1e-205 on a kernel with an R = 0
+  atom, where c0 x^-alpha is finite but c0 x^-alpha Z overflows.
 
-That is 274 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 277 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -113,6 +119,40 @@ N: 2000
 pool_size: 1000
 iterations: 3
 """
+# exponent scales s of the limits' pool average E[exp(-s Z)] that overflow,
+# or whose products s Z do
+LIMIT_EDGES = {
+    "cf-V-alpha1-xmin2-overflow": """experiment: cf-V
+seed: 3
+kernel: {kind: kac}
+initial: {kind: symmetric-pareto, alpha: 1.0, xmin: 2.0}
+t: 1.0
+xs: [1.0e+308, -1.0e+308, 0.5]
+N: 2000
+pool_size: 1000
+iterations: 3
+""",
+    "cf-V-scale-overflow-mass-at-zero": """experiment: cf-V
+seed: 3
+kernel: {kind: discrete-mixture, atoms: [[0.0, 0.0], [1.0, 0.5]], probs: [0.2, 0.8]}
+initial: {kind: symmetric-pareto, alpha: 1.5}
+t: 1.0
+xs: [3.0e+205, 0.5]
+N: 2000
+pool_size: 2000
+iterations: 3
+""",
+    "cdf-H-xmin2-product-overflow": """experiment: cdf-H
+seed: 3
+kernel: {kind: discrete-mixture, atoms: [[0.0, 0.0], [1.0, 0.9]], probs: [0.2, 0.8]}
+initial: {kind: symmetric-pareto, alpha: 1.5, xmin: 2.0}
+t: 1.0
+xs: [1.0e-205, 2.0]
+N: 2000
+pool_size: 2000
+iterations: 3
+""",
+}
 # symmetric Pareto 1.5: B = 1e75, K0^2 B^2 = 4e150 over x^a = 3.2e-5 at x = 1e-3
 BOUNDS_EDGE = "n: 1\nb: [1.0e+50]\nxs: [1.0e-3, 1.0]\nN: 5000"
 # P{H <= x} at x <= 0 and t = 0, over paths some of whose weights are 0
@@ -200,6 +240,7 @@ def matrix():
         text = (f"experiment: bounds\nseed: 3\nkernel: {KERNELS['kac']}\n"
                 f"initial: {law}\n{BOUNDS_EDGE}\n")
         runs.append((f"bounds-edge/kac/{ln}", text, None, []))
+    runs += [(name, text, None, []) for name, text in LIMIT_EDGES.items()]
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
                   "--override", "N=40000", "--workers", "2"]))
