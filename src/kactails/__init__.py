@@ -25,7 +25,9 @@ from .weights import (
 )
 from .processes import (
     ForestSample,
+    alpha_sums,
     forest_statistics,
+    law_sums,
     sample_yule,
 )
 from .limits import (

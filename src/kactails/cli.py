@@ -47,7 +47,7 @@ from .kernels import (
     RegimeUnavailableError,
     classify_regime,
 )
-from .processes import YULE_T_MAX, forest_statistics
+from .processes import YULE_T_MAX, forest_statistics, law_sums
 from .weights import grow_weights_batch, mean_weight_norm
 
 EXPERIMENTS = ("tail", "cdf-H", "cf-V", "fixed-point", "bounds",
@@ -380,7 +380,7 @@ def _summed_jobs(cfg, tag, fn, chunk_args):
 def _cf_sums(kernel, law, t, mu, xis, size, rng):
     """Per-chunk sums of exp(i xi V) over the paths' rescaled V, for cf-V,
     as the one component of the chunk's result."""
-    v = forest_statistics(kernel, t, size, rng, law=law).V * math.exp(-mu * t)
+    v = forest_statistics(kernel, t, size, rng, law_sums(law)).stats[0] * math.exp(-mu * t)
     # a path whose phase xi v overflows adds 0: its phase carries no
     # information, and the characteristic function tends to 0 there
     with np.errstate(over="ignore"):
@@ -464,16 +464,15 @@ def _run_fixed_point(cfg):
     else:
         pool = limits.ZPool.ones(cfg.pool_size, alpha, s_alpha)
 
-    def row(i, p):
-        z = p.samples
+    # the pool mean is a martingale whose step j adds about var_j / n to its variance
+    rows, var_sum = [], 0.0
+    for i in range(cfg.iterations + 1):
+        pool = limits.zpool_iterate(pool, cfg.kernel, rng) if i else pool
+        z = pool.samples
         var = float(z.var(ddof=1)) if z.size > 1 else 0.0
-        return {"iteration": i, "pool_size": z.size, "mean": float(z.mean()),
-                "se": math.sqrt(var / z.size), "variance": var}
-
-    rows = [row(0, pool)]
-    for i in range(1, cfg.iterations + 1):
-        pool = limits.zpool_iterate(pool, cfg.kernel, rng)
-        rows.append(row(i, pool))
+        var_sum += var
+        rows.append({"iteration": i, "pool_size": z.size, "mean": float(z.mean()),
+                     "se": math.sqrt(var_sum / z.size), "variance": var})
     return rows
 
 
@@ -486,8 +485,8 @@ def _zpool_for_limit(cfg):
 def _run_cdf_h(cfg):
     pool = _zpool_for_limit(cfg)
     rows = []
-    # N - #{H > x} is #{H <= x} unless an H is NaN, which takes an
-    # infinite law draw times a zero weight
+    # N - #{H > x} is #{H <= x} unless an H is NaN, which takes a weight
+    # that overflowed to inf times a zero kernel coefficient
     for t, (_, hits_h) in _path_sums(cfg, deviations.tail_hit_counts):
         for x, hh in zip(cfg.xs, hits_h):
             p = (cfg.N - hh) / cfg.N

@@ -38,7 +38,7 @@ import numpy as np
 
 from .initial_data import power_or_inf
 from .kernels import CASE_UNRESTRICTED, log_h_of_t
-from .processes import forest_statistics
+from .processes import forest_statistics, law_sums
 
 _ROW_BUDGET = 1 << 22  # elements per i.i.d. sampling block
 
@@ -91,10 +91,10 @@ def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
     mergeable chunk primitive: counts from disjoint path blocks add
     associatively.
     """
-    stats = forest_statistics(kernel, t, n_paths, rng, law=law)
+    v, h = forest_statistics(kernel, t, n_paths, rng, law_sums(law)).stats
     f = math.exp(-mu_alpha * t)
-    av = np.abs(stats.V) * f
-    ah = stats.H * f
+    av = np.abs(v) * f
+    ah = h * f
     hits_v = np.array([(av > x).sum() for x in xs], dtype=np.int64)
     hits_h = np.array([(ah > x).sum() for x in xs], dtype=np.int64)
     return hits_v, hits_h
@@ -308,8 +308,8 @@ def max_ode_residual(kernel, law, t, x, delta, N, rng):
     if not (math.isfinite(x) and x != 0):
         raise ValueError("x must be finite and nonzero")
     N = int(N)
-    h_t = np.sort(forest_statistics(kernel, t, N, rng, law=law).H)
-    h_td = forest_statistics(kernel, t + delta, N, rng, law=law).H
+    h_t = np.sort(forest_statistics(kernel, t, N, rng, law_sums(law)).stats[1])
+    h_td = forest_statistics(kernel, t + delta, N, rng, law_sums(law)).stats[1]
 
     def ecdf_t(q):
         return np.searchsorted(h_t, q, side="right") / N

@@ -32,7 +32,7 @@ import numpy as np
 
 from .initial_data import power_or_inf
 from .kernels import DeterministicKernel, spectral
-from .processes import forest_statistics
+from .processes import alpha_sums, forest_statistics
 
 
 @dataclass
@@ -142,10 +142,10 @@ def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
     (the tree functional is then still far from its limit).
     """
     s_alpha = spectral(kernel, alpha)
-    stats = forest_statistics(kernel, t, size, rng, alpha=alpha)
-    z = math.exp(-s_alpha * t) * stats.M
+    m, beta_max = forest_statistics(kernel, t, size, rng, alpha_sums(alpha)).stats
+    z = math.exp(-s_alpha * t) * m
     mu = s_alpha / alpha
-    beta_scale = float(np.median(stats.beta_max)) * math.exp(-mu * t)
+    beta_scale = float(np.median(beta_max)) * math.exp(-mu * t)
     if beta_scale > 0.25:
         warnings.warn(
             f"median rescaled beta_max = {beta_scale:.3g} at t = {t:g}; "

@@ -3,18 +3,24 @@
 At time t the leaf count nu_t is geometric, P{nu_t = n} = e^-t (1-e^-t)^(n-1).
 Conditioned on nu_t = n the weights grow to exactly n leaves and each leaf
 receives an i.i.d. initial draw X_j, which is valid because the weights,
-the leaf count and the X's are mutually independent.  From one shared set
-of per-leaf products the samplers report
+the leaf count and the X's are mutually independent.  forest_statistics
+grows the forest; a reducer turns each grown tree into per-path values:
+law_sums gives, from one shared set of per-leaf products,
 
     V_t = sum_j beta_j X_j      and      H_t = max_j |beta_j X_j|,
 
-so tail-ratio estimates of the pair use common random numbers.
+so tail-ratio estimates of the pair use common random numbers, and
+alpha_sums gives M_nu(alpha) = sum_j beta_j^alpha and max_j beta_j.
+
+Stream order, per sub-batch: the Yule counts, the growth (grow_weights_batch),
+then the reducer's draws.  A reducer that draws nothing (alpha_sums) leaves
+the stream where growth left it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,20 +37,11 @@ _LEAF_BUDGET = 1 << 23
 YULE_T_MAX = 40.0
 
 
-@dataclass
-class ForestSample:
-    """Vectorized path statistics; arrays are aligned by path index.
-
-    nu is always filled.  A call with a law fills V and H and leaves M and
-    beta_max None; a call without one fills M (the alpha-sums M_nu(alpha)
-    for its one alpha) and beta_max and leaves V and H None.
-    """
+class ForestSample(NamedTuple):
+    """Leaf counts nu and the reducer's per-path arrays, aligned by path."""
 
     nu: np.ndarray
-    M: np.ndarray | None = None
-    beta_max: np.ndarray | None = None
-    V: np.ndarray | None = None
-    H: np.ndarray | None = None
+    stats: tuple
 
 
 def sample_yule(t, rng, size):
@@ -68,34 +65,45 @@ def sample_yule(t, rng, size):
     return n
 
 
-def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSample:
-    """Sample n_paths independent paths at time t, vectorized.
+def law_sums(law):
+    """Reducer to (V, H) from one law draw per leaf, drawn into `work`."""
+    def reduce(flat, starts, work, rng):
+        prod = law.sample(rng, flat.size, out=work)
+        prod *= flat
+        v = np.add.reduceat(prod, starts)
+        np.abs(prod, out=prod)
+        return v, np.maximum.reduceat(prod, starts)
+    return reduce
 
-    Returns nu and, with a law, V and H from shared per-leaf products
-    beta_j X_j; without one, M(alpha) and beta_max.  alpha is read only
-    when no law is given.  Paths are drawn in sub-batches of at most
-    2^16, sized so the expected leaf total per batch stays near
-    _LEAF_BUDGET.  Each sub-batch draws its Yule counts, its index
-    uniforms, its kernel pairs step by step (grow_weights_batch) and its
-    initial values in turn, so the batch size fixes the order in which
-    the rng stream is consumed: changing _LEAF_BUDGET changes every
-    result for a given stream.  A sub-batch allocates two leaf-length
-    arrays (weights.leaf_array) and no more: the weights, and one scratch
-    array that takes the index uniforms while the trees grow and then the
-    per-leaf products (or the weights' powers).
+
+def alpha_sums(alpha):
+    """Reducer to (M_nu(alpha), beta_max); it draws nothing."""
+    alpha = float(alpha)
+
+    def reduce(flat, starts, work, rng):
+        np.copyto(work, flat)
+        work **= alpha
+        return np.add.reduceat(work, starts), np.maximum.reduceat(flat, starts)
+    return reduce
+
+
+def forest_statistics(kernel, t, n_paths, rng, reduce) -> ForestSample:
+    """Sample n_paths >= 1 independent paths at time t, vectorized.
+
+    Paths are drawn in sub-batches of at most 2^16, sized so the expected
+    leaf total per batch stays near _LEAF_BUDGET; the batch size fixes the
+    order in which the rng stream is consumed, so changing _LEAF_BUDGET
+    changes every result for a given stream.  Each sub-batch calls
+    reduce(flat, starts, work, rng) once on its grown forest (the layout
+    of grow_weights_batch) and scatters the returned per-sorted-tree
+    arrays through `order`.  A sub-batch allocates two leaf-length arrays
+    (weights.leaf_array) and no more: the weights, and the scratch `work`,
+    which takes the index uniforms while the trees grow and is then the
+    reducer's to overwrite.
     """
     n_paths = int(n_paths)
     nu_out = np.empty(n_paths, dtype=np.int64)
-    if law is None:
-        if alpha is None:
-            raise ValueError("forest_statistics needs a law or an alpha")
-        alpha = float(alpha)
-        m_out = np.empty(n_paths)
-        bmax_out = np.empty(n_paths)
-    else:
-        v_out = np.empty(n_paths)
-        h_out = np.empty(n_paths)
-
+    cols = ()
     batch = int(min(max(_LEAF_BUDGET / math.exp(t), 32), 1 << 16))
     done = 0
     while done < n_paths:
@@ -105,18 +113,9 @@ def forest_statistics(kernel, t, n_paths, rng, law=None, alpha=None) -> ForestSa
         flat, starts, order = grow_weights_batch(kernel, nu, rng, scratch=work)
         sl = slice(done, done + m)
         nu_out[sl] = nu
-        if law is None:
-            np.copyto(work, flat)
-            work **= alpha
-            m_out[sl][order] = np.add.reduceat(work, starts)
-            bmax_out[sl][order] = np.maximum.reduceat(flat, starts)
-        else:
-            prod = law.sample(rng, flat.size, out=work)
-            prod *= flat
-            v_out[sl][order] = np.add.reduceat(prod, starts)
-            np.abs(prod, out=prod)
-            h_out[sl][order] = np.maximum.reduceat(prod, starts)
+        per_tree = reduce(flat, starts, work, rng)
+        cols = cols or tuple(np.empty(n_paths, c.dtype) for c in per_tree)
+        for col, c in zip(cols, per_tree):
+            col[sl][order] = c
         done += m
-    if law is None:
-        return ForestSample(nu=nu_out, M=m_out, beta_max=bmax_out)
-    return ForestSample(nu=nu_out, V=v_out, H=h_out)
+    return ForestSample(nu_out, cols)

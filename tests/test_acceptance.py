@@ -18,7 +18,7 @@ from scipy import stats
 
 import kactails as kt
 import kactails.cli as cli
-from kactails.processes import forest_statistics
+from kactails.processes import forest_statistics, law_sums
 from kactails.weights import grow_weights_batch
 
 from stable_reference import stable_abs_tail_ratio
@@ -104,8 +104,8 @@ def test_criterion_04_large_deviation_ratios():
 
 def test_criterion_05_frechet_limit_of_max():
     law = kt.SymmetricPareto(ALPHA)
-    fs = forest_statistics(det_kernel(), 6.0, 100_000, rng(5), law=law)
-    h = np.sort(fs.H)  # mu(alpha) = 0 for this kernel, no rescaling factor
+    _, h = forest_statistics(det_kernel(), 6.0, 100_000, rng(5), law_sums(law)).stats
+    h = np.sort(h)  # mu(alpha) = 0 for this kernel, no rescaling factor
     limit = np.exp(-h ** -ALPHA)
     n = h.size
     upper = np.max(np.abs(np.arange(1, n + 1) / n - limit))
@@ -118,13 +118,13 @@ def test_criterion_05_frechet_limit_of_max():
 def test_criterion_06_characteristic_function():
     law = kt.SymmetricPareto(ALPHA)
     g = rng(6)
-    fs = forest_statistics(det_kernel(), 6.0, 100_000, g, law=law)
+    v, _ = forest_statistics(det_kernel(), 6.0, 100_000, g, law_sums(law)).stats
     pool = kt.zpool_iterate(kt.ZPool.ones(100_000, ALPHA, 0.0), det_kernel(),
                             g, iterations=60)
     ok = True
     worst = 0.0
     for xi in (0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0):
-        emp = np.exp(1j * xi * fs.V).mean()
+        emp = np.exp(1j * xi * v).mean()
         err = abs(emp - kt.cf_V_infinity(xi, pool, law))
         worst = max(worst, err)
         ok &= err <= 0.05

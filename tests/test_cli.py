@@ -16,7 +16,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import kactails.cli as cli
-from kactails.processes import forest_statistics
+from kactails.processes import forest_statistics, law_sums
 
 MINIMAL = """
 experiment: tail
@@ -277,6 +277,27 @@ pool_init: exponential
     assert len(lines) == 12  # header + initial state + 10 iterations
     var = [float(r.split(",")[4]) for r in lines[1:]]
     assert var[-1] < var[0] / 100  # geometric collapse under the halving map
+
+
+@pytest.mark.parametrize("kernel, pool_init", [
+    ("{kind: kac}", "ones"),
+    ("{kind: discrete-mixture, atoms: [[0.6, 0.7], [0.9, 0.3]], probs: [0.5, 0.5]}",
+     "exponential"),
+], ids=["kac-ones", "discrete-exponential"])
+def test_fixed_point_se_matches_replicate_sd(kernel, pool_init):
+    # the pool mean is a martingale whose variance accumulates every step's
+    # var_j / n; the current pool's var / n alone is 4-25x too small here
+    means, ses = [], []
+    for seed in range(80):
+        cfg = cli.parse_config(
+            f"experiment: fixed-point\nseed: {seed}\nkernel: {kernel}\n"
+            "initial: {kind: symmetric-pareto, alpha: 1.5}\n"
+            f"pool_size: 2000\niterations: 20\npool_init: {pool_init}\n")
+        last = cli.run(cfg)[0][-1]
+        means.append(last["mean"])
+        ses.append(last["se"])
+    ratio = np.std(means, ddof=1) / np.mean(ses)
+    assert 0.7 <= ratio <= 1.4, ratio
 
 
 def test_bounds_experiment_schema(tmp_path):
@@ -554,9 +575,9 @@ def test_cdf_h_equals_direct_counts_of_h_at_most_x():
         counts = np.zeros(len(cfg.xs), dtype=np.int64)
         for k, start in enumerate(range(0, cfg.N, cfg.chunk_size)):
             rng = cli.derive_stream(cfg.seed, f"cdf-H/{it}", k)
-            stats = forest_statistics(cfg.kernel, t, min(cfg.chunk_size, cfg.N - start), rng,
-                                      law=cfg.initial)
-            h = stats.H * math.exp(-cfg.regime.mu_alpha * t)
+            _, h = forest_statistics(cfg.kernel, t, min(cfg.chunk_size, cfg.N - start), rng,
+                                     law_sums(cfg.initial)).stats
+            h = h * math.exp(-cfg.regime.mu_alpha * t)
             counts += [(h <= x).sum() for x in cfg.xs]
         expected += [(c / cfg.N).hex() for c in counts]
     rows, _, _ = cli.run(cfg)

@@ -12,7 +12,7 @@ from scipy import stats
 
 import kactails as kt
 from kactails import processes, weights
-from kactails.processes import forest_statistics
+from kactails.processes import alpha_sums, forest_statistics, law_sums
 
 from growth_reference import grow_tree
 from weight_norm_reference import mean_weight_norm_table
@@ -50,24 +50,25 @@ def test_yule_mean():
 def test_path_sample_at_time_zero():
     g = rng(4)
     law = kt.SymmetricPareto(1.5)
-    fs = forest_statistics(kt.KacKernel(), 0.0, 100, g, law=law)
+    fs = forest_statistics(kt.KacKernel(), 0.0, 100, g, law_sums(law))
     assert np.all(fs.nu == 1)
-    np.testing.assert_array_equal(fs.H, np.abs(fs.V))
-    trees = forest_statistics(kt.KacKernel(), 0.0, 100, g, alpha=1.5)
-    assert np.all(trees.M == 1.0)
-    assert np.all(trees.beta_max == 1.0)
+    v, h = fs.stats
+    np.testing.assert_array_equal(h, np.abs(v))
+    m, beta_max = forest_statistics(kt.KacKernel(), 0.0, 100, g, alpha_sums(1.5)).stats
+    assert np.all(m == 1.0)
+    assert np.all(beta_max == 1.0)
 
 
 def test_conservative_kernel_path_invariant():
     a = 1.5
     k = kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
     law = kt.SymmetricPareto(a)
-    trees = forest_statistics(k, 3.0, 2000, rng(5), alpha=a)
-    np.testing.assert_allclose(trees.M, 1.0, atol=1e-10)
-    fs = forest_statistics(k, 3.0, 2000, rng(5), law=law)
+    m, _ = forest_statistics(k, 3.0, 2000, rng(5), alpha_sums(a)).stats
+    np.testing.assert_allclose(m, 1.0, atol=1e-10)
+    _, h = forest_statistics(k, 3.0, 2000, rng(5), law_sums(law)).stats
     # H is the max of per-leaf products, hence H <= sum of |products| = |V| bound fails,
     # but H <= (sum |b x|^a)^(1/a) is not asserted either; only positivity here
-    assert np.all(fs.H >= 0)
+    assert np.all(h >= 0)
 
 
 def _reference_forest(kernel, t, alphas, n_paths, g, law, batch):
@@ -109,33 +110,36 @@ def test_forest_statistics_equals_reference_reduction(monkeypatch, kernel, law):
     monkeypatch.setattr(kt.processes, "_LEAF_BUDGET", 256)
     batch = int(256 / math.e)
     alphas = (law.alpha, 2.0)
-    fs = forest_statistics(kernel, 1.0, 300, rng(21), law=law)
-    ref = _reference_forest(kernel, 1.0, alphas, 300, rng(21), law, batch)
+    g, g_ref = rng(21), rng(21)
+    fs = forest_statistics(kernel, 1.0, 300, g, law_sums(law))
+    ref = _reference_forest(kernel, 1.0, alphas, 300, g_ref, law, batch)
     np.testing.assert_array_equal(fs.nu, ref["nu"])
-    assert fs.V.tobytes() == ref["V"].tobytes()
-    assert fs.H.tobytes() == ref["H"].tobytes()
-    assert fs.M is None and fs.beta_max is None
+    v, h = fs.stats
+    assert v.tobytes() == ref["V"].tobytes()
+    assert h.tobytes() == ref["H"].tobytes()
+    # per sub-batch the stream gives the Yule counts, the growth, then the
+    # reducer's draws, so it goes on where the reference's does
+    assert g.random(4).tobytes() == g_ref.random(4).tobytes()
 
-    # one alpha per law-free call; M takes no draws, so each replays the stream
-    ref = _reference_forest(kernel, 1.0, alphas, 300, rng(22), None, batch)
+    # one alpha per call; M takes no draws, so each replays the stream
+    g_ref = rng(22)
+    ref = _reference_forest(kernel, 1.0, alphas, 300, g_ref, None, batch)
+    after = g_ref.random(4)
     for a in alphas:
-        trees = forest_statistics(kernel, 1.0, 300, rng(22), alpha=a)
+        g = rng(22)
+        trees = forest_statistics(kernel, 1.0, 300, g, alpha_sums(a))
         np.testing.assert_array_equal(trees.nu, ref["nu"])
-        assert trees.M.tobytes() == ref[a].tobytes()
-        assert trees.beta_max.tobytes() == ref["beta_max"].tobytes()
-        assert trees.V is None and trees.H is None
-
-
-def test_forest_statistics_needs_a_law_or_an_alpha():
-    with pytest.raises(ValueError, match="law or an alpha"):
-        forest_statistics(kt.KacKernel(), 1.0, 10, rng(0))
+        m, beta_max = trees.stats
+        assert m.tobytes() == ref[a].tobytes()
+        assert beta_max.tobytes() == ref["beta_max"].tobytes()
+        assert g.random(4).tobytes() == after.tobytes()
 
 
 def test_rescaled_tree_sum_has_unit_mean():
     # E[e^{-Q(a) t} M_{nu_t}(a)] = 1 at every t
     g = rng(6)
-    fs = forest_statistics(kt.KacKernel(), 3.0, 100_000, g, alpha=1.0)
-    z = math.exp(-S1_KAC * 3.0) * fs.M
+    m, _ = forest_statistics(kt.KacKernel(), 3.0, 100_000, g, alpha_sums(1.0)).stats
+    z = math.exp(-S1_KAC * 3.0) * m
     se = z.std(ddof=1) / math.sqrt(z.size)
     assert abs(z.mean() - 1.0) <= 4 * se
 
@@ -200,24 +204,25 @@ def test_forest_matches_single_path_sampler():
     g1, g2 = rng(11), rng(12)
     law = kt.SymmetricPareto(1.5)
     kernel = kt.KacKernel()
-    fs = forest_statistics(kernel, 1.0, 3000, g1, law=law)
+    v, _ = forest_statistics(kernel, 1.0, 3000, g1, law_sums(law)).stats
 
     def single_path_V():
         n = int(kt.sample_yule(1.0, g2, 1)[0])
         return (grow_tree(kernel, n, g2) * law.sample(g2, n)).sum()
 
     singles = np.array([single_path_V() for _ in range(3000)])
-    d = stats.ks_2samp(fs.V, singles)
+    d = stats.ks_2samp(v, singles)
     assert d.statistic < 0.05
 
 
 @pytest.mark.parametrize("kernel", [kt.KacKernel(), kt.DeterministicKernel(0.6, 0.7)],
                          ids=["kac", "deterministic"])
-@pytest.mark.parametrize("law", [kt.SymmetricPareto(1.5), kt.AsymmetricPareto(1.2, 0.7, 0.3),
-                                 None], ids=["symmetric", "asymmetric", "no-law"])
-def test_forest_statistics_peaks_at_two_leaf_arrays(kernel, law, monkeypatch):
+@pytest.mark.parametrize("reducer", [law_sums(kt.SymmetricPareto(1.5)),
+                                     law_sums(kt.AsymmetricPareto(1.2, 0.7, 0.3)),
+                                     alpha_sums(1.5)], ids=["symmetric", "asymmetric", "no-law"])
+def test_forest_statistics_peaks_at_two_leaf_arrays(kernel, reducer, monkeypatch):
     # one 16,384-path sub-batch at t = 4 holds ~0.9M leaves; growth holds the
-    # weights and the index uniforms, the law phase the weights and the
+    # weights and the index uniforms, the reducer the weights and the
     # products (or flat ** alpha), and nothing else of leaf length.  NumPy
     # reports its buffers to tracemalloc, but not the mappings leaf_array
     # returns, so the leaf arrays come from np.zeros here.
@@ -226,7 +231,7 @@ def test_forest_statistics_peaks_at_two_leaf_arrays(kernel, law, monkeypatch):
     g = rng(31)
     tracemalloc.start()
     try:
-        fs = forest_statistics(kernel, 4.0, 16_384, g, law=law, alpha=1.5)
+        fs = forest_statistics(kernel, 4.0, 16_384, g, reducer)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -239,12 +244,13 @@ import resource, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import kactails as kt
-from kactails.processes import forest_statistics
+from kactails.processes import forest_statistics, law_sums
 
-kernel, law, g = kt.KacKernel(), kt.SymmetricPareto(1.5), np.random.default_rng(32)
-forest_statistics(kernel, 1.0, 16_384, g, law=law)
+kernel, g = kt.KacKernel(), np.random.default_rng(32)
+law = law_sums(kt.SymmetricPareto(1.5))
+forest_statistics(kernel, 1.0, 16_384, g, law)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-leaves = max(int(forest_statistics(kernel, t, 16_384, g, law=law).nu.sum())
+leaves = max(int(forest_statistics(kernel, t, 16_384, g, law).nu.sum())
              for t in (3.0, 3.0, 4.0, 4.0))
 grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
 print(1024 * grown / (8 * leaves))
@@ -272,10 +278,10 @@ def test_rescaled_quantiles_are_tight_in_t():
     mu = S1_KAC
     qv, qh = {}, {}
     for t in (2.0, 4.0, 6.0):
-        fs = forest_statistics(kernel, t, 30_000, g, law=law)
+        v, h = forest_statistics(kernel, t, 30_000, g, law_sums(law)).stats
         f = math.exp(-mu * t)
-        qv[t] = np.quantile(np.abs(fs.V) * f, 0.99)
-        qh[t] = np.quantile(fs.H * f, 0.99)
+        qv[t] = np.quantile(np.abs(v) * f, 0.99)
+        qh[t] = np.quantile(h * f, 0.99)
     for t in (2.0, 4.0):
         assert abs(qv[t] / qv[6.0] - 1.0) <= 0.2
         assert abs(qh[t] / qh[6.0] - 1.0) <= 0.2
