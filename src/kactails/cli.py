@@ -46,6 +46,7 @@ from .kernels import (
     KacKernel,
     RegimeUnavailableError,
     classify_regime,
+    rescale_factor,
 )
 from .processes import YULE_T_MAX, forest_statistics, law_sums
 from .weights import grow_weights_batch, mean_weight_norm
@@ -322,6 +323,12 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.regime
         except RegimeUnavailableError as exc:
             errors.insert(block_errors, f"kernel has no regime at alpha = {law.alpha:g}: {exc}")
+        else:  # the runs that rescale V_t or H_t by e^(-mu(alpha) t)
+            for t in cfg.t or () if experiment in ("tail", "cdf-H", "cf-V") else ():
+                try:
+                    rescale_factor(kernel, law.alpha, t)
+                except ValueError as exc:
+                    errors.append(f"t: {exc}")
 
     # the rules that join fields
     least_n = {"tail": 10_000, "ode-residual": 2}.get(experiment, 1)
@@ -377,10 +384,11 @@ def _summed_jobs(cfg, tag, fn, chunk_args):
     return [np.sum(part, axis=0) for part in zip(*_run_jobs(cfg, tag, fn, chunk_args))]
 
 
-def _cf_sums(kernel, law, t, mu, xis, size, rng):
+def _cf_sums(kernel, law, t, xis, size, rng):
     """Per-chunk sums of exp(i xi V) over the paths' rescaled V, for cf-V,
     as the one component of the chunk's result."""
-    v = forest_statistics(kernel, t, size, rng, law_sums(law)).stats[0] * math.exp(-mu * t)
+    f = rescale_factor(kernel, law.alpha, t)
+    v = forest_statistics(kernel, t, size, rng, law_sums(law)).stats[0] * f
     # a path whose phase xi v overflows adds 0: its phase carries no
     # information, and the characteristic function tends to 0 there
     with np.errstate(over="ignore"):
@@ -398,14 +406,13 @@ def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
 # ---- experiment runners: each returns its rows ----
 
 def _path_sums(cfg, fn):
-    """(t, sums) per t: `fn(kernel, law, t, mu(alpha), xs, m, rng)` on each
-    chunk of m of the N paths, on the streams of "{experiment}/{index of
-    t}", summed componentwise in chunk order."""
+    """(t, sums) per t: `fn(kernel, law, t, xs, m, rng)` on each chunk of m
+    of the N paths, on the streams of "{experiment}/{index of t}", summed
+    componentwise in chunk order."""
     for it, t in enumerate(cfg.t):
         yield t, _summed_jobs(
             cfg, f"{cfg.experiment}/{it}", fn,
-            [(cfg.kernel, cfg.initial, t, cfg.regime.mu_alpha, cfg.xs, m)
-             for m in _chunks(cfg.N, cfg.chunk_size)])
+            [(cfg.kernel, cfg.initial, t, cfg.xs, m) for m in _chunks(cfg.N, cfg.chunk_size)])
 
 
 def _run_tail(cfg):
@@ -457,12 +464,9 @@ def _run_bounds(cfg):
 
 def _run_fixed_point(cfg):
     rng = derive_stream(cfg.seed, "fixed-point", 0)
-    alpha, s_alpha = cfg.initial.alpha, cfg.regime.S_alpha
-    if cfg.pool_init == "exponential":
-        pool = limits.ZPool.from_samples(rng.standard_exponential(cfg.pool_size),
-                                         alpha, s_alpha)
-    else:
-        pool = limits.ZPool.ones(cfg.pool_size, alpha, s_alpha)
+    z = rng.standard_exponential(cfg.pool_size) if cfg.pool_init == "exponential" \
+        else np.ones(cfg.pool_size)
+    pool = limits.ZPool.from_samples(z, cfg.initial.alpha)
 
     # the pool mean is a martingale whose step j adds about var_j / n to its variance
     rows, var_sum = [], 0.0
@@ -478,7 +482,7 @@ def _run_fixed_point(cfg):
 
 def _zpool_for_limit(cfg):
     rng = derive_stream(cfg.seed, "limit-pool", 0)
-    pool = limits.ZPool.ones(cfg.pool_size, cfg.initial.alpha, cfg.regime.S_alpha)
+    pool = limits.ZPool.ones(cfg.pool_size, cfg.initial.alpha)
     return limits.zpool_iterate(pool, cfg.kernel, rng, iterations=cfg.iterations)
 
 

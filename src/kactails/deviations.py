@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import power_or_inf
-from .kernels import CASE_UNRESTRICTED, log_h_of_t
+from .kernels import CASE_UNRESTRICTED, log_h_of_t, rescale_factor
 from .processes import forest_statistics, law_sums
 
 _ROW_BUDGET = 1 << 22  # elements per i.i.d. sampling block
@@ -83,21 +83,18 @@ def tail_ratios(law, xs, n, hits, hits_max):
     return out
 
 
-def tail_hit_counts(kernel, law, t, mu_alpha, xs, n_paths, rng):
-    """Exceedance counts of (rescaled |V|, rescaled H) over shared paths.
+def tail_hit_counts(kernel, law, t, xs, n_paths, rng):
+    """Counts of e^(-mu(alpha) t) (|V_t|, H_t) > x, with the kernel's mu(alpha).
 
     All x thresholds and the V/H pair share the same paths (common random
     numbers), so x -> hits is non-increasing by construction.  This is the
     mergeable chunk primitive: counts from disjoint path blocks add
     associatively.
     """
+    f = rescale_factor(kernel, law.alpha, t)
     v, h = forest_statistics(kernel, t, n_paths, rng, law_sums(law)).stats
-    f = math.exp(-mu_alpha * t)
-    av = np.abs(v) * f
-    ah = h * f
-    hits_v = np.array([(av > x).sum() for x in xs], dtype=np.int64)
-    hits_h = np.array([(ah > x).sum() for x in xs], dtype=np.int64)
-    return hits_v, hits_h
+    return tuple(np.array([(s > x).sum() for x in xs], dtype=np.int64)
+                 for s in (np.abs(v) * f, h * f))
 
 
 def admissible_schedule(regime, epsilon, t, x_t):

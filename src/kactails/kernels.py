@@ -166,6 +166,20 @@ def spectral(kernel, s) -> float:
     return kernel.pair_moment(s) - 1.0
 
 
+def rescale_factor(kernel, alpha, t) -> float:
+    """e^(-mu(alpha) t), which scales V_t and H_t to their limits; a
+    ValueError naming t and the kernel unless it is a finite nonzero float."""
+    mu = spectral(kernel, alpha) / alpha
+    try:
+        f = math.exp(-mu * t)
+    except OverflowError:
+        f = math.inf
+    if not 0.0 < f < math.inf:
+        raise ValueError(f"t = {t!r} gives e^(-mu(alpha) t) = {f!r} with mu(alpha) = {mu!r} "
+                         f"from the kernel at alpha = {alpha:g}; it must be finite and nonzero")
+    return f
+
+
 @dataclass(frozen=True)
 class Regime:
     """Spectral classification of (kernel, alpha) for threshold schedules."""

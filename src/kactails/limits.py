@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial_data import power_or_inf
-from .kernels import DeterministicKernel, spectral
+from .kernels import DeterministicKernel, rescale_factor, spectral
 from .processes import alpha_sums, forest_statistics
 
 
@@ -41,15 +41,14 @@ class ZPool:
 
     samples: np.ndarray
     alpha: float
-    S_alpha: float
 
     @classmethod
-    def ones(cls, size, alpha, S_alpha):
+    def ones(cls, size, alpha):
         """Default initial pool: degenerate at 1 (mean-1 consistent)."""
-        return cls(np.ones(int(size)), float(alpha), float(S_alpha))
+        return cls(np.ones(int(size)), float(alpha))
 
     @classmethod
-    def from_samples(cls, samples, alpha, S_alpha):
+    def from_samples(cls, samples, alpha):
         samples = np.asarray(samples, dtype=float)
         if samples.size == 0:
             raise ValueError("pool must be non-empty")
@@ -57,50 +56,46 @@ class ZPool:
             raise ValueError("pool entries must be finite")
         if np.any(samples < 0):
             raise ValueError("pool entries must be non-negative")
-        return cls(samples, float(alpha), float(S_alpha))
+        return cls(samples, float(alpha))
 
 
 def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     """Population-dynamics steps on the fixed-point equation.
 
-    Each new sample is Theta^Q(a) (L^a Z1 + R^a Z2) with Z1, Z2 resampled
-    with replacement from the previous pool.  The mean is preserved in
-    expectation since E[Theta^Q(a)] E[L^a + R^a] = 1.  At Q(a) = 0 the
-    Theta factor is the constant 1 and no uniform draw is consumed.
+    Each new sample is Theta^Q(a) (L^a Z1 + R^a Z2), with Z1, Z2 resampled
+    with replacement from the previous pool and Q(a) = spectral(kernel, a)
+    at the pool's alpha; E[Theta^Q(a)] E[L^a + R^a] = 1 keeps the mean in
+    expectation.  At Q(a) = 0 the Theta factor is 1 and no uniform is drawn.
 
-    A DeterministicKernel is not sampled: its draw consumes nothing from
-    the stream and is the same pair every time, so (l^a, r^a) is computed
-    once per call and scales the resampled Z1, Z2 in place.  The powers go
-    through NumPy's array power, the same routine that acts on a sampled
-    (L, R); Python's float ** can differ from it in the last bit.  Other
-    kernels draw (L, R) every step and raise the draws to the power a in
-    place (the kernels hand out new arrays).
+    A DeterministicKernel draws nothing and gives the same pair every time,
+    so (l^a, r^a) is computed once per call, through NumPy's array power
+    (the routine that powers a sampled (L, R); Python's float ** can differ
+    from it in the last bit).  Other kernels draw (L, R) every step and
+    power the new arrays in place.
 
-    The working arrays are allocated once per call, not once per step: at
-    pool sizes near 1e6 each fresh 8 MB array costs its page faults anew.
-    Step i writes its pool into buffer i % 2 while reading the other (or,
-    at the first step, the caller's samples, which are never written), and
-    Z2 is gathered into a third buffer.  `np.take` with `out=` buffers its
-    result under the default mode="raise"; mode="clip" writes straight
-    into `out`, and changes nothing here since `rng.integers(0, n)` only
-    gives indices in range.
+    The working arrays are allocated once per call: at pool sizes near 1e6
+    each fresh 8 MB array costs its page faults anew.  Step i writes its
+    pool into buffer i % 2 while reading the other (at the first step, the
+    caller's samples, which are never written); Z2 goes to a third buffer.
+    `np.take` with `out=` buffers its result under the default
+    mode="raise"; mode="clip" writes into `out` directly, and changes
+    nothing here since `rng.integers(0, n)` only gives indices in range.
 
     A constant positive pool under a DeterministicKernel at Q(a) = 0 is
-    iterated as one number and consumes nothing from the stream: every
-    resampled Z1, Z2 equals that constant c, so each entry of the array
-    path computes c * l^a + c * r^a.  The same ufuncs in the same order
-    on a one-element array give the same bits, also when l^a + r^a is not
-    exactly 1 and c drifts.  (Positive, because 0.0 == -0.0 while their
-    products differ in sign.)
+    iterated as one number and draws nothing: each entry of the array path
+    would compute c * l^a + c * r^a from that constant c, and the same
+    ufuncs in the same order on a one-element array give the same bits,
+    also when c drifts because l^a + r^a is not exactly 1.  (Positive, as
+    0.0 == -0.0 while their products differ in sign.)
     """
     z = pool.samples
     n = z.size
     if n == 0:
         raise ValueError("pool must be non-empty")
-    s = pool.S_alpha
-    if s <= -1.0:
-        raise ValueError("fixed-point iteration needs S_alpha > -1")
     a = pool.alpha
+    s = spectral(kernel, a)
+    if s <= -1.0:
+        raise ValueError(f"fixed-point iteration needs Q(alpha) > -1, not {s!r} at alpha = {a:g}")
     fixed = isinstance(kernel, DeterministicKernel)
     if fixed:
         la, ra = np.array([kernel.l, kernel.r]) ** a
@@ -109,21 +104,18 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
             c = np.array([first], dtype=float)
             for _ in range(int(iterations)):
                 c = c * la + c * ra
-            return ZPool(np.full(n, c[0]), a, s)
+            return ZPool(np.full(n, c[0]), a)
     pools = (np.empty(n), np.empty(n))
     z2 = np.empty(n)
     for i in range(int(iterations)):
         z1 = np.take(z, rng.integers(0, n, size=n), out=pools[i % 2], mode="clip")
         np.take(z, rng.integers(0, n, size=n), out=z2, mode="clip")
-        if fixed:
-            z1 *= la
-            z2 *= ra
-        else:
-            lk, rk = kernel.sample(rng, n)
-            lk **= a
-            rk **= a
-            z1 *= lk
-            z2 *= rk
+        if not fixed:
+            la, ra = kernel.sample(rng, n)
+            la **= a
+            ra **= a
+        z1 *= la
+        z2 *= ra
         z1 += z2
         if s != 0.0:
             # Theta = 1 - u lies in (0, 1]: safe under the negative powers used here
@@ -132,7 +124,7 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
             theta **= s
             z1 *= theta
         z = z1
-    return ZPool(z, a, s)
+    return ZPool(z, a)
 
 
 def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
@@ -141,18 +133,13 @@ def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
     Warns when the rescaled maximal weight is not yet small at this t
     (the tree functional is then still far from its limit).
     """
-    s_alpha = spectral(kernel, alpha)
     m, beta_max = forest_statistics(kernel, t, size, rng, alpha_sums(alpha)).stats
-    z = math.exp(-s_alpha * t) * m
-    mu = s_alpha / alpha
-    beta_scale = float(np.median(beta_max)) * math.exp(-mu * t)
+    z = math.exp(-spectral(kernel, alpha) * t) * m
+    beta_scale = float(np.median(beta_max)) * rescale_factor(kernel, alpha, t)
     if beta_scale > 0.25:
-        warnings.warn(
-            f"median rescaled beta_max = {beta_scale:.3g} at t = {t:g}; "
-            "increase t for a converged tree pool",
-            stacklevel=2,
-        )
-    return ZPool(z, float(alpha), float(s_alpha))
+        warnings.warn(f"median rescaled beta_max = {beta_scale:.3g} at t = {t:g}; "
+                      "increase t for a converged tree pool", stacklevel=2)
+    return ZPool(z, float(alpha))
 
 
 def _stable_standard(alpha, beta_skew, rng, size):

@@ -31,8 +31,6 @@ import numpy as np
 
 @dataclass(frozen=True)
 class WeightNorm:
-    S_alpha: float
-    n: int
     m: float
     log_m: float
 
@@ -122,6 +120,6 @@ def mean_weight_norm(S_alpha, n) -> WeightNorm:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1 or S_alpha == 0.0:
-        return WeightNorm(S_alpha=S_alpha, n=n, m=1.0, log_m=0.0)
+        return WeightNorm(m=1.0, log_m=0.0)
     log_m = math.fsum(np.log1p(S_alpha / np.arange(1, n, dtype=float)))
-    return WeightNorm(S_alpha=S_alpha, n=n, m=math.exp(log_m), log_m=log_m)
+    return WeightNorm(m=math.exp(log_m), log_m=log_m)

@@ -89,8 +89,7 @@ def test_criterion_03_normalization_identity():
 def test_criterion_04_large_deviation_ratios():
     law = kt.SymmetricPareto(ALPHA)
     kernel, xs, n_paths = det_kernel(), [10.0, 20.0], 2_000_000
-    mu = kt.classify_regime(kernel, ALPHA).mu_alpha
-    hits_v, hits_h = kt.tail_hit_counts(kernel, law, 3.0, mu, xs, n_paths, rng(4))
+    hits_v, hits_h = kt.tail_hit_counts(kernel, law, 3.0, xs, n_paths, rng(4))
     ok = True
     details = []
     for x, (*_, ratio_paper, ratio_max) in zip(
@@ -119,7 +118,7 @@ def test_criterion_06_characteristic_function():
     law = kt.SymmetricPareto(ALPHA)
     g = rng(6)
     v, _ = forest_statistics(det_kernel(), 6.0, 100_000, g, law_sums(law)).stats
-    pool = kt.zpool_iterate(kt.ZPool.ones(100_000, ALPHA, 0.0), det_kernel(),
+    pool = kt.zpool_iterate(kt.ZPool.ones(100_000, ALPHA), det_kernel(),
                             g, iterations=60)
     ok = True
     worst = 0.0
@@ -136,7 +135,7 @@ def test_criterion_07_fixed_point_pool():
     g = rng(7)
     # variance halves per iteration (needs a spread initial pool; the
     # default all-ones pool has zero variance and nothing to halve)
-    pool = kt.ZPool.from_samples(g.standard_exponential(100_000), ALPHA, 0.0)
+    pool = kt.ZPool.from_samples(g.standard_exponential(100_000), ALPHA)
     prev = pool.samples.var(ddof=1)
     ok_var = True
     for _ in range(8):
@@ -145,12 +144,12 @@ def test_criterion_07_fixed_point_pool():
         ok_var &= abs(var / prev - 0.5) <= 0.05
         prev = var
     # mean drift over 50 iterations from the default pool
-    pool = kt.ZPool.ones(100_000, ALPHA, 0.0)
+    pool = kt.ZPool.ones(100_000, ALPHA)
     pool = kt.zpool_iterate(pool, det_kernel(), g, iterations=50)
     drift = abs(pool.samples.mean() - 1.0)
     ok_drift = drift < 1e-3
     # tree pool against fixed-point pool for the kac kernel
-    fixed = kt.zpool_iterate(kt.ZPool.ones(100_000, 1.0, S1_KAC),
+    fixed = kt.zpool_iterate(kt.ZPool.ones(100_000, 1.0),
                              kt.KacKernel(), g, iterations=60)
     tree = kt.zpool_from_trees(kt.KacKernel(), 1.0, 8.0, 100_000, g)
     ks = stats.ks_2samp(fixed.samples, tree.samples).statistic

@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -499,6 +500,12 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
     ("bounds", ["initial={kind: symmetric-pareto, alpha: 0.1}", "n=2",
                 "b=[1.0e+300, 1.0e+300]", "xs=[1.0e+300, 1.0e+305]", "N=1000", "seed=7"],
      2, "b"),
+    # mu(0.5) = 2e100, so e^(-mu t) underflowed to 0: tail wrote hits_V = hits_H = 0,
+    # cdf-H cdf_empirical = 1 and cf-V re_empirical 0.39 against a limit of 1
+    *[(experiment, ["kernel={kind: discrete-mixture, atoms: [[1.0e+200, 1.0e+200], "
+                    "[0.5, 0.0]], probs: [0.5, 0.5]}",
+                    "initial={kind: symmetric-pareto, alpha: 0.5}", "t=3", "seed=3"], 2, named)
+      for experiment, named in (("tail", "t"), ("cdf-H", "kernel"), ("cf-V", "t"))],
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):
@@ -604,7 +611,9 @@ def test_readme_library_example_runs(capsys):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library example", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README.md", "exec"), {})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # every warning, not only RuntimeWarning
+        exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.count("\n") == 2  # one line per x
 
 

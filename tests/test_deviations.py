@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kactails as kt
-from kactails.kernels import CASE_UP, Regime
+from kactails.kernels import CASE_UP, Regime, rescale_factor
 
 from stable_reference import stable_abs_tail_ratio
 
@@ -21,9 +21,21 @@ def det_kernel(a=1.5):
 
 def tail_estimates(kernel, law, t, xs, n_paths, g):
     """(hits_V, hits_H, tail_ratios rows) of rescaled |V_t| and H_t at each x."""
-    mu = kt.classify_regime(kernel, law.alpha).mu_alpha
-    hits_v, hits_h = kt.tail_hit_counts(kernel, law, t, mu, xs, n_paths, g)
+    hits_v, hits_h = kt.tail_hit_counts(kernel, law, t, xs, n_paths, g)
     return hits_v, hits_h, kt.tail_ratios(law, xs, n_paths, hits_v, hits_h)
+
+
+def test_tail_hit_counts_refuses_a_rescale_factor_out_of_the_float_range():
+    # mu(0.5) = 2e100: e^(-mu t) underflows to 0 at t = 3, and every count would be 0
+    kernel = kt.DiscreteKernel(((1.0e200, 1.0e200), (0.5, 0.0)), (0.5, 0.5))
+    g = rng(3)
+    with pytest.raises(ValueError, match=r"t = 3\.0 gives e\^\(-mu\(alpha\) t\) = 0\.0 .* kernel"):
+        kt.tail_hit_counts(kernel, kt.SymmetricPareto(0.5), 3.0, [10.0], 1000, g)
+    assert g.random() == rng(3).random()  # refused before any draw
+    # mu(0.052) is about -19.2 for l = r = 1e-200: e^(-mu t) overflows at t = 40
+    with pytest.raises(ValueError, match=r"= inf .* kernel"):
+        rescale_factor(kt.DeterministicKernel(1e-200, 1e-200), 0.052, 40.0)
+    assert rescale_factor(kt.KacKernel(), 1.5, 0.0) == 1.0
 
 
 def baseline_estimate(law, n, x, n_rows, g):

@@ -31,7 +31,7 @@ _SAMPLERS = {
     "symmetric": lambda g: kt.SymmetricPareto(1.5).sample(g),
     "asymmetric": lambda g: kt.AsymmetricPareto(1.5, 0.7, 0.3).sample(g),
     "yule": lambda g: kt.sample_yule(1.0, g),
-    "V-infinity": lambda g: kt.sample_V_infinity(kt.ZPool.ones(10, 1.5, 0.0),
+    "V-infinity": lambda g: kt.sample_V_infinity(kt.ZPool.ones(10, 1.5),
                                                  kt.SymmetricPareto(1.5), g),
 }
 

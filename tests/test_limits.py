@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from scipy import stats
 
 import kactails as kt
 
-S1_KAC = 4.0 / math.pi - 1.0
 LAMBDA_15 = math.pi / (2.0 * math.gamma(1.5) * math.sin(0.75 * math.pi))
 
 
@@ -19,14 +19,14 @@ def det_kernel(a=1.5):
 
 
 def test_all_ones_pool_is_fixed_under_conservative_kernel():
-    pool = kt.ZPool.ones(1000, 1.5, 0.0)
+    pool = kt.ZPool.ones(1000, 1.5)
     out = kt.zpool_iterate(pool, det_kernel(), rng(1))
     np.testing.assert_allclose(out.samples, 1.0, atol=1e-14)
 
 
 def test_pool_variance_halves_under_conservative_kernel():
     g = rng(2)
-    pool = kt.ZPool.from_samples(g.standard_exponential(100_000), 1.5, 0.0)
+    pool = kt.ZPool.from_samples(g.standard_exponential(100_000), 1.5)
     prev = pool.samples.var(ddof=1)
     for _ in range(8):
         pool = kt.zpool_iterate(pool, det_kernel(), g)
@@ -37,7 +37,7 @@ def test_pool_variance_halves_under_conservative_kernel():
 
 def test_pool_mean_is_preserved():
     g = rng(3)
-    pool = kt.ZPool.ones(100_000, 1.0, S1_KAC)
+    pool = kt.ZPool.ones(100_000, 1.0)
     for _ in range(5):
         new = kt.zpool_iterate(pool, kt.KacKernel(), g)
         drift = new.samples.mean() - pool.samples.mean()
@@ -51,7 +51,7 @@ def test_pool_mean_is_preserved():
 def test_pool_higher_moment_stays_bounded():
     # E[Z^(delta/alpha)] with delta = 2, alpha = 1: second moment bounded
     g = rng(4)
-    pool = kt.ZPool.ones(50_000, 1.0, S1_KAC)
+    pool = kt.ZPool.ones(50_000, 1.0)
     m2 = []
     for _ in range(30):
         pool = kt.zpool_iterate(pool, kt.KacKernel(), g)
@@ -62,21 +62,24 @@ def test_pool_higher_moment_stays_bounded():
 
 def test_zpool_validation():
     with pytest.raises(ValueError):
-        kt.ZPool.from_samples([], 1.0, 0.0)
+        kt.ZPool.from_samples([], 1.0)
     with pytest.raises(ValueError):
-        kt.ZPool.from_samples([-1.0, 1.0], 1.0, 0.0)
-    pool = kt.ZPool.ones(10, 1.0, -1.5)
-    with pytest.raises(ValueError):
-        kt.zpool_iterate(pool, kt.KacKernel(), rng(0))
+        kt.ZPool.from_samples([-1.0, 1.0], 1.0)
+    # Q(1.9) of this kernel underflows to -1.0: Theta^Q(a) has no finite mean
+    tiny = kt.DeterministicKernel(1e-300, 1e-300)
+    assert kt.spectral(tiny, 1.9) == -1.0
+    with pytest.raises(ValueError, match=r"Q\(alpha\) > -1"):
+        kt.zpool_iterate(kt.ZPool.ones(10, 1.9), tiny, rng(0))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            kt.ZPool.from_samples([bad, 1.0], 1.5, 0.0)
+            kt.ZPool.from_samples([bad, 1.0], 1.5)
 
 
 def _replay_zpool_iterate(pool, kernel, g, iterations):
     """zpool_iterate as first written: every step samples (L, R) and powers
-    the draws, whatever the kernel."""
-    z, n, a, s = pool.samples, pool.samples.size, pool.alpha, pool.S_alpha
+    the draws, whatever the kernel, with Q(a) from the kernel."""
+    z, n, a = pool.samples, pool.samples.size, pool.alpha
+    s = kt.spectral(kernel, a)
     for _ in range(iterations):
         z1 = z[g.integers(0, n, size=n)]
         z2 = z[g.integers(0, n, size=n)]
@@ -98,24 +101,65 @@ def _pow_disagreement(a):
     return 0.55
 
 
+# l = r = 2^(-1/a) up to an ulp, at which l^a + r^a - 1, that is Q(a), is exactly 0.0
+CONSERVATIVE = {0.8: 0.4204482076268573, 1.5: 0.6299605249474366, 1.9: 0.6943255713073281}
+
+
+@functools.lru_cache(maxsize=None)
+def _drifting_conservative(a):
+    """A deterministic kernel with Q(a) exactly 0.0 whose NumPy powers
+    l^a + r^a are not exactly 1, so a constant pool drifts; where the
+    platform has none near the grid of _pow_disagreement, one with Q(a) = 0."""
+    found = None
+    for l in np.linspace(0.05, 0.95, 4001).tolist():
+        r0 = (1.0 - l ** a) ** (1.0 / a)
+        for r in sorted((r0 + k * math.ulp(r0) for k in range(-8, 9)), key=lambda r: abs(r - r0)):
+            kernel = kt.DeterministicKernel(l, r)
+            if kt.spectral(kernel, a) == 0.0:
+                if np.sum(np.array([l, r]) ** a) != 1.0:
+                    return kernel
+                found = found or kernel
+    return found
+
+
 ZPOOL_KERNELS = {
     "det-0.6-0.7": lambda a: kt.DeterministicKernel(0.6, 0.7),
-    "det-conservative-1.5": lambda a: kt.DeterministicKernel(2 ** (-2 / 3), 2 ** (-2 / 3)),
+    "det-conservative": lambda a: kt.DeterministicKernel(CONSERVATIVE[a], CONSERVATIVE[a]),
+    "det-conservative-drift": _drifting_conservative,
     "det-pow-disagreement": lambda a: kt.DeterministicKernel(_pow_disagreement(a), 0.75),
     "kac": lambda a: kt.KacKernel(),
     "mixture": lambda a: kt.DiscreteKernel(((0.9, 0.3), (0.5, 0.8)), (0.4, 0.6)),
     # atoms with L = 0 or R = 0: the in-place power meets 0^a
     "mixture-with-zeros": lambda a: kt.DiscreteKernel(
         ((1.0, 0.0), (0.0, 0.8), (0.6, 0.7)), (0.3, 0.3, 0.4)),
+    # both atoms have L^a + R^a = 1, so Q(a) = 0: a sampled kernel without Theta
+    "mixture-conservative": lambda a: kt.DiscreteKernel(
+        ((1.0, 0.0), (CONSERVATIVE[a], CONSERVATIVE[a])), (0.5, 0.5)),
+}
+# the kernels at which Q(a) is exactly 0.0, so the iteration draws no Theta
+ZERO_Q = ("det-conservative", "det-conservative-drift", "mixture-conservative")
+
+
+def _exponential_with_zeros():
+    z = rng(30).standard_exponential(1001)
+    z[::3] = 0.0
+    return z
+
+
+# spread start pools; Z = 0 entries meet the products with L^a, R^a = 0 and Theta^Q(a)
+START_POOLS = {
+    "exponential": lambda: rng(30).standard_exponential(1001),
+    "with-zeros": _exponential_with_zeros,
 }
 
 
-@pytest.mark.parametrize("s_alpha", [0.0, 0.25])
+@pytest.mark.parametrize("start_pool", sorted(START_POOLS))
 @pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
 @pytest.mark.parametrize("name", sorted(ZPOOL_KERNELS))
-def test_zpool_iterate_matches_sampling_replay(name, alpha, s_alpha):
+def test_zpool_iterate_matches_sampling_replay(name, alpha, start_pool):
     kernel = ZPOOL_KERNELS[name](alpha)
-    start = kt.ZPool.from_samples(rng(30).standard_exponential(1001), alpha, s_alpha)
+    assert (kt.spectral(kernel, alpha) == 0.0) == (name in ZERO_Q)
+    start = kt.ZPool.from_samples(START_POOLS[start_pool](), alpha)
     before = start.samples.tobytes()
     # 0 to 3 steps, so the last step writes either of the two pool buffers
     for iterations in range(4):
@@ -145,7 +189,7 @@ def test_tree_pool_warns_at_small_t():
 
 def test_tree_and_fixed_point_pools_agree():
     g = rng(8)
-    fixed = kt.zpool_iterate(kt.ZPool.ones(40_000, 1.0, S1_KAC),
+    fixed = kt.zpool_iterate(kt.ZPool.ones(40_000, 1.0),
                              kt.KacKernel(), g, iterations=60)
     tree = kt.zpool_from_trees(kt.KacKernel(), 1.0, 7.0, 40_000, g)
     d = stats.ks_2samp(fixed.samples, tree.samples)
@@ -170,7 +214,7 @@ def test_stable_scale_and_skew_on_the_law():
 def test_stable_sampler_characteristic_function():
     # degenerate pool: pure stable draws; empirical CF vs exp(-lam |xi|^a)
     g = rng(9)
-    pool = kt.ZPool.ones(100, 1.5, 0.0)
+    pool = kt.ZPool.ones(100, 1.5)
     law = kt.SymmetricPareto(1.5)
     v = kt.sample_V_infinity(pool, law, g, size=100_000)
     for xi in (0.5, 1.0, 2.0):
@@ -183,7 +227,7 @@ def test_stable_sampler_characteristic_function():
 
 def test_stable_sampler_skewed_characteristic_function():
     g = rng(10)
-    pool = kt.ZPool.ones(100, 1.5, 0.0)
+    pool = kt.ZPool.ones(100, 1.5)
     law = kt.AsymmetricPareto(1.5, 0.8, 0.2)
     v = kt.sample_V_infinity(pool, law, g, size=200_000)
     for xi in (0.5, 1.0, -1.0):
@@ -195,7 +239,7 @@ def test_stable_sampler_skewed_characteristic_function():
 def test_limit_tail_recovers_c0():
     # x^a P{|V_inf| > x} -> c0; at x = 30 the second-order term is ~2.6%
     g = rng(11)
-    pool = kt.ZPool.ones(100, 1.5, 0.0)
+    pool = kt.ZPool.ones(100, 1.5)
     v = kt.sample_V_infinity(pool, kt.SymmetricPareto(1.5), g, size=10_000_000)
     ratio = 30.0 ** 1.5 * (np.abs(v) > 30.0).mean()
     assert abs(ratio - 1.0) <= 0.15
@@ -203,7 +247,7 @@ def test_limit_tail_recovers_c0():
 
 def test_cauchy_composition_matches_characteristic_function():
     g = rng(12)
-    pool = kt.zpool_iterate(kt.ZPool.ones(50_000, 1.0, S1_KAC),
+    pool = kt.zpool_iterate(kt.ZPool.ones(50_000, 1.0),
                             kt.KacKernel(), g, iterations=40)
     law = kt.SymmetricPareto(1.0)
     v = kt.sample_V_infinity(pool, law, g, size=200_000)
@@ -214,7 +258,7 @@ def test_cauchy_composition_matches_characteristic_function():
 
 
 def test_cf_properties():
-    pool = kt.ZPool.from_samples(rng(13).standard_exponential(5000), 1.5, 0.0)
+    pool = kt.ZPool.from_samples(rng(13).standard_exponential(5000), 1.5)
     law = kt.SymmetricPareto(1.5)
     assert kt.cf_V_infinity(0.0, pool, law) == 1.0 + 0.0j
     grid = np.array([-2.0, -0.5, 0.3, 1.7])
@@ -225,7 +269,7 @@ def test_cf_properties():
     np.testing.assert_allclose(vals, np.conj(conj), rtol=0, atol=1e-12)
     np.testing.assert_allclose(vals.imag, 0.0, atol=1e-12)
     # closed form at a degenerate pool
-    ones = kt.ZPool.ones(10, 1.5, 0.0)
+    ones = kt.ZPool.ones(10, 1.5)
     assert abs(kt.cf_V_infinity(1.0, ones, law)
                - math.exp(-law.stable_scale)) < 1e-12
 
@@ -235,12 +279,12 @@ def test_cf_overflowing_exponent_is_zero_and_finite_ones_keep_their_bits(c_plus,
     # |xi|^a lambda = 7.1e307 is finite, times Z > 2.5 it overflows: the
     # terms are 0, where an inf * 0 product used to give NaN phases
     law = kt.AsymmetricPareto(1.5, c_plus, c_minus)
-    pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.5, 0.0)
+    pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.5)
     assert kt.cf_V_infinity(2.0e205, pool, law) == 0j
     assert kt.cf_V_infinity(-2.0e205, pool, law) == 0j
     # where every exponent is finite, the value is the direct average
     z = rng(15).standard_exponential(2000)
-    pool = kt.ZPool.from_samples(z, 1.5, 0.0)
+    pool = kt.ZPool.from_samples(z, 1.5)
     grid = np.array([-3.0, -0.4, 0.0, 0.7, 2.5, 1.0e200])
     tan = math.tan(0.75 * math.pi)
     direct = [np.exp(-abs(x) ** 1.5 * law.stable_scale * z
@@ -252,13 +296,13 @@ def test_cf_alpha_one_overflowing_exponent_is_zero_and_finite_ones_keep_their_bi
     # c0+ pi |xi| = 1.6e308 is finite, times Z > 1.2 it overflows: the terms
     # are 0, where the product used to warn and could give NaN phases
     law = kt.SymmetricPareto(1.0)
-    pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.0, S1_KAC)
+    pool = kt.ZPool.from_samples([0.5, 1.0, 3.0, 10.0], 1.0)
     assert kt.cf_V_infinity(1.0e308, pool, law) == 0j
     assert kt.cf_V_infinity(-1.0e308, pool, law) == 0j
     # the general formula at eta = 0 gives the bits of the Cauchy one,
     # E exp(-lambda |xi| Z)
     z = rng(16).standard_exponential(2000)
-    pool = kt.ZPool.from_samples(z, 1.0, S1_KAC)
+    pool = kt.ZPool.from_samples(z, 1.0)
     grid = np.array([-3.0, -0.4, 0.0, 0.7, 2.5, 1.0e200])
     direct = [np.exp(z * (1j * 0.0 * x - law.stable_scale * abs(x))).mean()
               for x in grid]
@@ -268,14 +312,14 @@ def test_cf_alpha_one_overflowing_exponent_is_zero_and_finite_ones_keep_their_bi
 def test_limits_are_the_mass_at_zero_where_the_exponent_scale_overflows():
     # s = |xi|^a lambda overflows, and so does c0 x^-a Z at Z = 3: the
     # Z = 0 terms are 1 and the others 0, where s Z gave NaN or a warning
-    pool = kt.ZPool.from_samples([0.0, 0.0, 1.0, 3.0], 1.5, 0.0)
+    pool = kt.ZPool.from_samples([0.0, 0.0, 1.0, 3.0], 1.5)
     assert kt.cf_V_infinity(3.0e205, pool, kt.SymmetricPareto(1.5)) == 0.5
     assert kt.cf_V_infinity(1.0e308, pool, kt.SymmetricPareto(1.0, xmin=2.0)) == 0.5
     assert kt.cdf_H_infinity(1.0e-205, pool, kt.SymmetricPareto(1.5, xmin=2.0)) == 0.5
 
 
 def test_cdf_H_infinity_branches():
-    pool = kt.ZPool.ones(1000, 1.5, 0.0)
+    pool = kt.ZPool.ones(1000, 1.5)
     law = kt.SymmetricPareto(1.5)
     assert kt.cdf_H_infinity(-1.0, pool, law) == 0.0
     assert kt.cdf_H_infinity(0.0, pool, law) == 0.0  # P{Z = 0} = 0
@@ -284,12 +328,12 @@ def test_cdf_H_infinity_branches():
         assert abs(kt.cdf_H_infinity(x, pool, law)
                    - math.exp(-x ** -1.5)) < 1e-12
     assert kt.cdf_H_infinity(1e9, pool, law) > 1.0 - 1e-9
-    withzeros = kt.ZPool.from_samples([0.0, 0.0, 1.0, 1.0], 1.5, 0.0)
+    withzeros = kt.ZPool.from_samples([0.0, 0.0, 1.0, 1.0], 1.5)
     assert kt.cdf_H_infinity(0.0, withzeros, law) == 0.5
 
 
 def test_cdf_H_infinity_monotone_grid():
-    pool = kt.ZPool.from_samples(rng(14).standard_exponential(20_000), 1.0, S1_KAC)
+    pool = kt.ZPool.from_samples(rng(14).standard_exponential(20_000), 1.0)
     law = kt.SymmetricPareto(1.0)
     xs = np.linspace(0.01, 20.0, 200)
     vals = [kt.cdf_H_infinity(x, pool, law) for x in xs]
@@ -300,15 +344,15 @@ def test_cdf_H_infinity_monotone_grid():
 
 
 CONSTANT_POOLS = {
-    "ones": lambda a: kt.ZPool.ones(1001, a, 0.0),
-    "0.7": lambda a: kt.ZPool.from_samples(np.full(1001, 0.7), a, 0.0),
-    "size-1": lambda a: kt.ZPool.ones(1, a, 0.0),
+    "ones": lambda a: kt.ZPool.ones(1001, a),
+    "0.7": lambda a: kt.ZPool.from_samples(np.full(1001, 0.7), a),
+    "size-1": lambda a: kt.ZPool.ones(1, a),
 }
 
 
 @pytest.mark.parametrize("pool", sorted(CONSTANT_POOLS))
 @pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
-@pytest.mark.parametrize("name", sorted(k for k in ZPOOL_KERNELS if k.startswith("det-")))
+@pytest.mark.parametrize("name", [k for k in ZERO_Q if k.startswith("det-")])
 def test_constant_pool_under_deterministic_kernel_draws_nothing(name, alpha, pool):
     kernel = ZPOOL_KERNELS[name](alpha)
     start = CONSTANT_POOLS[pool](alpha)
@@ -328,21 +372,22 @@ def _one_ulp_off(k):
     return z
 
 
+# (pool, kernel): a constant pool takes the sampling path where Q(a) != 0
 SAMPLED_POOLS = {
-    "one-ulp-off-first": (lambda: _one_ulp_off(0), 0.0),
-    "one-ulp-off-last": (lambda: _one_ulp_off(-1), 0.0),
-    "constant-s0.25": (lambda: np.full(1001, 0.7), 0.25),
+    "one-ulp-off-first": (lambda: _one_ulp_off(0), "det-conservative"),
+    "one-ulp-off-last": (lambda: _one_ulp_off(-1), "det-conservative"),
+    "constant-q-nonzero": (lambda: np.full(1001, 0.7), "det-0.6-0.7"),
     # 0.0 == -0.0, but c * l^a keeps each entry's sign
-    "signed-zeros": (lambda: np.where(np.arange(1001) % 2, -0.0, 0.0), 0.0),
+    "signed-zeros": (lambda: np.where(np.arange(1001) % 2, -0.0, 0.0), "det-conservative"),
 }
 
 
 @pytest.mark.parametrize("alpha", [0.8, 1.5, 1.9])
 @pytest.mark.parametrize("pool", sorted(SAMPLED_POOLS))
 def test_near_constant_pool_takes_the_sampling_path(pool, alpha):
-    make, s_alpha = SAMPLED_POOLS[pool]
-    kernel = ZPOOL_KERNELS["det-conservative-1.5"](alpha)
-    start = kt.ZPool.from_samples(make(), alpha, s_alpha)
+    make, name = SAMPLED_POOLS[pool]
+    kernel = ZPOOL_KERNELS[name](alpha)
+    start = kt.ZPool.from_samples(make(), alpha)
     for iterations in range(1, 4):
         g1, g2 = rng(33), rng(33)
         out = kt.zpool_iterate(start, kernel, g1, iterations=iterations)
@@ -365,5 +410,5 @@ def test_iterated_pool_second_moment_matches_fixed_point(kernel, c, ratio):
     s_a = kt.spectral(kernel, a)
     target = 2.0 * c / (2.0 * s_a - kt.spectral(kernel, 2.0 * a))
     assert target == pytest.approx(ratio, abs=1e-6)
-    z = kt.zpool_iterate(kt.ZPool.ones(100_000, a, s_a), kernel, rng(0), iterations=60).samples
+    z = kt.zpool_iterate(kt.ZPool.ones(100_000, a), kernel, rng(0), iterations=60).samples
     assert abs(np.mean(z ** 2) / np.mean(z) ** 2 - target) < 2e-3

@@ -54,9 +54,12 @@ do not count.  The matrix:
   overflows; cf-V at alpha 1.5 and xi = 3e205, where |xi|^alpha lambda
   overflows, on a kernel with an L = R = 0 atom, so the pool has mass at
   zero; and cdf-H with xmin 2 at x = 1e-205 on a kernel with an R = 0
-  atom, where c0 x^-alpha is finite but c0 x^-alpha Z overflows.
+  atom, where c0 x^-alpha is finite but c0 x^-alpha Z overflows;
+- a tail and a cdf-H run whose rescale factor e^(-mu(alpha) t) underflows
+  to 0 (mu(0.5) = 2e100 at t = 3, on a discrete-mixture kernel with a
+  1e200 atom), which are config errors (exit 2).
 
-That is 277 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 279 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -153,6 +156,14 @@ pool_size: 2000
 iterations: 3
 """,
 }
+# mu(0.5) = 2e100: e^(-mu t) is 0 at t = 3, which used to give all-zero hit counts
+RESCALE_UNDERFLOW = """seed: 3
+kernel: {kind: discrete-mixture, atoms: [[1.0e+200, 1.0e+200], [0.5, 0.0]], probs: [0.5, 0.5]}
+initial: {kind: symmetric-pareto, alpha: 0.5}
+t: 3.0
+xs: [10.0]
+N: 10000
+"""
 # symmetric Pareto 1.5: B = 1e75, K0^2 B^2 = 4e150 over x^a = 3.2e-5 at x = 1e-3
 BOUNDS_EDGE = "n: 1\nb: [1.0e+50]\nxs: [1.0e-3, 1.0]\nN: 5000"
 # P{H <= x} at x <= 0 and t = 0, over paths some of whose weights are 0
@@ -241,6 +252,8 @@ def matrix():
                 f"initial: {law}\n{BOUNDS_EDGE}\n")
         runs.append((f"bounds-edge/kac/{ln}", text, None, []))
     runs += [(name, text, None, []) for name, text in LIMIT_EDGES.items()]
+    runs += [(f"rescale-underflow/{exp}", f"experiment: {exp}\n{RESCALE_UNDERFLOW}", None, [])
+             for exp in ("tail", "cdf-H")]
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
                   "--override", "N=40000", "--workers", "2"]))
