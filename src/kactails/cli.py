@@ -323,8 +323,8 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.regime
         except RegimeUnavailableError as exc:
             errors.insert(block_errors, f"kernel has no regime at alpha = {law.alpha:g}: {exc}")
-        else:  # the runs that rescale V_t or H_t by e^(-mu(alpha) t)
-            for t in cfg.t or () if experiment in ("tail", "cdf-H", "cf-V") else ():
+        else:  # timed runs rescale by e^(-mu(alpha) t) or grow weights on its inverse scale
+            for t in cfg.t or () if experiment in _TIMED else ():
                 try:
                     rescale_factor(kernel, law.alpha, t)
                 except ValueError as exc:

@@ -2,10 +2,11 @@
 
 Everything here is plain Monte Carlo.  The chunk primitives
 `tail_hit_counts` and `iid_hit_counts` count exceedances over shared
-paths or rows (common random numbers, not importance sampling), and
-`tail_ratios` turns the merged counts into probabilities with binomial
-standard errors and the two large-deviation ratios.  The CLI notes each
-tail row whose expected hit count N c0 / x^a falls below 20.
+paths or rows (common random numbers, not importance sampling) with one
+counter, `lemma_bounds` runs the same row count on rows weighted by b,
+and `tail_ratios` turns the merged counts into probabilities with
+binomial standard errors and the two large-deviation ratios.  The CLI
+notes each tail row whose expected hit count N c0 / x^a falls below 20.
 
 The finite-n sandwich for S_n = sum_j b_j X_j, valid for every x > 0,
 0 < eps < 1 and gamma > 0 under the tail hypotheses on F_0, reads
@@ -93,8 +94,12 @@ def tail_hit_counts(kernel, law, t, xs, n_paths, rng):
     """
     f = rescale_factor(kernel, law.alpha, t)
     v, h = forest_statistics(kernel, t, n_paths, rng, law_sums(law)).stats
-    return tuple(np.array([(s > x).sum() for x in xs], dtype=np.int64)
-                 for s in (np.abs(v) * f, h * f))
+    return _exceedances(np.abs(v) * f, xs), _exceedances(h * f, xs)
+
+
+def _exceedances(values, thresholds):
+    """#{values > x} at each threshold x, as int64."""
+    return np.array([(values > x).sum() for x in thresholds], dtype=np.int64)
 
 
 def admissible_schedule(regime, epsilon, t, x_t):
@@ -130,21 +135,26 @@ def admissible_schedule(regime, epsilon, t, x_t):
     return "inadmissible"
 
 
-def _iid_block_rows(n):
-    return max(1, _ROW_BUDGET // max(n, 1))
-
-
 def _row_blocks(law, n, n_rows, rng):
     """n_rows i.i.d. rows of length n, drawn from rng in (m, n) blocks of
-    _iid_block_rows(n) rows, the last one partial.  Every block is a view
-    of one buffer that the next block overwrites."""
-    block = _iid_block_rows(n)
+    _ROW_BUDGET // n rows (at least one), the last one partial.  Every
+    block is a view of one buffer that the next block overwrites."""
+    block = max(1, _ROW_BUDGET // max(n, 1))
     buf = np.empty(min(block, n_rows) * n)
-    done = 0
-    while done < n_rows:
+    for done in range(0, n_rows, block):
         m = min(block, n_rows - done)
         yield law.sample(rng, m * n, out=buf[:m * n]).reshape(m, n)
-        done += m
+
+
+def _row_hits(rows, thresholds):
+    """int64 counts of {|row sum| > x} and {max |entry| > x} at each
+    threshold x, over the (m, n) row blocks `rows`."""
+    hits_sum = hits_max = np.zeros(len(thresholds), dtype=np.int64)
+    for x in rows:
+        hits_sum = hits_sum + _exceedances(np.abs(x.sum(axis=1)), thresholds)
+        hits_max = hits_max + _exceedances(np.maximum(x.max(axis=1), -x.min(axis=1)),
+                                           thresholds)
+    return hits_sum, hits_max
 
 
 def iid_hit_counts(law, n, thresholds, n_rows, rng):
@@ -153,16 +163,7 @@ def iid_hit_counts(law, n, thresholds, n_rows, rng):
     All thresholds share the same draws (common random numbers); counts
     from disjoint row blocks merge by addition.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    hits_sum = np.zeros(thresholds.size, dtype=np.int64)
-    hits_max = np.zeros(thresholds.size, dtype=np.int64)
-    for x in _row_blocks(law, n, n_rows, rng):
-        s = np.abs(x.sum(axis=1))
-        a = np.maximum(x.max(axis=1), -x.min(axis=1))
-        for i, thr in enumerate(thresholds):
-            hits_sum[i] += int((s > thr).sum())
-            hits_max[i] += int((a > thr).sum())
-    return hits_sum, hits_max
+    return _row_hits(_row_blocks(law, n, n_rows, rng), np.asarray(thresholds, dtype=float))
 
 
 def sandwich(b, law, x, epsilon, gamma, delta):
@@ -253,12 +254,17 @@ def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
     N = int(N)
 
     # independent batch for Delta(eps x) = P{|S_n| + b(n)|X_1| <= eps x}
-    delta_hat = _delta_factor(law, b, float(b.max()), epsilon * x, N, rng)
+    b_max, hits = float(b.max()), 0
+    for xv in _row_blocks(law, b.size, N, rng):
+        lead = b_max * np.abs(xv[:, 0])
+        s = np.multiply(xv, b, out=xv).sum(axis=1)
+        hits += int((np.abs(s) + lead <= epsilon * x).sum())
+    delta_hat = hits / N
     lower, upper, max_lower, max_upper = sandwich(b, law, x, epsilon, gamma, delta_hat)
 
-    hits_sum, hits_max = _weighted_hit_counts(law, b, x, N, rng)
-    p_sum = hits_sum / N
-    p_max = hits_max / N
+    # rows weighted in place: max_j |b_j X_j| = max_j b_j |X_j| exactly, as b >= 0
+    weighted = (np.multiply(xv, b, out=xv) for xv in _row_blocks(law, b.size, N, rng))
+    p_sum, p_max = (int(h[0]) / N for h in _row_hits(weighted, (x,)))
     a = law.alpha
     return BoundsReport(
         n=b.size, x=float(x), epsilon=float(epsilon), gamma=float(gamma),
@@ -267,26 +273,6 @@ def lemma_bounds(b, law, x, epsilon, gamma, N, rng) -> BoundsReport:
         max_mc=x ** a * p_max, max_mc_se=x ** a * binom_se(p_max, N),
         delta_hat=delta_hat,
     )
-
-
-def _weighted_hit_counts(law, b, x, n_rows, rng):
-    hits_sum = 0
-    hits_max = 0
-    for xv in _row_blocks(law, b.size, n_rows, rng):
-        s = xv @ b
-        np.abs(xv, out=xv)
-        xv *= b
-        hits_sum += int((np.abs(s) > x).sum())
-        hits_max += int((xv.max(axis=1) > x).sum())
-    return hits_sum, hits_max
-
-
-def _delta_factor(law, b, b_max, y, n_rows, rng):
-    hits = 0
-    for xv in _row_blocks(law, b.size, n_rows, rng):
-        s = xv @ b
-        hits += int((np.abs(s) + b_max * np.abs(xv[:, 0]) <= y).sum())
-    return hits / n_rows
 
 
 def max_ode_residual(kernel, law, t, x, delta, N, rng):
@@ -314,9 +300,8 @@ def max_ode_residual(kernel, law, t, x, delta, N, rng):
     f_t = float(ecdf_t(x))
     f_td = float((h_td <= x).sum() / N)
     lk, rk = kernel.sample(rng, N)
-    fl = _cdf_with_zero_convention(ecdf_t, x, lk)
-    fr = _cdf_with_zero_convention(ecdf_t, x, rk)
-    prod = fl * fr
+    with np.errstate(divide="ignore"):  # x / 0 = +-inf, where ecdf_t is 1 or 0
+        prod = ecdf_t(x / lk) * ecdf_t(x / rk)
     gain = float(prod.mean())
     residual = (f_td - f_t) / delta + f_t - gain
     se = math.sqrt(
@@ -325,13 +310,3 @@ def max_ode_residual(kernel, law, t, x, delta, N, rng):
         + float(prod.var(ddof=1)) / N
     )
     return residual, se
-
-
-def _cdf_with_zero_convention(ecdf, x, coeffs):
-    out = np.empty(coeffs.size)
-    zero = coeffs == 0.0
-    if zero.any():
-        out[zero] = 1.0 if x >= 0 else 0.0
-    nz = ~zero
-    out[nz] = ecdf(x / coeffs[nz])
-    return out

@@ -127,7 +127,8 @@ class DiscreteKernel(CollisionKernel):
     kind = "discrete-mixture"
 
     def __post_init__(self):
-        atoms = tuple((float(l), float(r)) for l, r in self.atoms)
+        # + 0.0 turns a -0.0 coefficient into 0.0, so x / 0 keeps the sign of x
+        atoms = tuple((float(l) + 0.0, float(r) + 0.0) for l, r in self.atoms)
         probs = tuple(float(p) for p in self.probs)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)

@@ -506,6 +506,12 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
                     "[0.5, 0.0]], probs: [0.5, 0.5]}",
                     "initial={kind: symmetric-pareto, alpha: 0.5}", "t=3", "seed=3"], 2, named)
       for experiment, named in (("tail", "t"), ("cdf-H", "kernel"), ("cf-V", "t"))],
+    # the same kernel: ode-residual's weights overflowed to inf and inf x 0 = NaN made
+    # some H NaN, so it wrote residual 0.2417 with four RuntimeWarnings
+    ("ode-residual", ["kernel={kind: discrete-mixture, atoms: [[1.0e+200, 1.0e+200], "
+                      "[0.5, 0.0]], probs: [0.5, 0.5]}",
+                      "initial={kind: symmetric-pareto, alpha: 0.5}", "t=3", "x=10",
+                      "N=10000", "seed=3"], 2, "t"),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):

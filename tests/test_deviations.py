@@ -265,7 +265,7 @@ def test_ode_residual_validation():
 
 def test_iid_hit_counts_match_abs_max_formula():
     # several row blocks of 2^22 / n rows each, the last one partial
-    from kactails.deviations import _iid_block_rows, iid_hit_counts
+    from kactails.deviations import _ROW_BUDGET, iid_hit_counts
 
     law, n, n_rows = kt.SymmetricPareto(1.5), 4096, 2500
     thresholds = np.array([50.0, 500.0, 5000.0])
@@ -273,7 +273,7 @@ def test_iid_hit_counts_match_abs_max_formula():
     g = rng(41)
     ref_sum = np.zeros(thresholds.size, dtype=np.int64)
     ref_max = np.zeros(thresholds.size, dtype=np.int64)
-    block, done = _iid_block_rows(n), 0
+    block, done = _ROW_BUDGET // n, 0
     assert block < n_rows
     while done < n_rows:
         m = min(block, n_rows - done)
@@ -283,6 +283,7 @@ def test_iid_hit_counts_match_abs_max_formula():
         ref_sum += (s[:, None] > thresholds).sum(axis=0)
         ref_max += (a[:, None] > thresholds).sum(axis=0)
         done += m
+    assert hits_sum.dtype == hits_max.dtype == np.int64
     np.testing.assert_array_equal(hits_sum, ref_sum)
     np.testing.assert_array_equal(hits_max, ref_max)
     assert ref_max.min() > 0
@@ -291,7 +292,7 @@ def test_iid_hit_counts_match_abs_max_formula():
 def test_row_blocks_are_views_of_one_buffer():
     # several blocks, the last one partial, all at one address; each holds
     # the draws an allocating sample() call gives at its stream position
-    from kactails.deviations import _iid_block_rows, _row_blocks
+    from kactails.deviations import _ROW_BUDGET, _row_blocks
 
     law, n, n_rows = kt.AsymmetricPareto(1.2, 0.7, 0.3), 4096, 2500
     twin = rng(44)
@@ -300,19 +301,77 @@ def test_row_blocks_are_views_of_one_buffer():
         addresses.add(x.__array_interface__["data"][0])
         shapes.append(x.shape)
         assert x.tobytes() == law.sample(twin, x.size).tobytes()
-    block = _iid_block_rows(n)
+    block = _ROW_BUDGET // n
     assert shapes == [(block, n), (block, n), (n_rows - 2 * block, n)]
     assert len(addresses) == 1
 
 
-def test_weighted_hit_counts_match_abs_product_formula():
-    from kactails.deviations import _weighted_hit_counts
+def test_lemma_bounds_replays_the_matrix_product_formulas():
+    # the Delta batch, then the main batch, from one stream, in blocks of
+    # 2^22 / n rows (three here, the last one partial), recomputed with
+    # S = X @ b and max_j |X_j| b_j; b_1 = 0, so b(n) |X_1| must come from
+    # the unweighted row.  lemma_bounds sums b_j X_j in another order, so a
+    # count could move only where |S| lies within rounding of a threshold.
+    from kactails.deviations import _ROW_BUDGET
 
-    law = kt.AsymmetricPareto(1.5, 0.7, 0.3)
-    b = rng(42).uniform(0.05, 1.0, size=12)
-    x = 20.0
-    hits_sum, hits_max = _weighted_hit_counts(law, b, x, 200_000, rng(43))
-    xv = law.sample(rng(43), 200_000 * b.size).reshape(-1, b.size)
-    assert hits_sum == int((np.abs(xv @ b) > x).sum())
-    assert hits_max == int(((np.abs(xv) * b).max(axis=1) > x).sum())
-    assert hits_max > 0
+    law, n, N, x, eps = kt.AsymmetricPareto(1.5, 0.7, 0.3), 1000, 10_000, 200.0, 0.5
+    b = rng(42).uniform(0.05, 1.0, size=n)
+    b[::7] = 0.0
+    rep = kt.lemma_bounds(b, law, x, eps, 0.75, N, rng(43))
+
+    g, block = rng(43), _ROW_BUDGET // n
+    assert block < N / 2
+
+    def batch():
+        for done in range(0, N, block):
+            m = min(block, N - done)
+            yield law.sample(g, m * n).reshape(m, n)
+
+    b_max = b.max()
+    delta_hits = sum(int((np.abs(xv @ b) + b_max * np.abs(xv[:, 0]) <= eps * x).sum())
+                     for xv in batch())
+    hits_sum = hits_max = 0
+    for xv in batch():
+        hits_sum += int((np.abs(xv @ b) > x).sum())
+        hits_max += int(((np.abs(xv) * b).max(axis=1) > x).sum())
+    assert 0 < delta_hits < N and 0 < hits_max <= hits_sum < N
+    assert rep.delta_hat == delta_hits / N
+    assert rep.mc == x ** law.alpha * (hits_sum / N)
+    assert rep.max_mc == x ** law.alpha * (hits_max / N)
+
+
+def _ode_residual_with_zero_convention(kernel, law, t, x, delta, N, g):
+    """max_ode_residual with F(x / 0) = 1 for x >= 0 and 0 for x < 0 set
+    by hand wherever a kernel draw is 0."""
+    from kactails.deviations import binom_se
+    from kactails.processes import forest_statistics, law_sums
+
+    h_t = np.sort(forest_statistics(kernel, t, N, g, law_sums(law)).stats[1])
+    h_td = forest_statistics(kernel, t + delta, N, g, law_sums(law)).stats[1]
+    f_t = float(np.searchsorted(h_t, x, side="right") / N)
+    f_td = float((h_td <= x).sum() / N)
+    prod = np.ones(N)
+    for coeffs in kernel.sample(g, N):
+        f = np.full(N, 1.0 if x >= 0 else 0.0)
+        nz = coeffs != 0.0
+        f[nz] = np.searchsorted(h_t, x / coeffs[nz], side="right") / N
+        prod = prod * f
+    residual = (f_td - f_t) / delta + f_t - float(prod.mean())
+    se = math.sqrt(binom_se(f_td, N) ** 2 / delta ** 2
+                   + binom_se(f_t, N) ** 2 * (1.0 - 1.0 / delta) ** 2
+                   + float(prod.var(ddof=1)) / N)
+    return residual, se
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["zero", "negative-zero"])
+@pytest.mark.parametrize("x", [2.0, -2.0])
+def test_ode_residual_zero_coefficient_convention(zero, x):
+    # atoms (0.9, 0) and (0, 0.7): about 60% of the draws have L or R = 0;
+    # a -0.0 atom counts as 0, not as a negative coefficient
+    kernel = kt.DiscreteKernel(((0.9, zero), (zero, 0.7), (0.6, 0.8)), (0.3, 0.3, 0.4))
+    law = kt.SymmetricPareto(1.5)
+    got = kt.max_ode_residual(kernel, law, 1.0, x, 0.01, 4000, rng(17))
+    ref = _ode_residual_with_zero_convention(kernel, law, 1.0, x, 0.01, 4000, rng(17))
+    assert got == ref
+    assert (got[0] == 0.0) == (x < 0)
+

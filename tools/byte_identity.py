@@ -55,11 +55,17 @@ do not count.  The matrix:
   overflows, on a kernel with an L = R = 0 atom, so the pool has mass at
   zero; and cdf-H with xmin 2 at x = 1e-205 on a kernel with an R = 0
   atom, where c0 x^-alpha is finite but c0 x^-alpha Z overflows;
-- a tail and a cdf-H run whose rescale factor e^(-mu(alpha) t) underflows
-  to 0 (mu(0.5) = 2e100 at t = 3, on a discrete-mixture kernel with a
-  1e200 atom), which are config errors (exit 2).
+- a tail, a cdf-H and an ode-residual run whose rescale factor
+  e^(-mu(alpha) t) underflows to 0 (mu(0.5) = 2e100 at t = 3, on a
+  discrete-mixture kernel with a 1e200 atom), which are config errors
+  (exit 2);
+- bounds at n = 1000 with an explicit b whose every seventh weight is 0,
+  b_1 among them, so the weighted rows cross row blocks and b(n) |X_1|
+  comes from an unweighted entry, x Kac kernel x symmetric Pareto 1.5;
+- ode-residual at x = 2 and x = -2 on a discrete-mixture kernel with
+  atoms (0.9, 0), (0, 0.7) and (0.6, 0.8), where F(x / 0) is 1 and 0.
 
-That is 279 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 283 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -164,6 +170,13 @@ t: 3.0
 xs: [10.0]
 N: 10000
 """
+# n = 1000 weights, every seventh 0 (b_1 too): three row blocks of 4194 rows
+ZERO_WEIGHTS = ("n: 1000\nb: [" + ", ".join("0.0" if j % 7 == 0 else f"0.0{1 + j % 3}"
+                                            for j in range(1000))
+                + "]\nxs: [5.0, 10.0]\nN: 10000")
+# an L = 0 and an R = 0 atom, so the gain term meets F(x / 0)
+ZERO_ATOMS = "{kind: discrete-mixture, atoms: [[0.9, 0.0], [0.0, 0.7], [0.6, 0.8]], " \
+    "probs: [0.3, 0.3, 0.4]}"
 # symmetric Pareto 1.5: B = 1e75, K0^2 B^2 = 4e150 over x^a = 3.2e-5 at x = 1e-3
 BOUNDS_EDGE = "n: 1\nb: [1.0e+50]\nxs: [1.0e-3, 1.0]\nN: 5000"
 # P{H <= x} at x <= 0 and t = 0, over paths some of whose weights are 0
@@ -252,8 +265,15 @@ def matrix():
                 f"initial: {law}\n{BOUNDS_EDGE}\n")
         runs.append((f"bounds-edge/kac/{ln}", text, None, []))
     runs += [(name, text, None, []) for name, text in LIMIT_EDGES.items()]
-    runs += [(f"rescale-underflow/{exp}", f"experiment: {exp}\n{RESCALE_UNDERFLOW}", None, [])
-             for exp in ("tail", "cdf-H")]
+    # ode-residual reads its one x from `x` and ignores `xs`
+    runs += [(f"rescale-underflow/{exp}", f"experiment: {exp}\n{RESCALE_UNDERFLOW}{extra}",
+              None, [])
+             for exp, extra in (("tail", ""), ("cdf-H", ""), ("ode-residual", "x: 10.0\n"))]
+    runs.append(("bounds-zero-weights/kac/sym1.5", f"experiment: bounds\nseed: 3\nkernel: "
+                 f"{KERNELS['kac']}\ninitial: {LAWS['sym1.5']}\n{ZERO_WEIGHTS}\n", None, []))
+    runs += [(f"ode-residual-zero-atoms/x{x}", f"experiment: ode-residual\nseed: 3\nkernel: "
+              f"{ZERO_ATOMS}\ninitial: {LAWS['sym1.5']}\nt: 1.0\nx: {x}\nN: 3000\n", None, [])
+             for x in (2.0, -2.0)]
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
                   "--override", "N=40000", "--workers", "2"]))
