@@ -28,6 +28,7 @@ import argparse
 import csv
 import hashlib
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -78,14 +79,14 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-def _field(kind, needs, default=MISSING, shape="one", ok=None, rule="finite", error=None):
+def _field(kind, needs, default=MISSING, shape="one", ok=None, rule="finite"):
     """A config field's one declaration: its value is cast to `kind` in
     `shape` ("one", "many": one or a list, "list"), must be finite and pass
-    `ok`, the range worded by `rule` (or `error`, the whole message), and
-    is read by the `needs` experiments, which must give it if no default."""
+    `ok`, the range worded by `rule`, and is read by the `needs`
+    experiments, which must give it if no default."""
     required = default is MISSING
     return field(default=None if required else default, metadata=dict(
-        kind=kind, shape=shape, needs=needs, ok=ok, rule=rule, error=error, required=required))
+        kind=kind, shape=shape, needs=needs, ok=ok, rule=rule, required=required))
 
 
 _TIMED = ("tail", "cdf-H", "cf-V", "ode-residual")
@@ -120,8 +121,7 @@ class ExperimentConfig:
                                    ok=lambda b: all(w >= 0 for w in b) and any(b),
                                    rule="finite, >= 0 and not all 0")
     x: float | None = _field(float, ("ode-residual",), ok=lambda v: v != 0,
-                             rule="finite and nonzero",
-                             error="ode-residual requires a finite nonzero x")
+                             rule="finite and nonzero")
     delta: float = _field(float, ("ode-residual",), 0.01, ok=lambda v: 0 < v <= 0.1,
                           rule="in (0, 0.1]")
     epsilon: float = _field(float, ("bounds",), 0.5, ok=lambda v: 0 < v < 1, rule="in (0, 1)")
@@ -146,8 +146,9 @@ def derive_stream(seed: int, tag: str, chunk: int) -> np.random.Generator:
 
 
 def _cast(value, kind):
-    """value as `kind`; a bool is no number, and an int takes no fraction."""
-    if kind is not str and isinstance(value, bool) or \
+    """value as `kind`; only a str is a string, a bool is no number, and an
+    int takes no fraction."""
+    if (not isinstance(value, str) if kind is str else isinstance(value, bool)) or \
             kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(value)
     return kind(value)
@@ -170,16 +171,25 @@ LAW_KEYS = {"symmetric-pareto": ("alpha", "xmin"),
             "asymmetric-pareto": ("alpha", "c_plus", "c_minus", "xmin")}
 
 
-def _unknown_block_keys(name, block, kinds):
-    """An error for each key of the `name` block that its kind does not
-    take; none when the kind itself is unknown (build_* reports that)."""
+def _block(doc, name, kinds, build, errors):
+    """`build` of doc's `name` block (a kernel or a law), or None; appends an
+    error for a missing block, for each key its kind (in `kinds`) does not
+    take, and for a block that `build` refuses, an unknown kind among them."""
+    block = doc.get(name)
+    if not isinstance(block, dict):
+        errors.append(f"{name} block is required")
+        return None
     kind = block.get("kind")
     keys = kinds.get(kind) if isinstance(kind, str) else None
-    if keys is None:
-        return []
-    takes = ", ".join(keys) or "no keys"
-    return [f"unknown key '{name}.{key}': {name} kind {kind!r} takes {takes}"
-            for key in block if key not in ("kind", *keys)]
+    if keys is not None:
+        takes = ", ".join(keys) or "no keys"
+        errors.extend(f"unknown key '{name}.{key}': {name} kind {kind!r} takes {takes}"
+                      for key in block if key not in ("kind", *keys))
+    try:
+        return build(block)
+    except (KeyError, TypeError, ValueError) as exc:
+        errors.append(f"{name} block invalid: {exc}")
+        return None
 
 
 def build_kernel(block):
@@ -197,15 +207,15 @@ def build_kernel(block):
 
 def build_law(block):
     kind = block.get("kind")
+    if kind not in ("symmetric-pareto", "asymmetric-pareto"):
+        raise ValueError(f"unknown initial law kind {kind!r}")
     alpha = _finite(block["alpha"], "initial.alpha")
     if kind == "symmetric-pareto":
         return SymmetricPareto(alpha, _finite(block.get("xmin", 1.0), "initial.xmin"))
-    if kind == "asymmetric-pareto":
-        xmin = block.get("xmin")
-        return AsymmetricPareto(alpha, _finite(block["c_plus"], "initial.c_plus"),
-                                _finite(block["c_minus"], "initial.c_minus"),
-                                None if xmin is None else _finite(xmin, "initial.xmin"))
-    raise ValueError(f"unknown initial law kind {kind!r}")
+    xmin = block.get("xmin")
+    return AsymmetricPareto(alpha, _finite(block["c_plus"], "initial.c_plus"),
+                            _finite(block["c_minus"], "initial.c_minus"),
+                            None if xmin is None else _finite(xmin, "initial.xmin"))
 
 
 def _read_fields(doc, experiment, errors):
@@ -224,7 +234,8 @@ def _read_fields(doc, experiment, errors):
                     raise TypeError(v)
                 items = [_cast(e, kind) for e in (v if listed else [v])]
             except (TypeError, ValueError, OverflowError):
-                one, many = ("an integer", "integers") if kind is int else ("a number", "numbers")
+                one, many = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+                             str: ("a string", "strings")}[kind]
                 want = {"one": one, "many": f"{one} or a list of {many}",
                         "list": f"a list of {many}"}
                 errors.append(f"{f.name} must be {want[shape]}, got {v!r}")
@@ -232,7 +243,7 @@ def _read_fields(doc, experiment, errors):
             value = items[0] if shape == "one" else items
             finite = kind is not float or all(map(math.isfinite, items))
             if not finite or m["ok"] and not m["ok"](value):
-                errors.append(m["error"] or f"{f.name} must be {m['rule']}, got {v!r}")
+                errors.append(f"{f.name} must be {m['rule']}, got {v!r}")
                 continue
             values[f.name] = value
         if m["required"] and experiment in m["needs"] and values.get(f.name) in (None, []):
@@ -285,33 +296,8 @@ def parse_config(text: str) -> ExperimentConfig:
     elif isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
         errors.append("seed must be an integer in [0, 2^64)")
 
-    kernel = law = None
-    kernel_block = doc.get("kernel")
-    if not isinstance(kernel_block, dict):
-        errors.append("kernel block is required")
-    else:
-        errors += _unknown_block_keys("kernel", kernel_block, KERNEL_KEYS)
-        try:
-            kernel = build_kernel(kernel_block)
-        except (KeyError, TypeError, ValueError) as exc:
-            errors.append(f"kernel block invalid: {exc}")
-
-    initial_block = doc.get("initial")
-    if not isinstance(initial_block, dict):
-        errors.append("initial block is required")
-    else:
-        errors += _unknown_block_keys("initial", initial_block, LAW_KEYS)
-        alpha = initial_block.get("alpha")
-        if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 2:
-            errors.append("initial.alpha must lie in the open interval (0, 2)")
-        elif alpha == 1 and initial_block.get("c_plus") not in \
-                (None, initial_block.get("c_minus")):
-            errors.append("alpha = 1 requires c_plus = c_minus (limit-theorem hypothesis)")
-        else:
-            try:
-                law = build_law(initial_block)
-            except (KeyError, TypeError, ValueError) as exc:
-                errors.append(f"initial block invalid: {exc}")
+    kernel = _block(doc, "kernel", KERNEL_KEYS, build_kernel, errors)
+    law = _block(doc, "initial", LAW_KEYS, build_law, errors)
 
     block_errors = len(errors)
     cfg = ExperimentConfig(experiment=experiment or "tail",
@@ -371,11 +357,12 @@ def _job(task):
 def _run_jobs(cfg, tag, fn, chunk_args):
     """Results of `fn(*args, rng)` for each chunk's `args`, in chunk order."""
     tasks = [(fn, args, cfg.seed, tag, k) for k, args in enumerate(chunk_args)]
-    if cfg.workers <= 1 or len(tasks) <= 1:
+    processes = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if processes <= 1:
         return [_job(t) for t in tasks]
     import multiprocessing  # ~10 ms to import, paid only by parallel runs
 
-    with multiprocessing.Pool(min(cfg.workers, len(tasks))) as pool:
+    with multiprocessing.Pool(processes) as pool:
         return pool.map(_job, tasks)
 
 

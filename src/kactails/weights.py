@@ -85,7 +85,7 @@ def grow_weights_batch(kernel, sizes, rng, scratch=None):
     if n_max == 1:
         return flat, starts, order
 
-    counts = np.bincount(s_sorted, minlength=n_max + 2)
+    counts = np.bincount(s_sorted)
     ge = np.cumsum(counts[::-1])[::-1]  # ge[v] = number of trees with size >= v
     n_draws = total - s_sorted.size
     if scratch is None:
@@ -94,8 +94,6 @@ def grow_weights_batch(kernel, sizes, rng, scratch=None):
     ptr = 0
     for k in range(1, n_max):
         a = int(ge[k + 1])
-        if a == 0:
-            break
         u = u_all[ptr:ptr + a]
         ptr += a
         lk, rk = kernel.sample(rng, a)

@@ -2,6 +2,8 @@ import contextlib
 import dataclasses
 import io
 import math
+import multiprocessing
+import os
 import pathlib
 import re
 import string
@@ -66,14 +68,61 @@ N: 10000
 """
     with pytest.raises(cli.ConfigError) as exc:
         cli.parse_config(bad)
-    assert any("c_plus = c_minus" in e for e in exc.value.errors)
+    assert exc.value.errors == ["initial block invalid: alpha = 1 requires c_plus = c_minus"]
 
 
 def test_parse_rejects_alpha_two():
     bad = MINIMAL.replace("alpha: 1.5", "alpha: 2")
     with pytest.raises(cli.ConfigError) as exc:
         cli.parse_config(bad)
-    assert any("alpha" in e for e in exc.value.errors)
+    assert exc.value.errors == ["initial block invalid: alpha must lie in (0, 2)"]
+
+
+@pytest.mark.parametrize("block, text, error", [
+    ("kernel", "3", "kernel block is required"),
+    ("kernel", "{kind: nope}", "kernel block invalid: unknown kernel kind 'nope'"),
+    ("kernel", "{kind: kac, l: 0.5}", "unknown key 'kernel.l': kernel kind 'kac' takes no keys"),
+    ("kernel", "{kind: deterministic, l: 0.5}", "kernel block invalid: 'r'"),
+    ("kernel", "{kind: deterministic, l: abc, r: 0.5}",
+     "kernel block invalid: kernel.l must be a finite number, got 'abc'"),
+    ("initial", "[1.5]", "initial block is required"),
+    # an unknown kind without alpha read as a missing or out-of-range alpha
+    ("initial", "{kind: nope}", "initial block invalid: unknown initial law kind 'nope'"),
+    ("initial", "{kind: symmetric-pareto, alpha: 1.5, x_min: 2.0}",
+     "unknown key 'initial.x_min': initial kind 'symmetric-pareto' takes alpha, xmin"),
+    ("initial", "{kind: asymmetric-pareto, alpha: 1.2, c_plus: 0.5}",
+     "initial block invalid: 'c_minus'"),
+    ("initial", "{kind: symmetric-pareto, alpha: 1.5, xmin: abc}",
+     "initial block invalid: initial.xmin must be a finite number, got 'abc'"),
+    # each of these read "initial.alpha must lie in the open interval (0, 2)"
+    ("initial", "{kind: symmetric-pareto, alpha: abc}",
+     "initial block invalid: initial.alpha must be a finite number, got 'abc'"),
+    ("initial", "{kind: symmetric-pareto}", "initial block invalid: 'alpha'"),
+    # a stray c_plus at alpha = 1 also read "alpha = 1 requires c_plus = c_minus"
+    ("initial", "{kind: symmetric-pareto, alpha: 1.0, c_plus: 0.5}",
+     "unknown key 'initial.c_plus': initial kind 'symmetric-pareto' takes alpha, xmin"),
+])
+def test_kernel_and_initial_blocks_report_exact_errors(block, text, error):
+    default = {"kernel": "{kind: kac}", "initial": "{kind: symmetric-pareto, alpha: 1.5}"}
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(MINIMAL.replace(f"{block}: {default[block]}", f"{block}: {text}"))
+    assert exc.value.errors == [error]
+
+
+def test_quoted_alpha_is_read_like_every_block_number():
+    cfg = cli.parse_config(MINIMAL.replace("alpha: 1.5", 'alpha: "1.5"'))
+    assert cfg.initial.alpha == 1.5
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("output", "[1, 2]", "[1, 2]"), ("output", "{a: 1}", "{'a': 1}"),
+    ("output", "true", "True"), ("pool_init", "[ones]", "['ones']")])
+def test_string_fields_take_only_strings(key, value, shown):
+    # str() used to turn any value into a string: output [1, 2] wrote a file named '[1, 2]'
+    text = MINIMAL.replace("experiment: tail", "experiment: fixed-point") + f"{key}: {value}\n"
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(text)
+    assert exc.value.errors == [f"{key} must be a string, got {shown}"]
 
 
 def test_parse_requires_experiment_fields():
@@ -146,6 +195,33 @@ chunk_size: 8192
     assert bytes1 == bytes1b
 
 
+def test_worker_processes_never_outnumber_cpus(tmp_path, monkeypatch):
+    # workers had no upper bound: workers 5000 with 5000 chunks started 5000 processes
+    text = MINIMAL.replace("t: 3.0", "t: 1.0").replace("N: 100000", "N: 10000\nchunk_size: 1000")
+    _, serial = _run_to_csv(tmp_path, text, "w1", workers=1)
+    started = []
+
+    class SerialPool:
+        """multiprocessing.Pool's stand-in: records its process count, maps in order."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, capped = _run_to_csv(tmp_path, text, "w5000", workers=5000)
+    assert code == 0 and started == [2] and capped == serial
+
+
 def test_seed_changes_output(tmp_path):
     text = MINIMAL.replace("N: 100000", "N: 20000").replace("t: 3.0", "t: 1.0")
     _, b1 = _run_to_csv(tmp_path, text, "s42")
@@ -189,13 +265,14 @@ def test_malformed_yaml_is_a_config_error(tmp_path, capsys, text, override):
 def test_ode_residual_rejects_zero_or_nonfinite_x(tmp_path, capsys, x):
     # x = 0 used to raise inside the run; x = nan printed residual -100, se 0
     text = MINIMAL.replace("experiment: tail", "experiment: ode-residual") + f"x: {x}\n"
+    error = f"x must be finite and nonzero, got {x.lstrip('.')}"
     with pytest.raises(cli.ConfigError) as exc:
         cli.parse_config(text)
-    assert exc.value.errors == ["ode-residual requires a finite nonzero x"]
+    assert exc.value.errors == [error]
     path = tmp_path / "cfg.yaml"
     path.write_text(text)
     assert cli.main(["--config", str(path)]) == 2
-    assert "config error: ode-residual requires a finite nonzero x" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {error}\n"
 
 
 def test_io_error_exit_code(tmp_path):
@@ -392,7 +469,12 @@ def test_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, key, value
     code = cli.main(["--config", str(path), "--output", str(tmp_path / "out.csv"),
                      "--override", f"{key}={value}"])
     assert code == 2
-    assert f"config error: {key} must" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if key == "initial.alpha":  # the law reads its own numbers
+        assert err == ("config error: initial block invalid: "
+                       "initial.alpha must be a finite number, got True\n")
+    else:
+        assert f"config error: {key} must" in err
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),

@@ -63,9 +63,12 @@ do not count.  The matrix:
   b_1 among them, so the weighted rows cross row blocks and b(n) |X_1|
   comes from an unweighted entry, x Kac kernel x symmetric Pareto 1.5;
 - ode-residual at x = 2 and x = -2 on a discrete-mixture kernel with
-  atoms (0.9, 0), (0, 0.7) and (0.6, 0.8), where F(x / 0) is 1 and 0.
+  atoms (0.9, 0), (0, 0.7) and (0.6, 0.8), where F(x / 0) is 1 and 0;
+- five config errors (exit 2): a deterministic kernel that lacks `r`
+  and has an unknown key `q`, alpha 2, alpha 1 with c+ 0.5 and c- 0.3,
+  ode-residual at x = 0, and fixed-point with `pool_init: [ones]`.
 
-That is 283 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 288 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -222,6 +225,18 @@ t: 1.0
 xs: [10.0, 1.0e+4]
 N: 20000
 """
+# (experiment, kernel, law, sizes) of runs that are config errors
+CONFIG_ERRORS = {
+    "kernel-missing-r-unknown-q": ("tail", "{kind: deterministic, l: 0.6, q: 0.7}",
+                                   LAWS["sym1.5"], SIZES["tail"]),
+    "alpha-2": ("tail", KERNELS["kac"], "{kind: symmetric-pareto, alpha: 2.0}", SIZES["tail"]),
+    "alpha-1-asym": ("tail", KERNELS["kac"],
+                     "{kind: asymmetric-pareto, alpha: 1.0, c_plus: 0.5, c_minus: 0.3}",
+                     SIZES["tail"]),
+    "ode-residual-x0": ("ode-residual", KERNELS["kac"], LAWS["sym1.5"], "t: 1.0\nx: 0\nN: 3000"),
+    "pool-init-list": ("fixed-point", KERNELS["kac"], LAWS["sym1.5"],
+                       "pool_size: 2000\niterations: 3\npool_init: [ones]"),
+}
 _ELAPSED = re.compile(r"\(\d+\.\d+s\)")
 _PY_WARNING = re.compile(r"^.*:\d+: \w*Warning: ", re.M)
 
@@ -274,6 +289,9 @@ def matrix():
     runs += [(f"ode-residual-zero-atoms/x{x}", f"experiment: ode-residual\nseed: 3\nkernel: "
               f"{ZERO_ATOMS}\ninitial: {LAWS['sym1.5']}\nt: 1.0\nx: {x}\nN: 3000\n", None, [])
              for x in (2.0, -2.0)]
+    runs += [(f"config-error/{name}",
+              f"experiment: {exp}\nseed: 3\nkernel: {kernel}\ninitial: {law}\n{size}\n", None, [])
+             for name, (exp, kernel, law, size) in CONFIG_ERRORS.items()]
     runs.append(("override", None, "configs/tail_demo.yaml",
                  ["--override", "seed=7", "--override", "xs=[5.0]",
                   "--override", "N=40000", "--workers", "2"]))
