@@ -18,11 +18,7 @@ from .kernels import (
     spectral,
 )
 from .initial_data import AsymmetricPareto, SymmetricPareto
-from .weights import (
-    WeightNorm,
-    grow_weights_batch,
-    mean_weight_norm,
-)
+from .weights import grow_weights_batch, mean_weight_norm
 from .processes import (
     ForestSample,
     alpha_sums,

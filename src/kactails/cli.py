@@ -7,15 +7,15 @@ of phase `tag` is PCG64 seeded by
 
     SeedSequence(seed, spawn_key=(sha256(tag)[0:16] as 4 uint32, k)),
 
-so the output is byte-identical for any worker count: chunk results are
-merged in chunk-index order and all merges are associative.
+so the output is byte-identical for any worker count: each component of
+the chunk results is merged by one `np.sum(axis=0)` in chunk-index order.
 
 Each chunk is one job `(fn, args, seed, tag, k)`, which returns
 `fn(*args, rng)` on that stream.  By experiment, fn is
 `deviations.tail_hit_counts` (tail, and cdf-H from its H counts),
 `_cf_sums` (cf-V), `deviations.iid_hit_counts` (baseline) or
-`_martingale_sum_task` (martingale), with chunk results summed
-componentwise, and `deviations.lemma_bounds` (bounds, one job per x).
+`_martingale_sums` (martingale), all through `_chunk_sums`, and
+`deviations.lemma_bounds` (bounds, one job per x).
 fixed-point and ode-residual draw from the single stream 0 of their tag.
 
 Exit codes: 0 success, 2 config error, 3 an admissibility warning was
@@ -48,6 +48,7 @@ from .kernels import (
     RegimeUnavailableError,
     classify_regime,
     rescale_factor,
+    spectral,
 )
 from .processes import YULE_T_MAX, forest_statistics, law_sums
 from .weights import grow_weights_batch, mean_weight_norm
@@ -342,10 +343,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _chunks(total, chunk_size):
-    return [min(chunk_size, total - i) for i in range(0, total, chunk_size)]
-
-
 # ---- chunk jobs (top level so they pickle) ----
 
 def _job(task):
@@ -366,9 +363,12 @@ def _run_jobs(cfg, tag, fn, chunk_args):
         return pool.map(_job, tasks)
 
 
-def _summed_jobs(cfg, tag, fn, chunk_args):
-    """Each component of the chunk results, summed in chunk order."""
-    return [np.sum(part, axis=0) for part in zip(*_run_jobs(cfg, tag, fn, chunk_args))]
+def _chunk_sums(cfg, tag, fn, args, per_chunk):
+    """Each component of `fn(*args, m, rng)` over chunks of m <= per_chunk
+    of the N paths or rows, on the streams of `tag`, summed in chunk order."""
+    sizes = [min(per_chunk, cfg.N - i) for i in range(0, cfg.N, per_chunk)]
+    parts = _run_jobs(cfg, tag, fn, [(*args, m) for m in sizes])
+    return [np.sum(part, axis=0) for part in zip(*parts)]
 
 
 def _cf_sums(kernel, law, t, xis, size, rng):
@@ -384,10 +384,13 @@ def _cf_sums(kernel, law, t, xis, size, rng):
     return (sums,)
 
 
-def _martingale_sum_task(kernel, n, alpha, m_n, size, rng):
+def _martingale_sums(kernel, n, alpha, m_n, size, rng):
+    """Per-chunk (sum T, sum T^2) of T = M_n(alpha) / m_n over `size` trees of
+    n leaves, as the one component of the chunk's result.  One array keeps
+    both: NumPy adds a (chunks, 2) stack column by column in chunk order."""
     flat, starts, _ = grow_weights_batch(kernel, np.full(size, n, dtype=np.int64), rng)
     tm = np.add.reduceat(flat ** alpha, starts) / m_n
-    return float(tm.sum()), float((tm ** 2).sum()), tm.size
+    return (np.array([tm.sum(), (tm ** 2).sum()]),)
 
 
 # ---- experiment runners: each returns its rows ----
@@ -397,9 +400,8 @@ def _path_sums(cfg, fn):
     of the N paths, on the streams of "{experiment}/{index of t}", summed
     componentwise in chunk order."""
     for it, t in enumerate(cfg.t):
-        yield t, _summed_jobs(
-            cfg, f"{cfg.experiment}/{it}", fn,
-            [(cfg.kernel, cfg.initial, t, cfg.xs, m) for m in _chunks(cfg.N, cfg.chunk_size)])
+        yield t, _chunk_sums(cfg, f"{cfg.experiment}/{it}", fn,
+                             (cfg.kernel, cfg.initial, t, cfg.xs), cfg.chunk_size)
 
 
 def _run_tail(cfg):
@@ -414,27 +416,24 @@ def _run_tail(cfg):
 
 
 def _run_martingale(cfg):
-    rows = []
+    alpha, rows = cfg.initial.alpha, []
     for ni, n in enumerate(cfg.n):
-        m_n = mean_weight_norm(cfg.regime.S_alpha, n).m
-        sizes = _chunks(cfg.N, max(1, cfg.chunk_size // max(1, n // 64)))
-        parts = _run_jobs(cfg, f"martingale/{ni}", _martingale_sum_task,
-                          [(cfg.kernel, int(n), cfg.initial.alpha, m_n, m) for m in sizes])
-        total, total_sq, count = map(sum, zip(*parts))
-        mean = total / count
-        var = max(total_sq / count - mean ** 2, 0.0)
-        rows.append({"n": int(n), "N": count, "mean": mean,
-                     "se": math.sqrt(var / count)})
+        m_n = mean_weight_norm(spectral(cfg.kernel, alpha), n)
+        [(total, total_sq)] = _chunk_sums(cfg, f"martingale/{ni}", _martingale_sums,
+                                          (cfg.kernel, n, alpha, m_n),
+                                          max(1, cfg.chunk_size // max(1, n // 64)))
+        mean = total / cfg.N
+        var = max(total_sq / cfg.N - mean ** 2, 0.0)
+        rows.append({"n": n, "N": cfg.N, "mean": mean, "se": math.sqrt(var / cfg.N)})
     return rows
 
 
 def _run_baseline(cfg):
     law, n = cfg.initial, cfg.n[0]
     thresholds = [x * n ** (1.0 / law.alpha) for x in cfg.xs]
-    rows_per_chunk = max(1, cfg.chunk_size * 256 // max(n, 1))
-    hits_sum, hits_max = _summed_jobs(
-        cfg, "baseline", deviations.iid_hit_counts,
-        [(law, n, thresholds, m) for m in _chunks(cfg.N, rows_per_chunk)])
+    hits_sum, hits_max = _chunk_sums(cfg, "baseline", deviations.iid_hit_counts,
+                                     (law, n, thresholds),
+                                     max(1, cfg.chunk_size * 256 // max(n, 1)))
     ratios = deviations.tail_ratios(law, cfg.xs, cfg.N, hits_sum, hits_max)
     return [{"n": n, "x": x, "N": cfg.N, **dict(zip(SCHEMAS["baseline"][-6:], r))}
             for x, r in zip(cfg.xs, ratios)]
@@ -579,6 +578,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as exc:
+        print(f"config error: config is not valid UTF-8: {exc}", file=sys.stderr)
+        return 2
 
     try:
         doc = _load_yaml(text, "config")

@@ -19,7 +19,9 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import kactails.cli as cli
+from kactails.kernels import spectral
 from kactails.processes import forest_statistics, law_sums
+from kactails.weights import grow_weights_batch, mean_weight_norm
 
 MINIMAL = """
 experiment: tail
@@ -175,6 +177,35 @@ N: 4000
         assert abs(float(mean) - 1.0) <= 4 * float(se)
 
 
+def test_martingale_row_sums_its_chunks_in_chunk_order():
+    # 24 chunks of 128 trees: NumPy's pairwise sum would add them in another order
+    cfg = cli.parse_config("""
+experiment: martingale
+seed: 7
+kernel: {kind: kac}
+initial: {kind: symmetric-pareto, alpha: 1.5}
+n: [256]
+N: 3000
+chunk_size: 512
+""")
+    (row,), _, _ = cli.run(cfg)
+    n, a = 256, cfg.initial.alpha
+    m_n = mean_weight_norm(spectral(cfg.kernel, a), n)
+    total = total_sq = 0.0
+    for k, start in enumerate(range(0, cfg.N, 128)):
+        size = min(128, cfg.N - start)
+        rng = cli.derive_stream(cfg.seed, "martingale/0", k)
+        flat, starts, _ = grow_weights_batch(cfg.kernel, np.full(size, n), rng)
+        tm = np.add.reduceat(flat ** a, starts) / m_n
+        total += float(tm.sum())
+        total_sq += float((tm ** 2).sum())
+    mean = total / cfg.N
+    assert k + 1 == 24
+    assert row["N"] == cfg.N
+    assert row["mean"] == mean
+    assert row["se"] == math.sqrt(max(total_sq / cfg.N - mean ** 2, 0.0) / cfg.N)
+
+
 def test_determinism_across_worker_counts(tmp_path):
     text = """
 experiment: tail
@@ -273,6 +304,16 @@ def test_ode_residual_rejects_zero_or_nonfinite_x(tmp_path, capsys, x):
     path.write_text(text)
     assert cli.main(["--config", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # a Latin-1 byte used to raise UnicodeDecodeError from the read, exit 1
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(b"experiment: tail\nseed: 1\n# caf\xe9\n")
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config is not valid UTF-8: ")
+    assert err.count("\n") == 1
 
 
 def test_io_error_exit_code(tmp_path):

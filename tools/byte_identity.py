@@ -39,6 +39,9 @@ do not count.  The matrix:
   too: a deterministic kernel with l = r = u^(2/3) at alpha 1.5, where
   u = 1 - sqrt(2)/2 gives `mu-flat-moderate` and u = 1 + sqrt(2)/2
   gives `mu-flat-positive`;
+- a cf-V run with one xi on the Kac kernel x symmetric Pareto 1.5 x
+  workers 1, 2, in 12 chunks, where each chunk's sums are one complex
+  number and NumPy adds the chunks pairwise;
 - a cdf-H run at x < 0, x = 0 and t = 0 on a discrete-mixture kernel
   with an R = 0 atom and asymmetric Pareto 1.2, x workers 1, 2, where
   P{H <= x} is N less the count of {H > x}, over N;
@@ -68,7 +71,7 @@ do not count.  The matrix:
   and has an unknown key `q`, alpha 2, alpha 1 with c+ 0.5 and c- 0.3,
   ode-residual at x = 0, and fixed-point with `pool_init: [ones]`.
 
-That is 288 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 290 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -108,6 +111,8 @@ SIZES = {
     "ode-residual": "t: 1.0\nx: 2.0\nN: 3000",
     "martingale": "n: [16, 256]\nN: 3000\nchunk_size: 512",
 }
+# one xi in 12 chunks: the one merge that NumPy sums pairwise
+ONE_XI_CF = "t: 1.0\nxs: [0.5]\nN: 6000\nchunk_size: 512\npool_size: 2000\niterations: 3"
 # the conservative kernel's fixed point Z = 1 as the starting pool
 ONES_POOL = "pool_size: 2000\niterations: 3\npool_init: ones"
 # sizes whose draws cross the sampler's transform blocks and row blocks
@@ -274,6 +279,9 @@ def matrix():
     runs.append(("low-precision-note", LOW_PRECISION, None, []))
     runs.append(("cf-V-alpha1-overflow", CF_OVERFLOW, None, []))
     for workers in (1, 2):
+        text = (f"experiment: cf-V\nseed: 1\nkernel: {KERNELS['kac']}\n"
+                f"initial: {LAWS['sym1.5']}\n{ONE_XI_CF}\nworkers: {workers}\n")
+        runs.append((f"cf-V-one-xi/kac/sym1.5/w{workers}", text, None, []))
         runs.append((f"cdf-H-edge/w{workers}", f"{CDF_EDGE}workers: {workers}\n", None, []))
     for ln, law in (("sym1.5", LAWS["sym1.5"]), ("asym0.8", EDGE_LAWS["asym0.8"])):
         text = (f"experiment: bounds\nseed: 3\nkernel: {KERNELS['kac']}\n"
