@@ -278,6 +278,16 @@ def _threshold_power_errors(experiment, xs, a):
     return errors
 
 
+def _log_weight_norm(q, n):
+    """log m_n(alpha) = log Gamma(n + Q) - log Gamma(n) - log Gamma(Q + 1)
+    in O(1), where `mean_weight_norm` takes O(n); Q log n - log Gamma(Q + 1),
+    its leading term, for an n beyond the float range."""
+    try:
+        return math.lgamma(n + q) - math.lgamma(n) - math.lgamma(q + 1.0)
+    except OverflowError:
+        return q * math.log(n) - math.lgamma(q + 1.0)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; collects every error found."""
     doc = _load_yaml(text, "config")
@@ -316,6 +326,14 @@ def parse_config(text: str) -> ExperimentConfig:
                     rescale_factor(kernel, law.alpha, t)
                 except ValueError as exc:
                     errors.append(f"t: {exc}")
+            if experiment == "martingale":  # it divides by m_n(alpha), a float
+                q = spectral(kernel, law.alpha)
+                for n in cfg.n or ():
+                    log_m = _log_weight_norm(q, n)
+                    if log_m > math.log(sys.float_info.max):
+                        errors.append(f"n: n = {n} gives m_n(alpha) = e^{log_m:.6g} with "
+                                      f"Q(alpha) = {q!r} from the kernel at alpha = "
+                                      f"{law.alpha:g}; it must be a finite float")
 
     # the rules that join fields
     least_n = {"tail": 10_000, "ode-residual": 2}.get(experiment, 1)

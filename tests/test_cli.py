@@ -635,6 +635,12 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
                       "[0.5, 0.0]], probs: [0.5, 0.5]}",
                       "initial={kind: symmetric-pareto, alpha: 0.5}", "t=3", "x=10",
                       "N=10000", "seed=3"], 2, "t"),
+    # Q(1.5) = 1999 gives log m_n = 2767 at n = 2000, while the weights stay
+    # finite: an OverflowError traceback from mean_weight_norm
+    ("martingale", ["kernel={kind: deterministic, l: 100.0, r: 100.0}", "n=[2000]", "N=4"],
+     2, "n"),
+    ("martingale", ["kernel={kind: deterministic, l: 100.0, r: 100.0}", "n=[5]", "N=4"],
+     0, None),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):
@@ -653,6 +659,20 @@ def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
     else:
         assert err.startswith("config error: ")
         assert re.search(rf"(?<![\w.]){re.escape(named)}(?![\w])", err), err
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.3, 2.0, 1999.0])
+def test_parse_time_log_weight_norm_matches_the_recurrence(q):
+    # the O(1) form of log m_n that parse_config checks against the float
+    # range, next to the O(n) recurrence that martingale divides by
+    from kactails.weights import mean_weight_norm
+
+    for n in (1, 2, 17, 100):
+        assert cli._log_weight_norm(q, n) == pytest.approx(
+            math.log(mean_weight_norm(q, n)), rel=1e-12, abs=1e-12)
+    # an n beyond the float range takes the leading term, Q log n
+    assert cli._log_weight_norm(q, 10 ** 400) == pytest.approx(
+        q * 400 * math.log(10) - math.lgamma(q + 1.0))
 
 
 def _log_uniform(lo, hi):

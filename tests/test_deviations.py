@@ -264,7 +264,7 @@ def test_ode_residual_validation():
 
 
 def test_iid_hit_counts_match_abs_max_formula():
-    # several row blocks of 2^22 / n rows each, the last one partial
+    # many row blocks of _ROW_BUDGET / n rows each, the last one partial
     from kactails.deviations import _ROW_BUDGET, iid_hit_counts
 
     law, n, n_rows = kt.SymmetricPareto(1.5), 4096, 2500
@@ -274,7 +274,7 @@ def test_iid_hit_counts_match_abs_max_formula():
     ref_sum = np.zeros(thresholds.size, dtype=np.int64)
     ref_max = np.zeros(thresholds.size, dtype=np.int64)
     block, done = _ROW_BUDGET // n, 0
-    assert block < n_rows
+    assert 2 * block < n_rows and n_rows % block
     while done < n_rows:
         m = min(block, n_rows - done)
         x = law.sample(g, m * n).reshape(m, n)
@@ -290,11 +290,11 @@ def test_iid_hit_counts_match_abs_max_formula():
 
 
 def test_row_blocks_are_views_of_one_buffer():
-    # several blocks, the last one partial, all at one address; each holds
+    # three blocks, the last one partial, all at one address; each holds
     # the draws an allocating sample() call gives at its stream position
     from kactails.deviations import _ROW_BUDGET, _row_blocks
 
-    law, n, n_rows = kt.AsymmetricPareto(1.2, 0.7, 0.3), 4096, 2500
+    law, n, n_rows = kt.AsymmetricPareto(1.2, 0.7, 0.3), 4096, 80
     twin = rng(44)
     addresses, shapes = set(), []
     for x in _row_blocks(law, n, n_rows, rng(44)):
@@ -308,7 +308,7 @@ def test_row_blocks_are_views_of_one_buffer():
 
 def test_lemma_bounds_replays_the_matrix_product_formulas():
     # the Delta batch, then the main batch, from one stream, in blocks of
-    # 2^22 / n rows (three here, the last one partial), recomputed with
+    # _ROW_BUDGET / n rows (many here, the last one partial), recomputed with
     # S = X @ b and max_j |X_j| b_j; b_1 = 0, so b(n) |X_1| must come from
     # the unweighted row.  lemma_bounds sums b_j X_j in another order, so a
     # count could move only where |S| lies within rounding of a threshold.
@@ -320,7 +320,7 @@ def test_lemma_bounds_replays_the_matrix_product_formulas():
     rep = kt.lemma_bounds(b, law, x, eps, 0.75, N, rng(43))
 
     g, block = rng(43), _ROW_BUDGET // n
-    assert block < N / 2
+    assert 2 * block < N and N % block
 
     def batch():
         for done in range(0, N, block):
@@ -338,6 +338,48 @@ def test_lemma_bounds_replays_the_matrix_product_formulas():
     assert rep.delta_hat == delta_hits / N
     assert rep.mc == x ** law.alpha * (hits_sum / N)
     assert rep.max_mc == x ** law.alpha * (hits_max / N)
+
+
+@pytest.mark.parametrize("budget", [1 << 22, 1 << 16])
+def test_symmetric_rows_do_not_depend_on_the_block_height(monkeypatch, budget):
+    # SymmetricPareto draws concatenate and sum(axis=1) reduces each row
+    # alone, so the row blocks' height changes no count and no bit
+    from kactails import deviations
+
+    law, n, N = kt.SymmetricPareto(1.5), 1000, 10_000
+    thresholds = [x * n ** (1.0 / law.alpha) for x in (1.0, 3.0, 10.0)]
+    b = rng(46).uniform(0.05, 1.0, size=n)
+
+    def run():
+        return (deviations.iid_hit_counts(law, n, thresholds, N, rng(47)),
+                deviations.lemma_bounds(b, law, 300.0, 0.5, 0.75, N, rng(48)))
+
+    (hits, hits_max), report = run()
+    assert N % (deviations._ROW_BUDGET // n) and N % (budget // n)
+    monkeypatch.setattr(deviations, "_ROW_BUDGET", budget)
+    (other, other_max), other_report = run()
+    np.testing.assert_array_equal(hits, other)
+    np.testing.assert_array_equal(hits_max, other_max)
+    assert 0 < hits[-1] and 0 < hits_max[-1]
+    assert report == other_report
+    assert 0 < report.delta_hat < 1 and 0 < report.max_mc <= report.mc
+
+
+def test_iid_row_blocks_stay_cache_sized():
+    # one row block of check 09's row length is about 1 MB, and the
+    # sampler's scratch and the row reductions are smaller still
+    import tracemalloc
+
+    from kactails.deviations import iid_hit_counts
+
+    law = kt.SymmetricPareto(1.5)
+    tracemalloc.start()
+    try:
+        iid_hit_counts(law, 10_000, [1.0e3], 500, rng(45))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _ode_residual_with_zero_convention(kernel, law, t, x, delta, N, g):

@@ -26,10 +26,10 @@ do not count.  The matrix:
 - runs that cross the transform blocks of the Pareto samplers
   (`initial_data._BLOCK` draws) and the i.i.d. row blocks
   (`deviations._ROW_BUDGET` draws): baseline and bounds at n = 1000 with
-  three row blocks per chunk or job, the last one partial, and a tail
-  run at t = 3 whose sub-batches hold more leaves than a transform
-  block, x Kac kernel x both laws of the first matrix x seeds 1, 2 x
-  workers 1, 2;
+  77 row blocks of 131 rows per chunk or job, the last one partial, and
+  a tail run at t = 3 whose sub-batches hold more leaves than a
+  transform block, x Kac kernel x both laws of the first matrix x seeds
+  1, 2 x workers 1, 2;
 - both `configs/` demos, each read from its own tree;
 - a tail run that warns (exit 3) in the `mu-up` case, a tail run whose
   x = 1e4 row prints a low-precision note on stderr, a run with
@@ -67,11 +67,13 @@ do not count.  The matrix:
   comes from an unweighted entry, x Kac kernel x symmetric Pareto 1.5;
 - ode-residual at x = 2 and x = -2 on a discrete-mixture kernel with
   atoms (0.9, 0), (0, 0.7) and (0.6, 0.8), where F(x / 0) is 1 and 0;
-- five config errors (exit 2): a deterministic kernel that lacks `r`
+- six config errors (exit 2): a deterministic kernel that lacks `r`
   and has an unknown key `q`, alpha 2, alpha 1 with c+ 0.5 and c- 0.3,
-  ode-residual at x = 0, and fixed-point with `pool_init: [ones]`.
+  ode-residual at x = 0, fixed-point with `pool_init: [ones]`, and
+  martingale at n = 2000 on the deterministic kernel l = r = 100, where
+  m_n(1.5) = e^2767 leaves the float range.
 
-That is 290 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 291 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ SIZES = {
 ONE_XI_CF = "t: 1.0\nxs: [0.5]\nN: 6000\nchunk_size: 512\npool_size: 2000\niterations: 3"
 # the conservative kernel's fixed point Z = 1 as the starting pool
 ONES_POOL = "pool_size: 2000\niterations: 3\npool_init: ones"
-# sizes whose draws cross the sampler's transform blocks and row blocks
+# sizes whose draws cross the sampler's transform blocks and row blocks:
+# 10000 rows of n = 1000 per chunk or job, in 77 row blocks
 BLOCKED_SIZES = {
     "bounds": "n: 1000\nxs: [5.0, 10.0]\nN: 10000",
     "baseline": "n: 1000\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 65536",
@@ -178,7 +181,7 @@ t: 3.0
 xs: [10.0]
 N: 10000
 """
-# n = 1000 weights, every seventh 0 (b_1 too): three row blocks of 4194 rows
+# n = 1000 weights, every seventh 0 (b_1 too): 77 row blocks of 131 rows
 ZERO_WEIGHTS = ("n: 1000\nb: [" + ", ".join("0.0" if j % 7 == 0 else f"0.0{1 + j % 3}"
                                             for j in range(1000))
                 + "]\nxs: [5.0, 10.0]\nN: 10000")
@@ -241,6 +244,9 @@ CONFIG_ERRORS = {
     "ode-residual-x0": ("ode-residual", KERNELS["kac"], LAWS["sym1.5"], "t: 1.0\nx: 0\nN: 3000"),
     "pool-init-list": ("fixed-point", KERNELS["kac"], LAWS["sym1.5"],
                        "pool_size: 2000\niterations: 3\npool_init: [ones]"),
+    # Q(1.5) = 1999: m_n = e^2767 at n = 2000, while the weights stay finite
+    "martingale-m_n-overflow": ("martingale", "{kind: deterministic, l: 100.0, r: 100.0}",
+                                LAWS["sym1.5"], "n: [2000]\nN: 4"),
 }
 _ELAPSED = re.compile(r"\(\d+\.\d+s\)")
 _PY_WARNING = re.compile(r"^.*:\d+: \w*Warning: ", re.M)
