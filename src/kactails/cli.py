@@ -50,7 +50,7 @@ from .kernels import (
     rescale_factor,
     spectral,
 )
-from .processes import YULE_T_MAX, forest_statistics, law_sums
+from .processes import YULE_T_MAX, alpha_sums, forest_statistics, law_sums
 from .weights import grow_weights_batch, mean_weight_norm
 
 EXPERIMENTS = ("tail", "cdf-H", "cf-V", "fixed-point", "bounds",
@@ -407,7 +407,7 @@ def _martingale_sums(kernel, n, alpha, m_n, size, rng):
     n leaves, as the one component of the chunk's result.  One array keeps
     both: NumPy adds a (chunks, 2) stack column by column in chunk order."""
     flat, starts, _ = grow_weights_batch(kernel, np.full(size, n, dtype=np.int64), rng)
-    tm = np.add.reduceat(flat ** alpha, starts) / m_n
+    tm = alpha_sums(alpha)(flat, starts, rng)[0] / m_n
     return (np.array([tm.sum(), (tm ** 2).sum()]),)
 
 

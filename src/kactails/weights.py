@@ -6,12 +6,13 @@ applies it to a whole forest at once, one step index at a time; callers
 take the sums M_n(alpha) = sum_j beta_{j,n}^alpha from the grown weights
 with a segmented reduction over its layout.
 
-Stream order: a batch draws every index uniform first, in one call, and
-then the kernel pairs step by step, only for the trees still growing at
-that step.  A kernel's draws concatenate (see CollisionKernel.sample), so
-this is the stream one call for all pairs would consume.  The batch holds
-two leaf-length arrays at its peak: the weights and the index uniforms,
-which a caller can have drawn into a scratch array of its own.
+Stream order: a batch takes every index uniform first, as one call for
+all of them would, and then the kernel pairs step by step, only for the
+trees still growing at that step.  A kernel's draws concatenate (see
+CollisionKernel.sample), so this is the stream one call for all pairs
+would consume.  The index uniforms come step by step from a twin of the
+generator, while the generator itself jumps past them (PCG64 `advance`),
+so the batch holds one leaf-length array, the weights, and no more.
 
 The mean normalization m_n(alpha) = Gamma(n+Q(a)) / (Gamma(n) Gamma(Q(a)+1))
 is evaluated through its multiplicative recurrence
@@ -22,6 +23,7 @@ for every n.
 
 from __future__ import annotations
 
+import copy
 import math
 import mmap
 
@@ -45,7 +47,7 @@ def leaf_array(n):
     return np.frombuffer(pages, dtype=np.float64)
 
 
-def grow_weights_batch(kernel, sizes, rng, scratch=None):
+def grow_weights_batch(kernel, sizes, rng):
     """Grow many independent weight arrays at once.
 
     Returns (flat, starts, order): the weights of sorted tree j live in
@@ -56,12 +58,17 @@ def grow_weights_batch(kernel, sizes, rng, scratch=None):
 
     The rng gives the index uniforms of all steps, then step k's kernel
     pairs for its `a` growing trees, in sorted-tree order, step after
-    step; beyond `flat` and the index uniforms, a step holds only arrays
-    of length a.  With `scratch` (a float64 array of at least
-    sum(sizes) - len(sizes) elements) the index uniforms are drawn into
-    its head, the same values as without it, and no leaf-length array
-    but `flat` is allocated.
+    step.  The uniforms are read step by step from a twin of rng made at
+    entry, and rng advances past them at once, keeping its buffered
+    32-bit half; rng ends in the state that drawing them in one call
+    would leave.  Advancing by one step per double holds for PCG64 and
+    PCG64DXSM only, so any other bit generator raises TypeError.  Beyond
+    `flat`, a step holds only arrays of length a.
     """
+    bits = rng.bit_generator
+    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        raise TypeError(f"grow_weights_batch needs a PCG64 or PCG64DXSM generator, "
+                        f"not {type(bits).__name__}")
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -80,15 +87,16 @@ def grow_weights_batch(kernel, sizes, rng, scratch=None):
 
     counts = np.bincount(s_sorted)
     ge = np.cumsum(counts[::-1])[::-1]  # ge[v] = number of trees with size >= v
-    n_draws = total - s_sorted.size
-    if scratch is None:
-        scratch = leaf_array(n_draws)
-    u_all = rng.random(out=scratch[:n_draws])
-    ptr = 0
+    twin = copy.deepcopy(rng)
+    state = bits.state
+    bits.advance(total - s_sorted.size)
+    after = bits.state
+    after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+    bits.state = after
+    u_step = np.empty(int(ge[2]))
     for k in range(1, n_max):
         a = int(ge[k + 1])
-        u = u_all[ptr:ptr + a]
-        ptr += a
+        u = twin.random(out=u_step[:a])
         lk, rk = kernel.sample(rng, a)
         idx = np.minimum((u * k).astype(np.int64), k - 1)
         pos = starts[:a] + idx

@@ -24,16 +24,17 @@ KERNELS = {
 }
 
 
-def _assert_batch_replays(kernel, sizes):
+def _assert_batch_replays(kernel, sizes, g=None, ref_g=None):
     # the batch consumes its draws exactly as the tree-by-tree growth rule
-    # does, and leaves the generator where the replay's single kernel call
-    # does: the law draws of forest_statistics come next
-    g, ref_g = rng(1), rng(1)
+    # does, and leaves the generator in the state the replay's single
+    # uniform and kernel calls do: the law draws of forest_statistics come
+    # next
+    g, ref_g = g or rng(1), ref_g or rng(1)
     flat, _, order = grow_weights_batch(kernel, sizes, g)
     ref_flat, ref_order = replay_batch(kernel, sizes, ref_g)
     assert flat.tobytes() == ref_flat.tobytes()
     np.testing.assert_array_equal(order, ref_order)
-    assert g.random(4).tobytes() == ref_g.random(4).tobytes()
+    assert g.bit_generator.state == ref_g.bit_generator.state
 
 
 @pytest.mark.parametrize("name", KERNELS)
@@ -50,22 +51,28 @@ def test_deep_batch_replays_growth_rule_exactly(name):
 
 
 @pytest.mark.parametrize("name", KERNELS)
-def test_scratch_takes_the_same_uniforms(name):
-    # forest_statistics lends the grower a scratch array for the index
-    # uniforms; the weights, the uniforms and the stream after growth are
-    # those of a batch that allocates its own
-    sizes = kt.sample_yule(3.0, rng(41), 200)
-    n_draws = int(sizes.sum()) - sizes.size
-    scratch = np.full(int(sizes.sum()), np.nan)
+def test_batch_keeps_the_buffered_32_bit_half(name):
+    # one integers(0, 10) draw leaves half of a 64-bit output buffered;
+    # jumping the generator past the index uniforms must keep that half, as
+    # drawing them does
     g, ref_g = rng(1), rng(1)
-    flat, starts, order = grow_weights_batch(KERNELS[name], sizes, g, scratch=scratch)
-    ref_flat, ref_starts, ref_order = grow_weights_batch(KERNELS[name], sizes, ref_g)
-    assert flat.tobytes() == ref_flat.tobytes()
-    np.testing.assert_array_equal(starts, ref_starts)
-    np.testing.assert_array_equal(order, ref_order)
-    assert g.random(4).tobytes() == ref_g.random(4).tobytes()
-    assert scratch[:n_draws].tobytes() == rng(1).random(n_draws).tobytes()
-    assert np.isnan(scratch[n_draws:]).all()
+    for gen in (g, ref_g):
+        gen.integers(0, 10)
+    assert g.bit_generator.state["has_uint32"] == 1
+    _assert_batch_replays(KERNELS[name], kt.sample_yule(3.0, rng(41), 200), g, ref_g)
+
+
+def test_batch_replays_on_pcg64dxsm():
+    g, ref_g = (np.random.Generator(np.random.PCG64DXSM(1)) for _ in range(2))
+    _assert_batch_replays(KERNELS["kac"], [5, 1, 3, 7, 1, 4, 7, 2], g, ref_g)
+
+
+@pytest.mark.parametrize("bits", [np.random.Philox, np.random.MT19937])
+def test_batch_refuses_generators_without_one_output_per_double(bits):
+    # the jump past the index uniforms assumes one 64-bit output per double
+    g = np.random.Generator(bits(1))
+    with pytest.raises(TypeError, match="PCG64"):
+        grow_weights_batch(KERNELS["kac"], [5, 3], g)
 
 
 @pytest.mark.parametrize("n", [1, 513, 1 << 20])

@@ -51,7 +51,9 @@ do not count.  The matrix:
 - deep growth: tail (N = 10000, the least it takes, in chunks of 4096)
   and cdf-H (N = 4096) at t = 5 x the three kernels of the first matrix
   x symmetric Pareto 1.5, so the largest tree of a chunk grows for about
-  1,000 steps, each drawing its own kernel pairs;
+  1,000 steps, each drawing its own kernel pairs; and martingale at
+  n = 5000 (N = 420, two chunks of 210 trees, ~1M leaves each) x the same
+  kernels, whose alpha-sums run over several tree blocks;
 - limit values whose exponent scale or exponent leaves the float range:
   cf-V at alpha 1 with xmin 2 and xi = +/-1e308, where c0+ pi |xi|
   overflows; cf-V at alpha 1.5 and xi = 3e205, where |xi|^alpha lambda
@@ -73,7 +75,7 @@ do not count.  The matrix:
   martingale at n = 2000 on the deterministic kernel l = r = 100, where
   m_n(1.5) = e^2767 leaves the float range.
 
-That is 291 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 294 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -124,10 +126,13 @@ BLOCKED_SIZES = {
     "baseline": "n: 1000\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 65536",
     "tail": "t: 3.0\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 4096",
 }
-# t = 5: the largest of 4096 Yule trees has ~1,000 leaves
+# t = 5: the largest of 4096 Yule trees has ~1,000 leaves; martingale at
+# n = 5000: two chunks of 210 trees, each ~1M leaves over eight tree blocks
+# (processes._TREE_BLOCK leaves each)
 DEEP_SIZES = {
     "tail": "t: 5.0\nxs: [10.0, 50.0]\nN: 10000\nchunk_size: 4096",
     "cdf-H": "t: 5.0\nxs: [0.5, 2.0]\nN: 4096\npool_size: 2000\niterations: 3",
+    "martingale": "n: [5000]\nN: 420",
 }
 CF_OVERFLOW = """experiment: cf-V
 seed: 3
