@@ -31,7 +31,6 @@ from .limits import (
     cdf_H_infinity,
     cf_V_infinity,
     sample_V_infinity,
-    zpool_from_trees,
     zpool_iterate,
 )
 from .deviations import (

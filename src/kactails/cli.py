@@ -16,7 +16,9 @@ Each chunk is one job `(fn, args, seed, tag, k)`, which returns
 `_cf_sums` (cf-V), `deviations.iid_hit_counts` (baseline) or
 `_martingale_sums` (martingale), all through `_chunk_sums`, and
 `deviations.lemma_bounds` (bounds, one job per x).
-fixed-point and ode-residual draw from the single stream 0 of their tag.
+fixed-point and ode-residual draw from the single stream 0 of their tag,
+and cdf-H and cf-V draw their limits' pool from stream 0 of "limit-pool"
+once every forest is grown.
 
 Exit codes: 0 success, 2 config error, 3 an admissibility warning was
 raised (results still written), 4 I/O failure.
@@ -90,6 +92,9 @@ def _field(kind, needs, default=MISSING, shape="one", ok=None, rule="finite"):
         kind=kind, shape=shape, needs=needs, ok=ok, rule=rule, required=required))
 
 
+# the largest n whose n float64s (a tree's leaves, a row, the weights b)
+# one array can hold
+N_MAX = np.iinfo(np.intp).max // 8
 _TIMED = ("tail", "cdf-H", "cf-V", "ode-residual")
 _POOLED = ("cdf-H", "cf-V", "fixed-point")
 _CHUNKED = ("tail", "cdf-H", "cf-V", "baseline", "martingale")
@@ -117,7 +122,8 @@ class ExperimentConfig:
                             ok=lambda v: v in ("ones", "exponential"),
                             rule="'ones' or 'exponential'")
     n: list[int] = _field(int, ("bounds", "baseline", "martingale"), shape="many",
-                          ok=lambda ns: all(n >= 1 for n in ns), rule=">= 1")
+                          ok=lambda ns: all(1 <= n <= N_MAX for n in ns),
+                          rule=f">= 1 and at most {N_MAX} (n float64s overflow an array beyond it)")
     b: list[float] | None = _field(float, ("bounds",), None, shape="list",
                                    ok=lambda b: all(w >= 0 for w in b) and any(b),
                                    rule="finite, >= 0 and not all 0")
@@ -485,33 +491,38 @@ def _run_fixed_point(cfg):
 
 
 def _zpool_for_limit(cfg):
+    """The limits' pool of Z, on the stream "limit-pool" of its own.  cdf-H
+    and cf-V build it after their last forest, so no leaf array is resident
+    next to it, and evaluate each limit once per x."""
     rng = derive_stream(cfg.seed, "limit-pool", 0)
     pool = limits.ZPool.ones(cfg.pool_size, cfg.initial.alpha)
     return limits.zpool_iterate(pool, cfg.kernel, rng, iterations=cfg.iterations)
 
 
 def _run_cdf_h(cfg):
-    pool = _zpool_for_limit(cfg)
-    rows = []
     # N - #{H > x} is #{H <= x} unless an H is NaN, which takes a weight
     # that overflowed to inf times a zero kernel coefficient
-    for t, (_, hits_h) in _path_sums(cfg, deviations.tail_hit_counts):
-        for x, hh in zip(cfg.xs, hits_h):
+    hits = [(t, hits_h) for t, (_, hits_h) in _path_sums(cfg, deviations.tail_hit_counts)]
+    pool = _zpool_for_limit(cfg)
+    lims = [limits.cdf_H_infinity(x, pool, cfg.initial) for x in cfg.xs]
+    rows = []
+    for t, hits_h in hits:
+        for x, hh, lim in zip(cfg.xs, hits_h, lims):
             p = (cfg.N - hh) / cfg.N
             rows.append({"t": t, "x": x, "N": cfg.N, "pool_size": cfg.pool_size,
                          "cdf_empirical": p,
-                         "se": deviations.binom_se(p, cfg.N),
-                         "cdf_limit": limits.cdf_H_infinity(x, pool, cfg.initial)})
+                         "se": deviations.binom_se(p, cfg.N), "cdf_limit": lim})
     return rows
 
 
 def _run_cf_v(cfg):
+    sums = [(t, cf_sums) for t, (cf_sums,) in _path_sums(cfg, _cf_sums)]
     pool = _zpool_for_limit(cfg)
+    lims = limits.cf_V_infinity(cfg.xs, pool, cfg.initial)
     rows = []
-    for t, (cf_sums,) in _path_sums(cfg, _cf_sums):
-        for xi, s in zip(cfg.xs, cf_sums):
+    for t, cf_sums in sums:
+        for xi, s, lim in zip(cfg.xs, cf_sums, lims):
             emp = s / cfg.N
-            lim = limits.cf_V_infinity(xi, pool, cfg.initial)
             rows.append({"t": t, "xi": xi, "N": cfg.N, "pool_size": cfg.pool_size,
                          "re_empirical": emp.real, "im_empirical": emp.imag,
                          "re_limit": lim.real, "im_limit": lim.imag,

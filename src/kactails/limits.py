@@ -4,10 +4,10 @@ The mixing variable Z solves the distributional fixed point
 
     Z  =law=  Theta^Q(a) (L^a Z1 + R^a Z2),      Theta uniform(0, 1),
 
-with E[Z] = 1; its law is approximated either by population dynamics on
-that equation or by the tree functional e^{-Q(a) t} M_{nu_t}(a) at large t.
-Both constructions target the same law, which makes their agreement a
-two-sided check.
+with E[Z] = 1; its law is approximated by population dynamics on that
+equation.  The tree functional e^{-Q(a) t} M_{nu_t}(a) at large t targets
+the same law; the tests draw that pool (tests/tree_pool.py) and check the
+two against each other.
 
 Given tail constants (c0+, c0-) of the initial law, the rescaled sum
 converges to V_inf = Z^(1/a) S_a where S_a is alpha-stable with
@@ -25,14 +25,12 @@ Both limits are pool averages of exp(-s Z), which `_mean_exp` evaluates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .initial_data import power_or_inf
-from .kernels import DeterministicKernel, rescale_factor, spectral
-from .processes import alpha_sums, forest_statistics
+from .kernels import DeterministicKernel, spectral
 
 
 @dataclass
@@ -127,21 +125,6 @@ def zpool_iterate(pool: ZPool, kernel, rng, iterations=1) -> ZPool:
     return ZPool(z, a)
 
 
-def zpool_from_trees(kernel, alpha, t, size, rng) -> ZPool:
-    """Pool of e^{-Q(a) t} M_{nu_t}(a) draws from the branching sampler.
-
-    Warns when the rescaled maximal weight is not yet small at this t
-    (the tree functional is then still far from its limit).
-    """
-    m, beta_max = forest_statistics(kernel, t, size, rng, alpha_sums(alpha)).stats
-    z = math.exp(-spectral(kernel, alpha) * t) * m
-    beta_scale = float(np.median(beta_max)) * rescale_factor(kernel, alpha, t)
-    if beta_scale > 0.25:
-        warnings.warn(f"median rescaled beta_max = {beta_scale:.3g} at t = {t:g}; "
-                      "increase t for a converged tree pool", stacklevel=2)
-    return ZPool(z, float(alpha))
-
-
 def _stable_standard(alpha, beta_skew, rng, size):
     """Stable draw with exponent |xi|^a (1 - i beta tan(pi a/2) sign xi).
 
@@ -192,7 +175,8 @@ def _mean_exp(z, s, skew=None):
         return float(np.exp(e, out=e).mean())
     inf = np.isinf(e)
     e[inf] = 0.0
-    term = np.exp(e * skew)
+    term = np.multiply(e, skew)
+    np.exp(term, out=term)
     term[inf] = 0.0
     return complex(term.mean())
 

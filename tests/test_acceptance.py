@@ -22,6 +22,7 @@ from kactails.processes import forest_statistics, law_sums
 from kactails.weights import grow_weights_batch
 
 from stable_reference import stable_abs_tail_ratio
+from tree_pool import zpool_from_trees
 from weight_norm_reference import mean_weight_norm_table
 from wild_oracle import wild_oracle_max
 
@@ -151,7 +152,7 @@ def test_criterion_07_fixed_point_pool():
     # tree pool against fixed-point pool for the kac kernel
     fixed = kt.zpool_iterate(kt.ZPool.ones(100_000, 1.0),
                              kt.KacKernel(), g, iterations=60)
-    tree = kt.zpool_from_trees(kt.KacKernel(), 1.0, 8.0, 100_000, g)
+    tree = zpool_from_trees(kt.KacKernel(), 1.0, 8.0, 100_000, g)
     ks = stats.ks_2samp(fixed.samples, tree.samples).statistic
     ok_ks = ks <= 0.02
     ok = ok_var and ok_drift and ok_ks

@@ -641,6 +641,11 @@ def test_any_field_value_parses_or_is_a_config_error(key, value, experiment):
      2, "n"),
     ("martingale", ["kernel={kind: deterministic, l: 100.0, r: 100.0}", "n=[5]", "N=4"],
      0, None),
+    # n float64s that no array can hold: ValueError tracebacks from NumPy
+    ("martingale", ["n=[100000000000000000000]"], 2, "n"),
+    ("martingale", ["n=[1152921504606846976]"], 2, "n"),
+    ("baseline", ["n=1152921504606846976"], 2, "n"),
+    ("bounds", ["n=1152921504606846976"], 2, "n"),
 ])
 def test_out_of_range_configs_exit_2_and_edges_run(tmp_path, capsys, experiment,
                                                    overrides, code, named):
@@ -739,6 +744,37 @@ def test_cdf_h_equals_direct_counts_of_h_at_most_x():
     rows, _, _ = cli.run(cfg)
     assert [float(r["cdf_empirical"]).hex() for r in rows] == expected
     assert expected[:2] == [0.0.hex()] * 2 and len(set(expected)) > 3
+
+
+_CDF_H_RESIDENT_PEAK = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import kactails.cli as cli
+from kactails.processes import sample_yule
+
+cfg = cli.parse_config(
+    "experiment: cdf-H\\nseed: 8\\n"
+    "kernel: {kind: deterministic, l: 0.6299605249474366, r: 0.6299605249474366}\\n"
+    "initial: {kind: symmetric-pareto, alpha: 1.5}\\n"
+    "t: 5.0\\nxs: [0.5, 1.0, 2.0, 5.0]\\nN: 16384\\npool_size: 1000000\\niterations: 3\\n")
+leaves = int(sample_yule(5.0, cli.derive_stream(cfg.seed, "cdf-H/0", 0), cfg.N).sum())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cli.run(cfg)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(1024 * grown / (8 * leaves))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_cdf_h_resident_peak_holds_the_pool_or_a_leaf_array():
+    # cdf-H grows its one-chunk forest (~2.4M leaves, 19 MB) before it
+    # builds the 8 MB pool, so the peak over the post-parse floor is the
+    # leaf array or the pool with its exponent array, not both at once
+    # (1.52 leaf arrays with the pool built first and kept through the forest)
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _CDF_H_RESIDENT_PEAK, str(src)],
+                          capture_output=True, text=True, check=True)
+    assert float(proc.stdout) <= 1.45, proc.stdout
 
 
 def test_readme_config_reference_follows_the_field_declarations():

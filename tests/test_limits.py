@@ -7,6 +7,8 @@ from scipy import stats
 
 import kactails as kt
 
+from tree_pool import zpool_from_trees
+
 LAMBDA_15 = math.pi / (2.0 * math.gamma(1.5) * math.sin(0.75 * math.pi))
 
 
@@ -172,26 +174,26 @@ def test_zpool_iterate_matches_sampling_replay(name, alpha, start_pool):
 
 
 def test_tree_pool_conservative_kernel_is_degenerate():
-    pool = kt.zpool_from_trees(det_kernel(), 1.5, 6.0, 2000, rng(5))
+    pool = zpool_from_trees(det_kernel(), 1.5, 6.0, 2000, rng(5))
     np.testing.assert_allclose(pool.samples, 1.0, atol=1e-9)
 
 
 def test_tree_pool_mean_one():
-    pool = kt.zpool_from_trees(kt.KacKernel(), 1.0, 6.0, 50_000, rng(6))
+    pool = zpool_from_trees(kt.KacKernel(), 1.0, 6.0, 50_000, rng(6))
     se = pool.samples.std(ddof=1) / math.sqrt(pool.samples.size)
     assert abs(pool.samples.mean() - 1.0) <= 4 * se
 
 
 def test_tree_pool_warns_at_small_t():
     with pytest.warns(UserWarning):
-        kt.zpool_from_trees(kt.KacKernel(), 1.0, 0.5, 2000, rng(7))
+        zpool_from_trees(kt.KacKernel(), 1.0, 0.5, 2000, rng(7))
 
 
 def test_tree_and_fixed_point_pools_agree():
     g = rng(8)
     fixed = kt.zpool_iterate(kt.ZPool.ones(40_000, 1.0),
                              kt.KacKernel(), g, iterations=60)
-    tree = kt.zpool_from_trees(kt.KacKernel(), 1.0, 7.0, 40_000, g)
+    tree = zpool_from_trees(kt.KacKernel(), 1.0, 7.0, 40_000, g)
     d = stats.ks_2samp(fixed.samples, tree.samples)
     assert d.statistic <= 0.03
 

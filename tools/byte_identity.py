@@ -45,6 +45,9 @@ do not count.  The matrix:
 - a cdf-H run at x < 0, x = 0 and t = 0 on a discrete-mixture kernel
   with an R = 0 atom and asymmetric Pareto 1.2, x workers 1, 2, where
   P{H <= x} is N less the count of {H > x}, over N;
+- cdf-H and cf-V at two t and x < 0 on the Kac kernel x asymmetric
+  Pareto 1.2 (a skewed limit) x workers 1, 2, where each x's limit is
+  one pool average written in the rows of both t;
 - a bounds run near the float range of its bound terms (one weight
   b = 1e50, x = 1e-3 and 1) on the Kac kernel x symmetric Pareto 1.5 and
   asymmetric Pareto 0.8, where K0^2 B^2 / x^alpha is finite but large;
@@ -69,13 +72,14 @@ do not count.  The matrix:
   comes from an unweighted entry, x Kac kernel x symmetric Pareto 1.5;
 - ode-residual at x = 2 and x = -2 on a discrete-mixture kernel with
   atoms (0.9, 0), (0, 0.7) and (0.6, 0.8), where F(x / 0) is 1 and 0;
-- six config errors (exit 2): a deterministic kernel that lacks `r`
+- seven config errors (exit 2): a deterministic kernel that lacks `r`
   and has an unknown key `q`, alpha 2, alpha 1 with c+ 0.5 and c- 0.3,
-  ode-residual at x = 0, fixed-point with `pool_init: [ones]`, and
+  ode-residual at x = 0, fixed-point with `pool_init: [ones]`,
   martingale at n = 2000 on the deterministic kernel l = r = 100, where
-  m_n(1.5) = e^2767 leaves the float range.
+  m_n(1.5) = e^2767 leaves the float range, and martingale at n = 2^60,
+  whose n float64s no array can hold.
 
-That is 294 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
+That is 299 runs.  Prints each mismatch and a summary line; exits 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -208,6 +212,10 @@ pool_size: 2000
 iterations: 3
 """
 
+# two t over one pool, so each x's limit is written under both t
+TWO_T_LIMITS = ("t: [0.5, 1.5]\nxs: [-1.0, 0.5, 2.0]\nN: 6000\nchunk_size: 2048\n"
+                "pool_size: 2000\niterations: 3")
+
 
 def warned_tail(l):
     """A tail run on the deterministic kernel l = r, outside the
@@ -252,6 +260,9 @@ CONFIG_ERRORS = {
     # Q(1.5) = 1999: m_n = e^2767 at n = 2000, while the weights stay finite
     "martingale-m_n-overflow": ("martingale", "{kind: deterministic, l: 100.0, r: 100.0}",
                                 LAWS["sym1.5"], "n: [2000]\nN: 4"),
+    # 2^60 leaves: 2^63 bytes, past the largest array NumPy can address
+    "martingale-n-2^60": ("martingale", KERNELS["kac"], LAWS["sym1.5"],
+                          "n: [1152921504606846976]\nN: 4"),
 }
 _ELAPSED = re.compile(r"\(\d+\.\d+s\)")
 _PY_WARNING = re.compile(r"^.*:\d+: \w*Warning: ", re.M)
@@ -294,6 +305,10 @@ def matrix():
                 f"initial: {LAWS['sym1.5']}\n{ONE_XI_CF}\nworkers: {workers}\n")
         runs.append((f"cf-V-one-xi/kac/sym1.5/w{workers}", text, None, []))
         runs.append((f"cdf-H-edge/w{workers}", f"{CDF_EDGE}workers: {workers}\n", None, []))
+        runs += [(f"two-t/{exp}/kac/asym1.2/w{workers}",
+                  f"experiment: {exp}\nseed: 2\nkernel: {KERNELS['kac']}\n"
+                  f"initial: {LAWS['asym1.2']}\n{TWO_T_LIMITS}\nworkers: {workers}\n", None, [])
+                 for exp in ("cdf-H", "cf-V")]
     for ln, law in (("sym1.5", LAWS["sym1.5"]), ("asym0.8", EDGE_LAWS["asym0.8"])):
         text = (f"experiment: bounds\nseed: 3\nkernel: {KERNELS['kac']}\n"
                 f"initial: {law}\n{BOUNDS_EDGE}\n")
