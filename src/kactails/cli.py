@@ -21,7 +21,7 @@ and cdf-H and cf-V draw their limits' pool from stream 0 of "limit-pool"
 once every forest is grown.
 
 Exit codes: 0 success, 2 config error, 3 an admissibility warning was
-raised (results still written), 4 I/O failure.
+raised (results still written), 4 I/O failure or a failed allocation.
 """
 
 from __future__ import annotations
@@ -412,8 +412,8 @@ def _martingale_sums(kernel, n, alpha, m_n, size, rng):
     """Per-chunk (sum T, sum T^2) of T = M_n(alpha) / m_n over `size` trees of
     n leaves, as the one component of the chunk's result.  One array keeps
     both: NumPy adds a (chunks, 2) stack column by column in chunk order."""
-    flat, starts, _ = grow_weights_batch(kernel, np.full(size, n, dtype=np.int64), rng)
-    tm = alpha_sums(alpha)(flat, starts, rng)[0] / m_n
+    flat, sizes, _ = grow_weights_batch(kernel, np.full(size, n, dtype=np.int64), rng)
+    tm = alpha_sums(alpha)(flat, sizes, rng)[0] / m_n
     return (np.array([tm.sum(), (tm ** 2).sum()]),)
 
 
@@ -637,7 +637,11 @@ def main(argv=None) -> int:
         return 2
 
     start = time.perf_counter()
-    rows, status, (regime, warns) = run(cfg)
+    try:
+        rows, status, (regime, warns) = run(cfg)
+    except MemoryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     took = time.perf_counter() - start
 
     print(f"regime: case={regime.case_id} S(a)={regime.S_alpha:.6g} "

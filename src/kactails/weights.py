@@ -2,9 +2,11 @@
 
 Growth rule: beta_{1,1} = 1; the step from n to n+1 picks a uniform index
 I and replaces beta_I by the pair (L*beta_I, R*beta_I).  grow_weights_batch
-applies it to a whole forest at once, one step index at a time; callers
-take the sums M_n(alpha) = sum_j beta_{j,n}^alpha from the grown weights
-with a segmented reduction over its layout.
+applies it to a whole forest at once, one step index at a time, in a
+slot-major layout (slot_offsets): row k holds slot k of every tree still
+growing at step k, so a step writes its new right children as one
+contiguous row.  Callers take the sums M_n(alpha) = sum_j beta_{j,n}^alpha
+by adding the rows into per-tree sums (processes.alpha_sums).
 
 Stream order: a batch takes every index uniform first, as one call for
 all of them would, and then the kernel pairs step by step, only for the
@@ -47,14 +49,32 @@ def leaf_array(n):
     return np.frombuffer(pages, dtype=np.float64)
 
 
+def slot_offsets(sizes):
+    """off[r], the first leaf of slot row r in the slot-major layout of a
+    forest whose tree sizes are sorted largest first, for r = 0..max(sizes).
+
+    Row r holds slot r of every tree with more than r leaves; those trees
+    are a prefix of the sorted order, so slot r of tree j lives at
+    flat[off[r] + j], row r is flat[off[r]:off[r + 1]], and off[-1] is the
+    leaf total.
+    """
+    counts = np.bincount(sizes)
+    off = np.zeros(counts.size, dtype=np.int64)
+    # the width of row r is the number of trees of more than r leaves
+    np.cumsum(np.cumsum(counts[:0:-1])[::-1], out=off[1:])
+    return off
+
+
 def grow_weights_batch(kernel, sizes, rng):
     """Grow many independent weight arrays at once.
 
-    Returns (flat, starts, order): the weights of sorted tree j live in
-    flat[starts[j] : starts[j] + sorted_sizes[j]], and order[j] is the
-    caller's index of that tree (trees are processed largest first so the
-    active set at each step is a prefix).  Per-tree statistics computed on
-    the sorted layout must be scattered back through `order`.
+    Returns (flat, sorted_sizes, order): trees are processed largest first
+    (stable), so the trees still growing at each step are a prefix;
+    sorted tree j has sorted_sizes[j] leaves, and order[j] is the caller's
+    index of that tree.  The layout is slot-major (slot_offsets): slot r
+    of sorted tree j lives at flat[off[r] + j], so each step writes its
+    new leaves as one contiguous row.  Per-tree statistics computed on the
+    sorted layout must be scattered back through `order`.
 
     The rng gives the index uniforms of all steps, then step k's kernel
     pairs for its `a` growing trees, in sorted-tree order, step after
@@ -76,34 +96,37 @@ def grow_weights_batch(kernel, sizes, rng):
         raise ValueError("every tree size must be >= 1")
     order = np.argsort(-sizes, kind="stable")
     s_sorted = sizes[order]
-    starts = np.zeros(s_sorted.size, dtype=np.int64)
-    np.cumsum(s_sorted[:-1], out=starts[1:])
     total = int(s_sorted.sum())
     flat = leaf_array(total)
-    flat[starts] = 1.0
+    flat[:s_sorted.size] = 1.0
     n_max = int(s_sorted[0])
     if n_max == 1:
-        return flat, starts, order
+        return flat, s_sorted, order
 
-    counts = np.bincount(s_sorted)
-    ge = np.cumsum(counts[::-1])[::-1]  # ge[v] = number of trees with size >= v
+    off = slot_offsets(s_sorted)
+    rows = off.tolist()
     twin = copy.deepcopy(rng)
     state = bits.state
     bits.advance(total - s_sorted.size)
     after = bits.state
     after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
     bits.state = after
-    u_step = np.empty(int(ge[2]))
+    u_step = np.empty(rows[2] - rows[1])
+    tree = np.arange(u_step.size)
     for k in range(1, n_max):
-        a = int(ge[k + 1])
+        a = rows[k + 1] - rows[k]
         u = twin.random(out=u_step[:a])
         lk, rk = kernel.sample(rng, a)
-        idx = np.minimum((u * k).astype(np.int64), k - 1)
-        pos = starts[:a] + idx
+        u *= k
+        idx = u.astype(np.int64)
+        np.minimum(idx, k - 1, out=idx)
+        pos = off[idx]
+        pos += tree[:a]
         old = flat[pos]
-        flat[pos] = old * lk
-        flat[starts[:a] + k] = old * rk
-    return flat, starts, order
+        np.multiply(old, rk, out=flat[rows[k]:rows[k + 1]])
+        old *= lk
+        flat[pos] = old
+    return flat, s_sorted, order
 
 
 def mean_weight_norm(S_alpha, n) -> float:

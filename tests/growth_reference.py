@@ -2,8 +2,15 @@
 
 grow_tree is an independent grower: one tree, its own draws, the growth
 rule written out leaf by leaf.  replay_batch feeds the draws that
-grow_weights_batch makes to the same rule one tree at a time, so its
-output must equal the batch output bit for bit.  Neither uses kactails.
+grow_weights_batch makes to the same rule one tree at a time and lays the
+trees out as the batch does, so its output must equal the batch output
+bit for bit.  tree_major undoes that layout for references that reduce
+tree by tree.  None of them uses kactails.
+
+The batch layout is slot-major: the trees are sorted largest first
+(stable), row r holds slot r of every tree with more than r leaves, and
+slot r of sorted tree j lives at off[r] + j, where off[r] is the leaf
+count of the rows before r.
 """
 
 import numpy as np
@@ -19,6 +26,23 @@ def grow_tree(kernel, n, rng):
         (L,), (R,) = kernel.sample(rng, 1)
         betas[i], betas[k] = betas[i] * L, betas[i] * R
     return betas
+
+
+def _row_offsets(sorted_sizes):
+    """off[r] for r = 0..max: the widths of the rows, summed."""
+    s = np.asarray(sorted_sizes)
+    widths = [int((s > r).sum()) for r in range(int(s.max()))]
+    return np.concatenate(([0], np.cumsum(widths))).astype(np.int64)
+
+
+def tree_major(flat, sorted_sizes):
+    """(values, starts): the slot-major `flat` rearranged tree after tree,
+    so sorted tree j's slots are values[starts[j] : starts[j] + n_j] in
+    slot order, ready for ufunc.reduceat(values, starts)."""
+    off = _row_offsets(sorted_sizes)
+    idx = np.concatenate([off[:n] + j for j, n in enumerate(sorted_sizes)])
+    starts = np.concatenate(([0], np.cumsum(sorted_sizes)[:-1])).astype(np.int64)
+    return flat[idx], starts
 
 
 def replay_batch(kernel, sizes, rng):
@@ -38,15 +62,17 @@ def replay_batch(kernel, sizes, rng):
     n_draws = sum(s) - len(s)
     u = rng.random(n_draws)
     lk, rk = kernel.sample(rng, n_draws)
-    growing = [sum(v > k for v in s) for k in range(max(s))]
-    trees = []
+    off = _row_offsets(s)
+    growing = np.diff(off)  # trees that grow at step k: the width of row k
+    before = np.cumsum([0, 0, *growing[1:]]).tolist()  # draws of steps < k
+    flat = np.empty(sum(s))
     for j, n in enumerate(s):
         betas = [1.0]
         for k in range(1, n):
-            d = sum(growing[1:k]) + j
+            d = before[k] + j
             i = min(int(u[d] * k), k - 1)
             old = betas[i]
             betas[i] = old * lk[d]
             betas.append(old * rk[d])
-        trees.append(betas)
-    return np.concatenate(trees), order
+        flat[off[:n] + j] = betas
+    return flat, order

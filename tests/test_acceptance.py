@@ -50,8 +50,9 @@ def test_criterion_01_martingale_mean():
     ok = True
     details = []
     for n in (64, 1024):
-        flat, starts, _ = grow_weights_batch(kernel, np.full(20_000, n), g)
-        tm = np.add.reduceat(flat, starts) / kt.mean_weight_norm(S1_KAC, n)
+        flat, _, _ = grow_weights_batch(kernel, np.full(20_000, n), g)
+        # trees of one size: slot r of tree j is flat[r * 20_000 + j]
+        tm = flat.reshape(n, 20_000).sum(axis=0) / kt.mean_weight_norm(S1_KAC, n)
         se = tm.std(ddof=1) / math.sqrt(tm.size)
         dev = abs(tm.mean() - 1.0)
         ok &= dev <= 4 * se
@@ -204,9 +205,10 @@ def test_criterion_10_wild_oracle_equivalence():
     law = kt.SymmetricPareto(ALPHA)
     kernel = kt.KacKernel()
     oracle = wild_oracle_max(kernel, law, 5, g, size=100_000)
-    flat, starts, _ = grow_weights_batch(kernel, np.full(100_000, 5), g)
+    flat, _, _ = grow_weights_batch(kernel, np.full(100_000, 5), g)
     x = law.sample(g, flat.size)
-    tree = np.maximum.reduceat(np.abs(flat * x), starts)
+    # trees of one size: slot r of tree j is flat[r * 100_000 + j]
+    tree = np.abs(flat * x).reshape(5, 100_000).max(axis=0)
     ks = stats.ks_2samp(oracle, tree).statistic
     assert report(10, "wild oracle vs tree max at n=5", ks <= 0.01,
                   f"KS={ks:.4f} (limit 0.01)")

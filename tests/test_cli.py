@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import math
 import multiprocessing
@@ -18,7 +19,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import kactails as kt
 import kactails.cli as cli
+from kactails import weights
 from kactails.kernels import spectral
 from kactails.processes import forest_statistics, law_sums
 from kactails.weights import grow_weights_batch, mean_weight_norm
@@ -195,8 +198,10 @@ chunk_size: 512
     for k, start in enumerate(range(0, cfg.N, 128)):
         size = min(128, cfg.N - start)
         rng = cli.derive_stream(cfg.seed, "martingale/0", k)
-        flat, starts, _ = grow_weights_batch(cfg.kernel, np.full(size, n), rng)
-        tm = np.add.reduceat(flat ** a, starts) / m_n
+        flat, _, _ = grow_weights_batch(cfg.kernel, np.full(size, n), rng)
+        # trees of one size: slot r of tree j is flat[r * size + j], and
+        # the sum down each column adds the slots in order
+        tm = (flat ** a).reshape(n, size).sum(axis=0) / m_n
         total += float(tm.sum())
         total_sq += float((tm ** 2).sum())
     mean = total / cfg.N
@@ -322,6 +327,29 @@ def test_io_error_exit_code(tmp_path):
                     .replace("t: 3.0", "t: 0.0")
                     + f"output: {tmp_path}/no/such/dir/out.csv\n")
     assert cli.main(["--config", str(path)]) == 4
+
+
+@pytest.mark.parametrize("refusal", [OSError(errno.ENOMEM, os.strerror(errno.ENOMEM)),
+                                     OverflowError("Python int too large to convert to C ssize_t")],
+                         ids=["ENOMEM", "past-2^63-bytes"])
+def test_unmappable_leaf_array_is_one_error_line_and_exit_4(refusal, tmp_path, capsys,
+                                                            monkeypatch):
+    # at t = 20 one 32-tree sub-batch expects ~32 e^20 leaves (~124 GB), and
+    # mmap refuses lengths past 2^63 - 1 bytes (t = 40) with OverflowError;
+    # the mapping is refused here without asking for any memory
+    def refuse(n):
+        raise refusal
+
+    monkeypatch.setattr(weights, "leaf_array", refuse)
+    path, out = tmp_path / "cfg.yaml", tmp_path / "out.csv"
+    path.write_text(MINIMAL.replace("t: 3.0", "t: 20.0").replace("N: 100000", "N: 10000")
+                    + f"workers: 1\noutput: {out}\n")
+    assert cli.main(["--config", str(path)]) == 4
+    leaves = int(kt.sample_yule(20.0, cli.derive_stream(42, "tail/0", 0), 32).sum())
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot map the leaf array of a sub-batch at t = 20: {leaves} "
+                   f"leaves, {8 * leaves} bytes ({refusal})\n")
+    assert not out.exists()
 
 
 def test_low_precision_note_does_not_change_exit_code(tmp_path, capsys):

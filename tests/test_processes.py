@@ -12,9 +12,10 @@ from scipy import stats
 
 import kactails as kt
 from kactails import processes, weights
+from kactails.kernels import rescale_factor
 from kactails.processes import alpha_sums, forest_statistics, law_sums
 
-from growth_reference import grow_tree
+from growth_reference import grow_tree, replay_batch, tree_major
 from weight_norm_reference import mean_weight_norm_table
 from wild_oracle import wild_oracle_max
 
@@ -73,28 +74,32 @@ def test_conservative_kernel_path_invariant():
 
 def _reference_forest(kernel, t, alphas, n_paths, g, law, batch):
     """forest_statistics written out: sub-batches of `batch` paths, each
-    reduced from the whole grown forest and its per-leaf law draws."""
-    cols = {"nu": [], "V": [], "H": [], "beta_max": [], **{a: [] for a in alphas}}
+    grown, given its law draws in one call over the whole forest, and
+    reduced in a loop, tree after tree.  Besides the columns, "V_abs"
+    holds each tree's sum of |beta X| (the alpha terms are positive)."""
+    cols = {}
     for done in range(0, n_paths, batch):
         m = min(batch, n_paths - done)
         nu = kt.sample_yule(t, g, m)
-        flat, starts, order = kt.grow_weights_batch(kernel, nu, g)
+        flat, sizes, order = kt.grow_weights_batch(kernel, nu, g)
 
-        def per_path(values, reduce):
+        def per_path(key, values, reduce):
+            per_tree, starts = tree_major(values, sizes)
             out = np.empty(m)
-            out[order] = reduce.reduceat(values, starts)
-            return out
+            out[order] = [reduce(tree) for tree in np.split(per_tree, starts[1:])]
+            cols.setdefault(key, []).append(out)
 
-        cols["nu"].append(nu)
+        cols.setdefault("nu", []).append(nu)
         if law is None:
             for a in alphas:
-                cols[a].append(per_path(flat ** a, np.add))
-            cols["beta_max"].append(per_path(flat, np.maximum))
+                per_path(a, flat ** a, np.sum)
+            per_path("beta_max", flat, np.max)
         else:
             prod = flat * law.sample(g, flat.size)
-            cols["V"].append(per_path(prod, np.add))
-            cols["H"].append(per_path(np.abs(prod), np.maximum))
-    return {k: np.concatenate(v) for k, v in cols.items() if v}
+            per_path("V", prod, np.sum)
+            per_path("V_abs", np.abs(prod), np.sum)
+            per_path("H", np.abs(prod), np.max)
+    return {k: np.concatenate(v) for k, v in cols.items()}
 
 
 FOREST_CASES = [
@@ -106,7 +111,9 @@ FOREST_CASES = [
 
 @pytest.mark.parametrize("kernel, law", FOREST_CASES)
 def test_forest_statistics_equals_reference_reduction(monkeypatch, kernel, law):
-    # a small leaf budget splits 300 paths into sub-batches of 94
+    # a small leaf budget splits 300 paths into sub-batches of 94.  The
+    # reducers add slot rows, so a tree's sum may run in another order
+    # than np.sum's: maxima match exactly, sums within rounding
     monkeypatch.setattr(kt.processes, "_LEAF_BUDGET", 256)
     batch = int(256 / math.e)
     alphas = (law.alpha, 2.0)
@@ -115,7 +122,7 @@ def test_forest_statistics_equals_reference_reduction(monkeypatch, kernel, law):
     ref = _reference_forest(kernel, 1.0, alphas, 300, g_ref, law, batch)
     np.testing.assert_array_equal(fs.nu, ref["nu"])
     v, h = fs.stats
-    assert v.tobytes() == ref["V"].tobytes()
+    assert np.all(np.abs(v - ref["V"]) <= 1e-14 * ref["V_abs"])
     assert h.tobytes() == ref["H"].tobytes()
     # per sub-batch the stream gives the Yule counts, the growth, then the
     # reducer's draws, so it goes on where the reference's does
@@ -130,27 +137,58 @@ def test_forest_statistics_equals_reference_reduction(monkeypatch, kernel, law):
         trees = forest_statistics(kernel, 1.0, 300, g, alpha_sums(a))
         np.testing.assert_array_equal(trees.nu, ref["nu"])
         m, beta_max = trees.stats
-        assert m.tobytes() == ref[a].tobytes()
+        assert np.all(np.abs(m - ref[a]) <= 1e-14 * ref[a])
         assert beta_max.tobytes() == ref["beta_max"].tobytes()
         assert g.random(4).tobytes() == after.tobytes()
 
 
+def _tree_major_hit_counts(kernel, law, t, xs, n_paths, g):
+    """tail_hit_counts on a forest laid out tree after tree: the replay's
+    weights, the law draws in tree order, then reduceat per tree."""
+    nu = kt.sample_yule(t, g, n_paths)
+    flat, order = replay_batch(kernel, nu, g)
+    weights_by_tree, starts = tree_major(flat, nu[order])
+    prod = weights_by_tree * law.sample(g, weights_by_tree.size)
+    f = rescale_factor(kernel, law.alpha, t)
+    v = np.abs(np.add.reduceat(prod, starts)) * f
+    h = np.maximum.reduceat(np.abs(prod), starts) * f
+    return [(v > x).sum() for x in xs], [(h > x).sum() for x in xs]
+
+
+@pytest.mark.parametrize("law", [kt.SymmetricPareto(1.5), kt.AsymmetricPareto(1.2, 0.7, 0.3)],
+                         ids=["symmetric", "asymmetric"])
+def test_slot_major_draws_keep_the_law_of_the_tail_counts(law):
+    # the law draws land on other leaves than in a tree-major layout; the
+    # counts of |V| > x and H > x must still be those of the same law
+    kernel, xs, n = kt.KacKernel(), (2.0, 5.0, 20.0), 20_000
+    hits_v, hits_h = kt.tail_hit_counts(kernel, law, 3.0, xs, n, rng(41))
+    ref_v, ref_h = _tree_major_hit_counts(kernel, law, 3.0, xs, n, rng(42))
+    for ours, ref in ((hits_v, ref_v), (hits_h, ref_h)):
+        for x, a, b in zip(xs, ours, ref):
+            p, q = a / n, b / n
+            se = math.sqrt((p * (1 - p) + q * (1 - q)) / n)
+            assert abs(p - q) <= 4 * se, (x, a, b)
+            assert b > 20, (x, b)
+
+
 @pytest.mark.parametrize("reducer", [law_sums(kt.SymmetricPareto(1.5)), alpha_sums(1.5)],
                          ids=["symmetric", "no-law"])
-def test_reducers_do_not_depend_on_the_tree_block(reducer, monkeypatch):
-    # at 16 leaves a block holds several small trees, trees straddle the
-    # block edges, and the largest trees are longer than a block; the
-    # symmetric law's draws concatenate, so the values and the stream after
-    # them are those of the default 2^17-leaf blocks
+def test_reducers_do_not_depend_on_the_row_block(reducer, monkeypatch):
+    # at 16 leaves the first slot rows (one slot of each of hundreds of
+    # trees) are longer than a block, and the narrow last rows share
+    # blocks; each tree's sums still run over its slots in order, and the
+    # symmetric law's draws concatenate, so the values and the stream
+    # after them are those of the default 2^17-leaf blocks
     def run():
         g = rng(23)
         fs = forest_statistics(kt.KacKernel(), 2.0, 500, g, reducer)
         return fs, g.bit_generator.state
 
     ref, ref_state = run()
-    assert ref.nu.sum() < processes._TREE_BLOCK
-    assert ref.nu.max() > 16 and (ref.nu < 8).sum() > 100
-    monkeypatch.setattr(processes, "_TREE_BLOCK", 16)
+    widths = np.array([(ref.nu > r).sum() for r in range(ref.nu.max())])
+    assert ref.nu.sum() < processes._ROW_BLOCK
+    assert widths[0] > 16 and (widths < 8).sum() > 10
+    monkeypatch.setattr(processes, "_ROW_BLOCK", 16)
     fs, state = run()
     np.testing.assert_array_equal(fs.nu, ref.nu)
     for col, ref_col in zip(fs.stats, ref.stats):
@@ -211,9 +249,9 @@ def test_wild_oracle_matches_tree_conditional_law():
     law = kt.SymmetricPareto(1.5)
     kernel = kt.KacKernel()
     oracle = wild_oracle_max(kernel, law, 5, g, size=20_000)
-    flat, starts, _ = kt.grow_weights_batch(kernel, np.full(20_000, 5), g)
+    flat, sizes, _ = kt.grow_weights_batch(kernel, np.full(20_000, 5), g)
     x = law.sample(g, flat.size)
-    tree = np.maximum.reduceat(np.abs(flat * x), starts)
+    tree = np.maximum.reduceat(*tree_major(np.abs(flat * x), sizes))
     d = stats.ks_2samp(oracle, tree)
     assert d.statistic < 0.025
 

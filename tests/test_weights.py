@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 import kactails as kt
-from kactails.weights import grow_weights_batch, leaf_array
+from kactails.weights import grow_weights_batch, leaf_array, slot_offsets
 
-from growth_reference import grow_tree, replay_batch
+from growth_reference import grow_tree, replay_batch, tree_major
 from weight_norm_reference import mean_weight_norm_table
 
 S1_KAC = 4.0 / math.pi - 1.0
@@ -26,9 +26,9 @@ KERNELS = {
 
 def _assert_batch_replays(kernel, sizes, g=None, ref_g=None):
     # the batch consumes its draws exactly as the tree-by-tree growth rule
-    # does, and leaves the generator in the state the replay's single
-    # uniform and kernel calls do: the law draws of forest_statistics come
-    # next
+    # does, puts slot r of sorted tree j at the replay's off[r] + j, and
+    # leaves the generator in the state the replay's single uniform and
+    # kernel calls do: the law draws of forest_statistics come next
     g, ref_g = g or rng(1), ref_g or rng(1)
     flat, _, order = grow_weights_batch(kernel, sizes, g)
     ref_flat, ref_order = replay_batch(kernel, sizes, ref_g)
@@ -75,6 +75,12 @@ def test_batch_refuses_generators_without_one_output_per_double(bits):
         grow_weights_batch(KERNELS["kac"], [5, 3], g)
 
 
+def test_slot_offsets_are_the_summed_row_widths():
+    # rows 0..3 of trees of 4, 2, 2 and 1 leaves hold 4, 3, 1 and 1 slots
+    assert slot_offsets(np.array([4, 2, 2, 1])).tolist() == [0, 4, 7, 8, 9]
+    assert slot_offsets(np.array([1, 1])).tolist() == [0, 2]
+
+
 @pytest.mark.parametrize("n", [1, 513, 1 << 20])
 def test_leaf_array_is_a_zeroed_writable_float_array(n):
     a = leaf_array(n)
@@ -85,8 +91,8 @@ def test_leaf_array_is_a_zeroed_writable_float_array(n):
 
 
 def test_single_tree_invariants():
-    flat, starts, order = grow_weights_batch(kt.KacKernel(), [64], rng(2))
-    assert flat.size == 64 and starts.tolist() == [0] and order.tolist() == [0]
+    flat, sizes, order = grow_weights_batch(kt.KacKernel(), [64], rng(2))
+    assert flat.size == 64 and sizes.tolist() == [64] and order.tolist() == [0]
     assert np.all(flat > 0) and flat.max() <= 1.0
     assert flat.sum() >= flat.max()  # M(a) >= beta_max^a
     # L^2 + R^2 = 1 for the Kac kernel, so every split keeps M(2) = 1
@@ -96,8 +102,9 @@ def test_single_tree_invariants():
 def test_conservative_kernel_preserves_alpha_sum():
     a = 1.5
     k = kt.DeterministicKernel(2 ** (-1 / a), 2 ** (-1 / a))
-    flat, starts, _ = grow_weights_batch(k, [512, 3, 1], rng(3))
-    np.testing.assert_allclose(np.add.reduceat(flat ** a, starts), 1.0, rtol=0, atol=1e-12)
+    flat, sizes, _ = grow_weights_batch(k, [512, 3, 1], rng(3))
+    np.testing.assert_allclose(np.add.reduceat(*tree_major(flat ** a, sizes)), 1.0,
+                               rtol=0, atol=1e-12)
 
 
 def test_martingale_mean_small_grid():
@@ -108,8 +115,8 @@ def test_martingale_mean_small_grid():
     for kernel, a, s in configs:
         s_a = kt.spectral(kernel, a) if s is None else s
         for n in (4, 64):
-            flat, starts, _ = grow_weights_batch(kernel, np.full(4000, n), g)
-            tm = np.add.reduceat(flat ** a, starts) / kt.mean_weight_norm(s_a, n)
+            flat, sizes, _ = grow_weights_batch(kernel, np.full(4000, n), g)
+            tm = np.add.reduceat(*tree_major(flat ** a, sizes)) / kt.mean_weight_norm(s_a, n)
             se = tm.std(ddof=1) / math.sqrt(tm.size)
             assert abs(tm.mean() - 1.0) <= 4 * se, (kernel.kind, a, n)
 
@@ -117,8 +124,8 @@ def test_martingale_mean_small_grid():
 def test_kac_martingale_mean_n256():
     g = rng(6)
     n = 256
-    flat, starts, _ = grow_weights_batch(kt.KacKernel(), np.full(20_000, n), g)
-    tm = np.add.reduceat(flat, starts) / kt.mean_weight_norm(S1_KAC, n)
+    flat, sizes, _ = grow_weights_batch(kt.KacKernel(), np.full(20_000, n), g)
+    tm = np.add.reduceat(*tree_major(flat, sizes)) / kt.mean_weight_norm(S1_KAC, n)
     se = tm.std(ddof=1) / math.sqrt(tm.size)
     assert abs(tm.mean() - 1.0) <= 4 * se
 
@@ -164,17 +171,16 @@ def test_mean_weight_norm_table_matches_scalar():
 def test_batch_layout_and_distributional_match():
     g = rng(8)
     sizes = np.array([5, 1, 3, 7, 1, 4])
-    flat, starts, order = grow_weights_batch(kt.KacKernel(), sizes, g)
+    flat, sorted_sizes, order = grow_weights_batch(kt.KacKernel(), sizes, g)
     assert flat.size == sizes.sum()
-    assert starts.size == sizes.size
-    # sorted layout: segment j has length sizes[order][j]
-    seg = np.diff(np.append(starts, flat.size))
-    np.testing.assert_array_equal(seg, sizes[order])
+    # sorted tree j is the caller's tree order[j], largest first
+    np.testing.assert_array_equal(sorted_sizes, sizes[order])
+    assert np.all(np.diff(sorted_sizes) <= 0)
     # M~ from the batch engine and from single-tree growth share one law
     n = 8
     m_n = kt.mean_weight_norm(S1_KAC, n)
-    flat, starts, _ = grow_weights_batch(kt.KacKernel(), np.full(3000, n), g)
-    tm_batch = np.add.reduceat(flat, starts) / m_n
+    flat, sorted_sizes, _ = grow_weights_batch(kt.KacKernel(), np.full(3000, n), g)
+    tm_batch = np.add.reduceat(*tree_major(flat, sorted_sizes)) / m_n
     tm_single = np.array([grow_tree(kt.KacKernel(), n, g).sum() / m_n
                           for _ in range(3000)])
     d = stats.ks_2samp(tm_batch, tm_single)
@@ -186,8 +192,8 @@ def test_rescaled_max_weight_vanishes():
     g = rng(9)
     meds = []
     for n in (4, 16, 64, 256, 1024, 4096):
-        flat, starts, _ = grow_weights_batch(kt.KacKernel(), np.full(400, n), g)
-        bmax = np.maximum.reduceat(flat, starts)
+        flat, sizes, _ = grow_weights_batch(kt.KacKernel(), np.full(400, n), g)
+        bmax = np.maximum.reduceat(*tree_major(flat, sizes))
         meds.append(np.median(bmax) / kt.mean_weight_norm(S1_KAC, n))
     meds = np.array(meds)
     assert np.all(meds[1:] < meds[:-1] * 1.05)
@@ -202,8 +208,8 @@ def test_second_moment_growth_bounded():
     exponent = -2.0 * S1_KAC - 1.0
     ratios = []
     for n in (4, 16, 64, 256, 1024):
-        flat, starts, _ = grow_weights_batch(kt.KacKernel(), np.full(5000, n), g)
-        tm = np.add.reduceat(flat, starts) / kt.mean_weight_norm(S1_KAC, n)
+        flat, sizes, _ = grow_weights_batch(kt.KacKernel(), np.full(5000, n), g)
+        tm = np.add.reduceat(*tree_major(flat, sizes)) / kt.mean_weight_norm(S1_KAC, n)
         bound = np.sum(np.arange(1, n + 1, dtype=float) ** exponent)
         ratios.append(float(np.mean(tm ** 2)) / bound)
     assert max(ratios) <= 1.0  # pinned from a pilot run (observed max ~0.62)

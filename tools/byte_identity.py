@@ -56,7 +56,7 @@ do not count.  The matrix:
   x symmetric Pareto 1.5, so the largest tree of a chunk grows for about
   1,000 steps, each drawing its own kernel pairs; and martingale at
   n = 5000 (N = 420, two chunks of 210 trees, ~1M leaves each) x the same
-  kernels, whose alpha-sums run over several tree blocks;
+  kernels, whose alpha-sums run over several row blocks;
 - limit values whose exponent scale or exponent leaves the float range:
   cf-V at alpha 1 with xmin 2 and xi = +/-1e308, where c0+ pi |xi|
   overflows; cf-V at alpha 1.5 and xi = 3e205, where |xi|^alpha lambda
@@ -131,8 +131,8 @@ BLOCKED_SIZES = {
     "tail": "t: 3.0\nxs: [2.0, 5.0]\nN: 10000\nchunk_size: 4096",
 }
 # t = 5: the largest of 4096 Yule trees has ~1,000 leaves; martingale at
-# n = 5000: two chunks of 210 trees, each ~1M leaves over eight tree blocks
-# (processes._TREE_BLOCK leaves each)
+# n = 5000: two chunks of 210 trees, each ~1M leaves in 5000 slot rows of
+# 210, over eight row blocks (at most processes._ROW_BLOCK leaves each)
 DEEP_SIZES = {
     "tail": "t: 5.0\nxs: [10.0, 50.0]\nN: 10000\nchunk_size: 4096",
     "cdf-H": "t: 5.0\nxs: [0.5, 2.0]\nN: 4096\npool_size: 2000\niterations: 3",
