@@ -117,9 +117,9 @@ def grow_weights_batch(kernel, sizes, rng):
         a = rows[k + 1] - rows[k]
         u = twin.random(out=u_step[:a])
         lk, rk = kernel.sample(rng, a)
+        # u <= 1 - 2^-53 keeps fl(u k) < k: k 2^-53 > ulp(k)/2, or k = 2^e and k - k 2^-53 is exact
         u *= k
         idx = u.astype(np.int64)
-        np.minimum(idx, k - 1, out=idx)
         pos = off[idx]
         pos += tree[:a]
         old = flat[pos]

@@ -92,7 +92,38 @@ def test_kac_pair_lies_on_unit_circle():
     L, R = k.sample(rng(2), 10_000)
     assert np.all(L >= 0) and np.all(R >= 0)
     assert np.all(L <= 1) and np.all(R <= 1)
-    np.testing.assert_allclose(L**2 + R**2, 1.0, atol=1e-12)
+    np.testing.assert_allclose(L**2 + R**2, 1.0, atol=1e-15)
+
+
+class _FixedUniforms:
+    """A generator stand-in whose random(size) returns chosen uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def test_kac_pair_is_sin_and_cos_of_its_own_uniform():
+    # the edges of [0, 1) and uniforms dense near 1, where phi = (pi/2) u
+    # nears pi/2 and cos(phi) is small
+    near_one = 1.0 - np.geomspace(2.0 ** -53, 1e-2, 100_000)
+    u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53], near_one])
+    L, R = kt.KacKernel().sample(_FixedUniforms(u), u.size)
+    sin = np.array([math.sin(0.5 * math.pi * x) for x in u])
+    cos = np.array([math.cos(0.5 * math.pi * x) for x in u])
+    assert np.abs(L - sin).max() <= 1e-15
+    assert np.abs(R - cos).max() <= 1e-15
+    assert np.all((0 <= L) & (L <= 1)) and np.all((0 <= R) & (R <= 1))
+
+
+def test_kac_draw_consumes_one_double_per_pair():
+    drawn, plain = rng(23), rng(23)
+    kt.KacKernel().sample(drawn, 1001)
+    plain.random(1001)
+    assert drawn.bit_generator.state == plain.bit_generator.state
 
 
 def test_discrete_mixture_mean_matches_expectation():

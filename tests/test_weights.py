@@ -81,6 +81,19 @@ def test_slot_offsets_are_the_summed_row_widths():
     assert slot_offsets(np.array([1, 1])).tolist() == [0, 2]
 
 
+def test_largest_uniform_picks_an_index_below_k():
+    # the grower takes step k's leaf index as int(u * k) with no clamp:
+    # Generator.random gives u <= 1 - 2^-53, and at that u the product
+    # must round to below k for every step index k < 2^53
+    edges = [2 ** e + d for e in range(22, 53) for d in (-1, 0, 1)]
+    ks = np.concatenate([np.arange(1, 2 ** 22), edges, [2 ** 53 - 1]])
+    u = np.full(ks.size, 1.0 - 2.0 ** -53)
+    assert u[0] == np.nextafter(1.0, 0.0)
+    u *= ks.astype(np.float64)
+    assert np.all(u < ks)
+    assert np.array_equal(u.astype(np.int64), ks - 1)
+
+
 @pytest.mark.parametrize("n", [1, 513, 1 << 20])
 def test_leaf_array_is_a_zeroed_writable_float_array(n):
     a = leaf_array(n)

@@ -9,7 +9,12 @@ exit code, stderr, and stdout with the elapsed time masked, and the
 change tree's stderr holds no Python warning line (`<file>:<line>:
 <Name>Warning: ...`), so a new overflow or NaN warning fails the run even
 where the parent printed it too.  The CLI's own lowercase `warning:` lines
-do not count.  The matrix:
+do not count.  When the two CSVs differ but share their header and row
+count, the mismatch line also says how far they moved: the number of
+changed cells, the largest relative change |b - a| / max(|a|, |b|) over
+float cells, and whether any integer cell (a hit count, N, a pool size)
+changed.  A rounding-level change then reads as one, and a moved count
+stands out.  The matrix:
 
 - the 8 experiments x Kac, deterministic (0.6, 0.7) and discrete-mixture
   kernels x symmetric Pareto 1.5 and asymmetric Pareto 1.2 x seeds 1, 2
@@ -86,6 +91,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import re
 import subprocess
@@ -333,7 +339,7 @@ def matrix():
 
 
 def run_one(tree, text, config, args):
-    """(csv sha256 or None, exit code, stdout with elapsed masked, stderr)."""
+    """(csv bytes or None, exit code, stdout with elapsed masked, stderr)."""
     with tempfile.TemporaryDirectory() as work:
         cfg = Path(work) / "cfg.yaml"
         cfg.write_text(text if text is not None else (tree / config).read_text())
@@ -343,8 +349,45 @@ def run_one(tree, text, config, args):
              "--output", "out.csv", *args],
             cwd=work, env=env, capture_output=True, text=True)
         out = Path(work) / "out.csv"
-        digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
-        return digest, proc.returncode, _ELAPSED.sub("(*s)", proc.stdout), proc.stderr
+        csv = out.read_bytes() if out.exists() else None
+        return csv, proc.returncode, _ELAPSED.sub("(*s)", proc.stdout), proc.stderr
+
+
+def _sha256(csv):
+    return None if csv is None else hashlib.sha256(csv).hexdigest()
+
+
+def _number(cell):
+    """The int or float value of a numeric cell, None for any other cell."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return None
+
+
+def cell_summary(a, b):
+    """How far CSV bytes b moved from a: the changed cells, the largest
+    relative change over float cells and whether an integer cell changed;
+    None unless both have the same header, row count and row widths."""
+    rows_a, rows_b = a.decode().splitlines(), b.decode().splitlines()
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        return None
+    cells = [(row_a.split(","), row_b.split(",")) for row_a, row_b in zip(rows_a, rows_b)]
+    if any(len(x) != len(y) for x, y in cells):
+        return None
+    changed, rel, ints = 0, 0.0, False
+    for x, y in ((x, y) for xs, ys in cells for x, y in zip(xs, ys) if x != y):
+        changed += 1
+        vx, vy = _number(x), _number(y)
+        if isinstance(vx, int) or isinstance(vy, int):
+            ints = True
+        elif isinstance(vx, float) and isinstance(vy, float) and vx != vy:  # not 0.0 vs -0.0
+            r = abs(vy - vx) / max(abs(vx), abs(vy))
+            rel = max(rel, r if math.isfinite(r) else math.inf)  # inf or NaN in a cell
+    return (f"{changed} cell(s) changed, largest relative float change {rel:.3g}, "
+            f"integer cells {'CHANGED' if ints else 'unchanged'}")
 
 
 def compare(parent, change, run):
@@ -352,7 +395,13 @@ def compare(parent, change, run):
     a = run_one(parent, text, config, args)
     b = run_one(change, text, config, args)
     labels = ("csv sha256", "exit code", "stdout", "stderr")
-    diffs = [f"{label}: {x!r} != {y!r}" for label, x, y in zip(labels, a, b) if x != y]
+    diffs = [f"{label}: {x!r} != {y!r}"
+             for label, x, y in zip(labels, (_sha256(a[0]), *a[1:]), (_sha256(b[0]), *b[1:]))
+             if x != y]
+    if a[0] is not None and b[0] is not None and a[0] != b[0]:
+        summary = cell_summary(a[0], b[0])
+        if summary:
+            diffs[0] += f" ({summary})"
     warned = _PY_WARNING.search(b[3])
     if warned:
         diffs.append(f"change stderr has a Python warning: {warned.group(0)!r}")
