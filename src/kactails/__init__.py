@@ -30,7 +30,6 @@ from .limits import (
     ZPool,
     cdf_H_infinity,
     cf_V_infinity,
-    sample_V_infinity,
     zpool_iterate,
 )
 from .deviations import (

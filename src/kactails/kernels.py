@@ -54,9 +54,7 @@ class CollisionKernel:
 
         Draws concatenate: sample(rng, m) followed by sample(rng, n)
         returns the same pairs as sample(rng, m + n) and leaves rng in the
-        same state.  grow_weights_batch draws its pairs step by step, one
-        pair per tree of the step's slot row, and relies on this to
-        consume the stream of one call."""
+        same state."""
         raise NotImplementedError
 
     def pair_moment(self, s: float) -> float:

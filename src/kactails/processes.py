@@ -16,9 +16,10 @@ it spans.  law_sums gives, from one shared set of per-leaf products,
 so tail-ratio estimates of the pair use common random numbers, and
 alpha_sums gives M_nu(alpha) = sum_j beta_j^alpha and max_j beta_j.
 
-Stream order, per sub-batch: the Yule counts, the growth (grow_weights_batch),
-then the reducer's draws.  A reducer that draws nothing (alpha_sums) leaves
-the stream where growth left it.
+Stream order, per sub-batch: the Yule counts; then, for each growth step
+of grow_weights_batch, that step's index uniforms and then its kernel
+pairs; then the reducer's draws.  A reducer that draws nothing
+(alpha_sums) leaves the stream where growth left it.
 """
 
 from __future__ import annotations

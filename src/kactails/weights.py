@@ -8,13 +8,9 @@ growing at step k, so a step writes its new right children as one
 contiguous row.  Callers take the sums M_n(alpha) = sum_j beta_{j,n}^alpha
 by adding the rows into per-tree sums (processes.alpha_sums).
 
-Stream order: a batch takes every index uniform first, as one call for
-all of them would, and then the kernel pairs step by step, only for the
-trees still growing at that step.  A kernel's draws concatenate (see
-CollisionKernel.sample), so this is the stream one call for all pairs
-would consume.  The index uniforms come step by step from a twin of the
-generator, while the generator itself jumps past them (PCG64 `advance`),
-so the batch holds one leaf-length array, the weights, and no more.
+Each step draws its own index uniforms and then its own kernel pairs,
+only for the trees still growing at that step, so the batch holds one
+leaf-length array, the weights, and no more.
 
 The mean normalization m_n(alpha) = Gamma(n+Q(a)) / (Gamma(n) Gamma(Q(a)+1))
 is evaluated through its multiplicative recurrence
@@ -25,7 +21,6 @@ for every n.
 
 from __future__ import annotations
 
-import copy
 import math
 import mmap
 
@@ -76,19 +71,10 @@ def grow_weights_batch(kernel, sizes, rng):
     new leaves as one contiguous row.  Per-tree statistics computed on the
     sorted layout must be scattered back through `order`.
 
-    The rng gives the index uniforms of all steps, then step k's kernel
-    pairs for its `a` growing trees, in sorted-tree order, step after
-    step.  The uniforms are read step by step from a twin of rng made at
-    entry, and rng advances past them at once, keeping its buffered
-    32-bit half; rng ends in the state that drawing them in one call
-    would leave.  Advancing by one step per double holds for PCG64 and
-    PCG64DXSM only, so any other bit generator raises TypeError.  Beyond
-    `flat`, a step holds only arrays of length a.
+    Step k draws from rng the index uniforms of its `a` growing trees and
+    then their `a` kernel pairs, in sorted-tree order.  Beyond `flat`, a
+    step holds only arrays of length a.
     """
-    bits = rng.bit_generator
-    if not isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)):
-        raise TypeError(f"grow_weights_batch needs a PCG64 or PCG64DXSM generator, "
-                        f"not {type(bits).__name__}")
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -96,8 +82,7 @@ def grow_weights_batch(kernel, sizes, rng):
         raise ValueError("every tree size must be >= 1")
     order = np.argsort(-sizes, kind="stable")
     s_sorted = sizes[order]
-    total = int(s_sorted.sum())
-    flat = leaf_array(total)
+    flat = leaf_array(int(s_sorted.sum()))
     flat[:s_sorted.size] = 1.0
     n_max = int(s_sorted[0])
     if n_max == 1:
@@ -105,17 +90,11 @@ def grow_weights_batch(kernel, sizes, rng):
 
     off = slot_offsets(s_sorted)
     rows = off.tolist()
-    twin = copy.deepcopy(rng)
-    state = bits.state
-    bits.advance(total - s_sorted.size)
-    after = bits.state
-    after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
-    bits.state = after
     u_step = np.empty(rows[2] - rows[1])
     tree = np.arange(u_step.size)
     for k in range(1, n_max):
         a = rows[k + 1] - rows[k]
-        u = twin.random(out=u_step[:a])
+        u = rng.random(out=u_step[:a])
         lk, rk = kernel.sample(rng, a)
         # u <= 1 - 2^-53 keeps fl(u k) < k: k 2^-53 > ulp(k)/2, or k = 2^e and k - k 2^-53 is exact
         u *= k

@@ -1,11 +1,11 @@
 """Per-tree references for the batch weight grower.
 
 grow_tree is an independent grower: one tree, its own draws, the growth
-rule written out leaf by leaf.  replay_batch feeds the draws that
-grow_weights_batch makes to the same rule one tree at a time and lays the
-trees out as the batch does, so its output must equal the batch output
-bit for bit.  tree_major undoes that layout for references that reduce
-tree by tree.  None of them uses kactails.
+rule written out leaf by leaf.  replay_batch makes the draws that
+grow_weights_batch makes, feeds them to the same rule one tree at a time
+and lays the trees out as the batch does, so its output must equal the
+batch output bit for bit.  tree_major undoes that layout for references
+that reduce tree by tree.  None of them uses kactails.
 
 The batch layout is slot-major: the trees are sorted largest first
 (stable), row r holds slot r of every tree with more than r leaves, and
@@ -48,31 +48,28 @@ def tree_major(flat, sorted_sizes):
 def replay_batch(kernel, sizes, rng):
     """(flat, order) as grow_weights_batch(kernel, sizes, rng) returns them.
 
-    The batch sorts the trees by size, largest first (stable), draws every
-    uniform and then the kernel pairs, and gives step k the next draws in
-    sorted-tree order for the trees that still grow.  So tree j of the
-    sorted order takes, at step k, draw number (draws of steps < k) + j.
-    The batch draws its pairs step by step; this replay draws them in one
-    call, which gives the same pairs and the same final generator state
-    only because a kernel's draws concatenate.
+    The batch sorts the trees by size, largest first (stable).  Step k
+    draws a uniforms and then a kernel pairs, where a is the number of
+    trees that still grow at step k, and gives draw j of each to tree j
+    of the sorted order.  The replay takes those draws step by step, then
+    grows each tree on its own from its share of them.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     order = np.argsort(-sizes, kind="stable")
     s = [int(v) for v in sizes[order]]
-    n_draws = sum(s) - len(s)
-    u = rng.random(n_draws)
-    lk, rk = kernel.sample(rng, n_draws)
     off = _row_offsets(s)
-    growing = np.diff(off)  # trees that grow at step k: the width of row k
-    before = np.cumsum([0, 0, *growing[1:]]).tolist()  # draws of steps < k
+    draws = []  # (u, L, R) of step k, for k = 1..max - 1
+    for a in np.diff(off)[1:].tolist():  # trees that grow at step k: the width of row k
+        u = rng.random(a)
+        draws.append((u, *kernel.sample(rng, a)))
     flat = np.empty(sum(s))
     for j, n in enumerate(s):
         betas = [1.0]
         for k in range(1, n):
-            d = before[k] + j
-            i = min(int(u[d] * k), k - 1)
+            u, lk, rk = draws[k - 1]
+            i = min(int(u[j] * k), k - 1)
             old = betas[i]
-            betas[i] = old * lk[d]
-            betas.append(old * rk[d])
+            betas[i] = old * lk[j]
+            betas.append(old * rk[j])
         flat[off[:n] + j] = betas
     return flat, order

@@ -15,6 +15,7 @@ from kactails.kernels import (
     log_h_of_t,
 )
 
+from limit_sampler import sample_V_infinity
 from spectral_reference import kac_Q_quadrature
 
 Q1_KAC = 4.0 / math.pi - 1.0
@@ -31,8 +32,8 @@ _SAMPLERS = {
     "symmetric": lambda g: kt.SymmetricPareto(1.5).sample(g),
     "asymmetric": lambda g: kt.AsymmetricPareto(1.5, 0.7, 0.3).sample(g),
     "yule": lambda g: kt.sample_yule(1.0, g),
-    "V-infinity": lambda g: kt.sample_V_infinity(kt.ZPool.ones(10, 1.5),
-                                                 kt.SymmetricPareto(1.5), g),
+    "V-infinity": lambda g: sample_V_infinity(kt.ZPool.ones(10, 1.5),
+                                              kt.SymmetricPareto(1.5), g),
 }
 
 

@@ -7,6 +7,7 @@ from scipy import stats
 
 import kactails as kt
 
+from limit_sampler import sample_V_infinity
 from tree_pool import zpool_from_trees
 
 LAMBDA_15 = math.pi / (2.0 * math.gamma(1.5) * math.sin(0.75 * math.pi))
@@ -218,7 +219,7 @@ def test_stable_sampler_characteristic_function():
     g = rng(9)
     pool = kt.ZPool.ones(100, 1.5)
     law = kt.SymmetricPareto(1.5)
-    v = kt.sample_V_infinity(pool, law, g, size=100_000)
+    v = sample_V_infinity(pool, law, g, size=100_000)
     for xi in (0.5, 1.0, 2.0):
         emp = np.exp(1j * xi * v).mean()
         assert abs(emp - math.exp(-law.stable_scale * xi ** 1.5)) <= 0.02, xi
@@ -231,7 +232,7 @@ def test_stable_sampler_skewed_characteristic_function():
     g = rng(10)
     pool = kt.ZPool.ones(100, 1.5)
     law = kt.AsymmetricPareto(1.5, 0.8, 0.2)
-    v = kt.sample_V_infinity(pool, law, g, size=200_000)
+    v = sample_V_infinity(pool, law, g, size=200_000)
     for xi in (0.5, 1.0, -1.0):
         emp = np.exp(1j * xi * v).mean()
         target = kt.cf_V_infinity(xi, pool, law)
@@ -242,7 +243,7 @@ def test_limit_tail_recovers_c0():
     # x^a P{|V_inf| > x} -> c0; at x = 30 the second-order term is ~2.6%
     g = rng(11)
     pool = kt.ZPool.ones(100, 1.5)
-    v = kt.sample_V_infinity(pool, kt.SymmetricPareto(1.5), g, size=10_000_000)
+    v = sample_V_infinity(pool, kt.SymmetricPareto(1.5), g, size=10_000_000)
     ratio = 30.0 ** 1.5 * (np.abs(v) > 30.0).mean()
     assert abs(ratio - 1.0) <= 0.15
 
@@ -252,7 +253,7 @@ def test_cauchy_composition_matches_characteristic_function():
     pool = kt.zpool_iterate(kt.ZPool.ones(50_000, 1.0),
                             kt.KacKernel(), g, iterations=40)
     law = kt.SymmetricPareto(1.0)
-    v = kt.sample_V_infinity(pool, law, g, size=200_000)
+    v = sample_V_infinity(pool, law, g, size=200_000)
     for xi in (0.5, 1.0, 2.0):
         emp = np.exp(1j * xi * v).mean()
         target = kt.cf_V_infinity(xi, pool, law)

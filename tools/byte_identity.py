@@ -12,9 +12,17 @@ where the parent printed it too.  The CLI's own lowercase `warning:` lines
 do not count.  When the two CSVs differ but share their header and row
 count, the mismatch line also says how far they moved: the number of
 changed cells, the largest relative change |b - a| / max(|a|, |b|) over
-float cells, and whether any integer cell (a hit count, N, a pool size)
-changed.  A rounding-level change then reads as one, and a moved count
-stands out.  The matrix:
+float cells, whether any integer cell (a hit count, N, a pool size)
+changed, and the largest two-sample |z| = |a - b| / sqrt(se_a^2 + se_b^2)
+over the estimates of the moved rows that carry a standard error (SE_OF).
+A rounding-level change then reads as one, a moved count stands out, and
+where the two trees draw different samples of one law, the z's are a
+test of that law.  cf-V has no se column: its z's take
+sqrt((1 - v^2) / N), an upper bound on the SE of each part v of the
+empirical cf, so they can only be too small.  At |xi| >= PHASE_FREE_XI
+the empirical cf's phase carries no value, so its cells there are not
+compared by value; the line says instead whether |cf| <= 1 holds on both
+sides.  The matrix:
 
 - the 8 experiments x Kac, deterministic (0.6, 0.7) and discrete-mixture
   kernels x symmetric Pareto 1.5 and asymmetric Pareto 1.2 x seeds 1, 2
@@ -270,6 +278,13 @@ CONFIG_ERRORS = {
     "martingale-n-2^60": ("martingale", KERNELS["kac"], LAWS["sym1.5"],
                           "n: [1152921504606846976]\nN: 4"),
 }
+# each estimate with its standard error column, over every CSV schema
+SE_OF = {"p_V": "se_V", "p_H": "se_H", "p_sum": "se_sum", "p_max": "se_max", "mc": "mc_se",
+         "cdf_empirical": "se", "mean": "se", "residual": "se"}
+CF_PARTS = ("re_empirical", "im_empirical")
+# at |xi| >= 1e100 one ulp of any |V| > 3e-84 turns xi V by more than a full turn
+PHASE_FREE_XI = 1e100
+PHASE_CELLS = (*CF_PARTS, "abs_error")
 _ELAPSED = re.compile(r"\(\d+\.\d+s\)")
 _PY_WARNING = re.compile(r"^.*:\d+: \w*Warning: ", re.M)
 
@@ -367,27 +382,68 @@ def _number(cell):
     return None
 
 
+def _z(x, y, se_x, se_y):
+    """|x - y| / sqrt(se_x^2 + se_y^2) of two estimates; inf if they differ
+    with no spread or either is not finite."""
+    if x == y:
+        return 0.0
+    z = abs(x - y) / math.hypot(se_x, se_y) if se_x or se_y else math.inf
+    return z if math.isfinite(z) else math.inf
+
+
+def row_z(a, b, skip=()):
+    """Largest two-sample |z| over the estimates of rows a and b (dicts of
+    cells by column), None if the row holds none."""
+    def cf_se(r, c):
+        return math.sqrt(max(0.0, 1.0 - float(r[c]) ** 2) / float(r["N"]))
+
+    zs = [_z(float(a[c]), float(b[c]), float(a[se]), float(b[se]))
+          for c, se in SE_OF.items() if c in a]
+    zs += [_z(float(a[c]), float(b[c]), cf_se(a, c), cf_se(b, c))
+           for c in CF_PARTS if c in a and c not in skip]
+    return max(zs, default=None)
+
+
 def cell_summary(a, b):
     """How far CSV bytes b moved from a: the changed cells, the largest
-    relative change over float cells and whether an integer cell changed;
-    None unless both have the same header, row count and row widths."""
+    relative change over float cells, whether an integer cell changed and
+    the largest two-sample |z| over the moved rows; None unless both have
+    the same header, row count and row widths."""
     rows_a, rows_b = a.decode().splitlines(), b.decode().splitlines()
     if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
         return None
-    cells = [(row_a.split(","), row_b.split(",")) for row_a, row_b in zip(rows_a, rows_b)]
-    if any(len(x) != len(y) for x, y in cells):
+    header = rows_a[0].split(",")
+    rows = [(row_a.split(","), row_b.split(",")) for row_a, row_b in zip(rows_a[1:], rows_b[1:])]
+    if any(len(x) != len(header) or len(y) != len(header) for x, y in rows):
         return None
-    changed, rel, ints = 0, 0.0, False
-    for x, y in ((x, y) for xs, ys in cells for x, y in zip(xs, ys) if x != y):
-        changed += 1
-        vx, vy = _number(x), _number(y)
-        if isinstance(vx, int) or isinstance(vy, int):
-            ints = True
-        elif isinstance(vx, float) and isinstance(vy, float) and vx != vy:  # not 0.0 vs -0.0
-            r = abs(vy - vx) / max(abs(vx), abs(vy))
-            rel = max(rel, r if math.isfinite(r) else math.inf)  # inf or NaN in a cell
-    return (f"{changed} cell(s) changed, largest relative float change {rel:.3g}, "
+    changed, rel, ints, z, phase_free, cf_ok = 0, 0.0, False, None, 0, True
+    for xs, ys in ((xs, ys) for xs, ys in rows if xs != ys):
+        row_a, row_b = dict(zip(header, xs)), dict(zip(header, ys))
+        skip = ()
+        if "xi" in row_a and abs(float(row_a["xi"])) >= PHASE_FREE_XI:
+            skip = PHASE_CELLS
+            phase_free += sum(row_a[c] != row_b[c] for c in skip)
+            cf_ok &= all(math.hypot(*(float(r[c]) for c in CF_PARTS)) <= 1.0 + 1e-12
+                         for r in (row_a, row_b))
+        for x, y in ((x, y) for c, x, y in zip(header, xs, ys) if x != y and c not in skip):
+            changed += 1
+            vx, vy = _number(x), _number(y)
+            if isinstance(vx, int) or isinstance(vy, int):
+                ints = True
+            elif isinstance(vx, float) and isinstance(vy, float) and vx != vy:  # not 0.0 vs -0.0
+                r = abs(vy - vx) / max(abs(vx), abs(vy))
+                rel = max(rel, r if math.isfinite(r) else math.inf)  # inf or NaN in a cell
+        rz = row_z(row_a, row_b, skip)
+        if rz is not None:
+            z = rz if z is None else max(z, rz)
+    text = (f"{changed} cell(s) changed, largest relative float change {rel:.3g}, "
             f"integer cells {'CHANGED' if ints else 'unchanged'}")
+    if z is not None:
+        text += f", largest |z| {z:.2f}"
+    if phase_free:
+        text += (f", {phase_free} phase-free cf cell(s) not compared by value, |cf| <= 1 "
+                 f"{'holds' if cf_ok else 'FAILS'}")
+    return text
 
 
 def compare(parent, change, run):
